@@ -13,10 +13,10 @@ from comblevy import (
     LoopComponent,
     MixtureAtom,
     PairComponent,
+    RestrictedIntensity,
     Signature,
     VertexComponent,
     make_rng,
-    restricted_measure,
     simulate_levy,
 )
 
@@ -33,7 +33,7 @@ intensity = LevyIntensity(
 )
 
 n = 12
-restricted = restricted_measure(intensity, n)
+restricted = RestrictedIntensity(intensity, n)
 print(f"component rates at n={n}:",
       [round(r, 3) for r in restricted.component_rates])
 print(f"total rate: {restricted.total_rate:.3f}")

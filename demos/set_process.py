@@ -10,12 +10,12 @@ import math
 
 from comblevy import (
     LevyIntensity,
+    RestrictedIntensity,
     SetSingletonComponent,
     Signature,
     make_rng,
     marginal_flip_probability,
     restrict_trajectory,
-    restricted_measure,
     set_frequency,
     simulate_levy,
 )
@@ -27,7 +27,7 @@ horizon = 3.0
 rate = 1.0
 
 intensity = LevyIntensity(SIG, (SetSingletonComponent(rate=rate),))
-print(f"level-{n} total jump rate: {restricted_measure(intensity, n).total_rate:.1f}")
+print(f"level-{n} total jump rate: {RestrictedIntensity(intensity, n).total_rate:.1f}")
 
 rng = make_rng(2024)
 traj = simulate_levy(intensity, n, horizon, rng)
@@ -42,7 +42,7 @@ for t in (0.1, 0.25, 0.5, 1.0, 2.0, 3.0):
 m = 20
 small = restrict_trajectory(traj, m)
 observed = (len(small.events) - 1) / horizon
-expected = restricted_measure(intensity, m).total_rate
+expected = RestrictedIntensity(intensity, m).total_rate
 print(f"\nrestricted to [{m}]: {len(small.events) - 1} jumps "
       f"(observed rate {observed:.1f}, restricted rate {expected:.1f}, "
       f"Poisson sd {math.sqrt(expected / horizon):.1f})")

@@ -62,7 +62,7 @@ from .levy import (
     ExplicitFinite,
     LevyIntensity,
     LevyTrajectory,
-    restricted_measure,
+    RestrictedIntensity,
     simulate_levy,
     restrict_trajectory,
     marginal_flip_probability,

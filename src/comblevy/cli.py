@@ -32,7 +32,6 @@ from .levy import (
 )
 from .limits import density_to_csv, density_vector, limit_path, limit_path_to_csv
 from .measures import (
-    FiniteMeasure,
     decompose_exchangeable,
     measure_from_json,
     measure_to_json,
@@ -162,17 +161,7 @@ def cmd_density(args: argparse.Namespace) -> None:
 
 
 def cmd_estimate_jumps(args: argparse.Namespace) -> None:
-    traj = _load_trajectory(args.trajectory)
-    if hasattr(traj, "steps"):
-        mu = empirical_jump_measure(traj)
-    else:
-        increments = traj.jump_increments()
-        if not increments:
-            raise ValueError("continuous trajectory has no jumps to estimate from")
-        weights: dict = {}
-        for inc in increments:
-            weights[inc] = weights.get(inc, 0.0) + 1.0 / len(increments)
-        mu = FiniteMeasure(traj.signature, traj.n, weights)
+    mu = empirical_jump_measure(_load_trajectory(args.trajectory))
     _write_atomic(args.out, measure_to_json(mu) + "\n")
     _write_manifest(args, "estimate-jumps", args.out)
 

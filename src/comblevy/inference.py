@@ -61,13 +61,19 @@ class TestReport:
     inconclusive: bool = False
 
 
-def empirical_jump_measure(traj: WalkTrajectory) -> FiniteMeasure:
-    """Frequency of each observed one-step increment (empty included)."""
-    if traj.T < 1:
-        raise ValueError("need at least one step to estimate the jump measure")
-    counts = Counter(traj.increments())
-    first = traj.steps[0]
-    weights = {m: c / traj.T for m, c in counts.items()}
+def empirical_jump_measure(traj) -> FiniteMeasure:
+    """Frequency of each increment in :func:`jump_increment_sequence`: a
+    walk's one-step increments (empty included) or a continuous-time
+    trajectory's jumps."""
+    return _frequency_measure(Counter(jump_increment_sequence(traj)))
+
+
+def _frequency_measure(counts: Counter) -> FiniteMeasure:
+    total = counts.total()
+    if total == 0:
+        raise ValueError("need at least one increment to estimate the jump measure")
+    first = next(iter(counts))
+    weights = {m: c / total for m, c in counts.items()}
     return FiniteMeasure(first.signature, first.n, weights)
 
 
@@ -141,16 +147,11 @@ def chi_square_exchangeability(
     cap: int = DEFAULT_CANONICAL_CAP,
 ) -> TestReport:
     """Pearson test of the exchangeable fit against the raw jump measure."""
-    increments = jump_increment_sequence(traj)
-    if not increments:
-        raise ValueError("trajectory has no increments")
-    total = len(increments)
-    counts = Counter(increments)
-    first = increments[0]
-    mu_hat = FiniteMeasure(
-        first.signature, first.n, {m: c / total for m, c in counts.items()}
-    )
-    mu_ex = symmetrize(mu_hat, cap)
+    # The observed counts enter the statistic, so the measure is built from
+    # them here instead of through empirical_jump_measure.
+    counts = Counter(jump_increment_sequence(traj))
+    total = counts.total()
+    mu_ex = symmetrize(_frequency_measure(counts), cap)
 
     # Cells are all structures in the union support; group them per orbit,
     # orbits and cells both in ascending canonical order.

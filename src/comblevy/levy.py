@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import accumulate
 
 import numpy as np
@@ -44,7 +44,6 @@ from .structures import (
     restrict,
     serialize,
 )
-from .structures import _cell_decode  # cell layout shared with Structure
 
 __all__ = [
     "MixtureAtom",
@@ -56,7 +55,6 @@ __all__ = [
     "LevyIntensity",
     "LevyTrajectory",
     "RestrictedIntensity",
-    "restricted_measure",
     "simulate_levy",
     "restrict_trajectory",
     "marginal_flip_probability",
@@ -96,11 +94,49 @@ def _check_pattern(pattern, name: str) -> tuple[float, float, float]:
     return pattern
 
 
+_SIG_GRAPH = Signature((2,))
+_SIG_COMMUNITY = Signature((1, 2))
+
+
+class _Component:
+    """Base of the jump-component kinds.
+
+    Each kind sets its JSON type ``tag`` and defines ``validate(signature)``,
+    which raises ValueError unless the component fits the process signature,
+    and ``restrict(signature, n)``, which returns its level-n sampler: a
+    finite ``rate`` plus ``sample(rng)`` of a nonempty increment.  The JSON
+    form is the tag plus the dataclass fields.
+    """
+
+    tag: str
+
+    def to_payload(self) -> dict:
+        payload = {"type": self.tag}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            payload[f.name] = list(value) if isinstance(value, tuple) else value
+        return payload
+
+    @classmethod
+    def from_payload(cls, payload: dict):
+        known = {f.name for f in fields(cls)} | {"type"}
+        unknown = sorted(set(payload) - known)
+        if unknown:
+            raise ValueError(f"{cls.tag} component has unknown keys: {unknown}")
+        return cls(**{k: v for k, v in payload.items() if k != "type"})
+
+
+def _require_graph_signature(comp: _Component, signature: Signature) -> None:
+    if signature not in (_SIG_GRAPH, _SIG_COMMUNITY):
+        raise ValueError(f"{type(comp).__name__} requires signature (2) or (1,2)")
+
+
 @dataclass(frozen=True)
-class MixtureAtom:
+class MixtureAtom(_Component):
     """Dissociated product-Bernoulli jump kernel with one flip probability
     per relation, carrying total rate ``weight``."""
 
+    tag = "mixture_atom"
     weight: float
     probs: tuple[float, ...]
 
@@ -112,24 +148,43 @@ class MixtureAtom:
             tuple(_check_prob(p, "flip probability") for p in self.probs),
         )
 
+    def validate(self, signature: Signature) -> None:
+        if len(self.probs) != signature.k:
+            raise ValueError(
+                f"mixture atom has {len(self.probs)} flip probabilities, "
+                f"signature needs {signature.k}"
+            )
+
+    def restrict(self, signature: Signature, n: int):
+        return _RestrictedMixture(self, signature, n)
+
 
 @dataclass(frozen=True)
-class SetSingletonComponent:
+class SetSingletonComponent(_Component):
     """Rate ``rate`` per element i: the jump flips the single cell {i}."""
 
+    tag = "set_singleton"
     rate: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rate", _check_rate(self.rate, "rate"))
 
+    def validate(self, signature: Signature) -> None:
+        if signature.arities != (1,):
+            raise ValueError("set singleton component requires signature (1)")
+
+    def restrict(self, signature: Signature, n: int):
+        return _RestrictedSetSingleton(self, signature, n)
+
 
 @dataclass(frozen=True)
-class VertexComponent:
+class VertexComponent(_Component):
     """Per-vertex jumps: each edge incident to the chosen vertex flips with
     probability ``rho``; for a community signature the vertex's membership
     flips with probability ``member_prob``.  The self-loop cell is excluded
     unless ``include_loop`` is set (loops belong to the loop component)."""
 
+    tag = "vertex"
     rate: float
     rho: float
     member_prob: float = 0.0
@@ -145,13 +200,22 @@ class VertexComponent:
             self, "member_prob", _check_prob(self.member_prob, "member_prob")
         )
 
+    def validate(self, signature: Signature) -> None:
+        _require_graph_signature(self, signature)
+        if signature == _SIG_GRAPH and self.member_prob != 0.0:
+            raise ValueError("member_prob requires signature (1,2)")
+
+    def restrict(self, signature: Signature, n: int):
+        return _RestrictedVertex(self, signature, n)
+
 
 @dataclass(frozen=True)
-class PairComponent:
+class PairComponent(_Component):
     """Per-unordered-pair jumps: for the chosen pair {i, j} (i < j), flip one
     of the nonempty subsets of {(i,j), (j,i)} drawn from ``pattern``
     (forward only, backward only, both)."""
 
+    tag = "pair"
     rate: float
     pattern: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
 
@@ -159,13 +223,20 @@ class PairComponent:
         object.__setattr__(self, "rate", _check_rate(self.rate, "rate"))
         object.__setattr__(self, "pattern", _check_pattern(self.pattern, "pattern"))
 
+    def validate(self, signature: Signature) -> None:
+        _require_graph_signature(self, signature)
+
+    def restrict(self, signature: Signature, n: int):
+        return _RestrictedPair(self, signature, n)
+
 
 @dataclass(frozen=True)
-class LoopComponent:
+class LoopComponent(_Component):
     """Per-element jumps on the diagonal: flip the loop (i, i).  For a
     community signature, ``pattern`` distributes over the nonempty subsets
     of {membership flip, loop flip} (member only, loop only, both)."""
 
+    tag = "loop"
     rate: float
     pattern: tuple[float, float, float] = (0.0, 1.0, 0.0)
 
@@ -173,11 +244,20 @@ class LoopComponent:
         object.__setattr__(self, "rate", _check_rate(self.rate, "rate"))
         object.__setattr__(self, "pattern", _check_pattern(self.pattern, "pattern"))
 
+    def validate(self, signature: Signature) -> None:
+        _require_graph_signature(self, signature)
+        if signature == _SIG_GRAPH and self.pattern != (0.0, 1.0, 0.0):
+            raise ValueError("loop pattern other than (0,1,0) requires signature (1,2)")
+
+    def restrict(self, signature: Signature, n: int):
+        return _RestrictedLoop(self, signature, n)
+
 
 @dataclass(frozen=True)
-class ExplicitFinite:
+class ExplicitFinite(_Component):
     """Arbitrary finite intensity over a fixed label window."""
 
+    tag = "explicit"
     measure: FiniteMeasure
 
     def __post_init__(self) -> None:
@@ -185,9 +265,35 @@ class ExplicitFinite:
         if mu.mass(empty_structure(mu.signature, mu.n)) != 0.0:
             raise ValueError("explicit jump intensity must not weight the empty structure")
 
+    def validate(self, signature: Signature) -> None:
+        if self.measure.signature != signature:
+            raise ValueError("explicit component signature mismatch")
 
-_SIG_GRAPH = Signature((2,))
-_SIG_COMMUNITY = Signature((1, 2))
+    def restrict(self, signature: Signature, n: int):
+        return _RestrictedExplicit(self, signature, n)
+
+    def to_payload(self) -> dict:
+        return {"type": self.tag, "measure": measure_to_payload(self.measure)}
+
+    @classmethod
+    def from_payload(cls, payload: dict):
+        return super().from_payload(
+            {**payload, "measure": measure_from_payload(payload["measure"])}
+        )
+
+
+# JSON type tag -> component class
+_COMPONENT_KINDS = {
+    cls.tag: cls
+    for cls in (
+        MixtureAtom,
+        SetSingletonComponent,
+        VertexComponent,
+        PairComponent,
+        LoopComponent,
+        ExplicitFinite,
+    )
+}
 
 
 @dataclass(frozen=True)
@@ -203,36 +309,9 @@ class LevyIntensity:
                 f"process signature must have top arity >= 1, got {self.signature}"
             )
         for comp in self.components:
-            self._validate_component(comp)
-
-    def _validate_component(self, comp) -> None:
-        sig = self.signature
-        if isinstance(comp, MixtureAtom):
-            if len(comp.probs) != sig.k:
-                raise ValueError(
-                    f"mixture atom has {len(comp.probs)} flip probabilities, "
-                    f"signature needs {sig.k}"
-                )
-        elif isinstance(comp, SetSingletonComponent):
-            if sig.arities != (1,):
-                raise ValueError("set singleton component requires signature (1)")
-        elif isinstance(comp, (VertexComponent, PairComponent, LoopComponent)):
-            if sig not in (_SIG_GRAPH, _SIG_COMMUNITY):
-                raise ValueError(
-                    f"{type(comp).__name__} requires signature (2) or (1,2)"
-                )
-            if sig == _SIG_GRAPH:
-                if isinstance(comp, VertexComponent) and comp.member_prob != 0.0:
-                    raise ValueError("member_prob requires signature (1,2)")
-                if isinstance(comp, LoopComponent) and comp.pattern != (0.0, 1.0, 0.0):
-                    raise ValueError(
-                        "loop pattern other than (0,1,0) requires signature (1,2)"
-                    )
-        elif isinstance(comp, ExplicitFinite):
-            if comp.measure.signature != sig:
-                raise ValueError("explicit component signature mismatch")
-        else:
-            raise ValueError(f"unknown component type: {type(comp).__name__}")
+            if not isinstance(comp, _Component):
+                raise ValueError(f"unknown component type: {type(comp).__name__}")
+            comp.validate(self.signature)
 
 
 @dataclass(frozen=True)
@@ -373,14 +452,11 @@ def _structure_from_cells(
     signature: Signature, n: int, cells_per_relation
 ) -> Structure:
     payloads = []
-    for arity, cells in zip(signature.arities, cells_per_relation):
-        if arity <= 2:
-            mask = 0
-            for i in cells:
-                mask |= 1 << i
-            payloads.append(mask)
-        else:
-            payloads.append(frozenset(_cell_decode(i, n, arity) for i in cells))
+    for cells in cells_per_relation:
+        mask = 0
+        for i in cells:
+            mask |= 1 << i
+        payloads.append(mask)
     return Structure(signature, n, tuple(payloads))
 
 
@@ -537,16 +613,6 @@ class _RestrictedExplicit:
         return self.level_measure.sample(rng)
 
 
-_RESTRICTORS = {
-    MixtureAtom: _RestrictedMixture,
-    SetSingletonComponent: _RestrictedSetSingleton,
-    VertexComponent: _RestrictedVertex,
-    PairComponent: _RestrictedPair,
-    LoopComponent: _RestrictedLoop,
-    ExplicitFinite: _RestrictedExplicit,
-}
-
-
 class RestrictedIntensity:
     """Level-n view of an intensity: finite total rate plus a sampler for
     increments conditioned on a nonempty restriction."""
@@ -557,8 +623,7 @@ class RestrictedIntensity:
         self.signature = intensity.signature
         self.n = n
         restricted = [
-            _RESTRICTORS[type(comp)](comp, intensity.signature, n)
-            for comp in intensity.components
+            comp.restrict(intensity.signature, n) for comp in intensity.components
         ]
         self.components = [rc for rc in restricted if rc.rate > RATE_TOL]
         self.component_rates = [rc.rate for rc in self.components]
@@ -571,11 +636,6 @@ class RestrictedIntensity:
         u = rng.random() * self.total_rate
         idx = min(bisect_right(self._cum, u), len(self.components) - 1)
         return self.components[idx].sample(rng)
-
-
-def restricted_measure(intensity: LevyIntensity, n: int) -> RestrictedIntensity:
-    """Total jump rate at resolution n and the conditional increment sampler."""
-    return RestrictedIntensity(intensity, n)
 
 
 def simulate_levy(
@@ -658,45 +718,15 @@ def expm_small(Q, t: float, dim_cap: int = 1024) -> np.ndarray:
 
 
 def intensity_to_json(intensity: LevyIntensity) -> str:
-    comps = []
-    for comp in intensity.components:
-        if isinstance(comp, MixtureAtom):
-            comps.append(
-                {
-                    "type": "mixture_atom",
-                    "weight": comp.weight,
-                    "probs": list(comp.probs),
-                }
-            )
-        elif isinstance(comp, SetSingletonComponent):
-            comps.append({"type": "set_singleton", "rate": comp.rate})
-        elif isinstance(comp, VertexComponent):
-            comps.append(
-                {
-                    "type": "vertex",
-                    "rate": comp.rate,
-                    "rho": comp.rho,
-                    "member_prob": comp.member_prob,
-                    "include_loop": comp.include_loop,
-                }
-            )
-        elif isinstance(comp, PairComponent):
-            comps.append(
-                {"type": "pair", "rate": comp.rate, "pattern": list(comp.pattern)}
-            )
-        elif isinstance(comp, LoopComponent):
-            comps.append(
-                {"type": "loop", "rate": comp.rate, "pattern": list(comp.pattern)}
-            )
-        elif isinstance(comp, ExplicitFinite):
-            comps.append(
-                {"type": "explicit", "measure": measure_to_payload(comp.measure)}
-            )
-    payload = {"signature": str(intensity.signature), "components": comps}
+    payload = {
+        "signature": str(intensity.signature),
+        "components": [comp.to_payload() for comp in intensity.components],
+    }
     return json.dumps(payload, indent=2)
 
 
 def intensity_from_json(text: str) -> LevyIntensity:
+    """Parse an intensity config; unknown types and unknown keys are errors."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -710,41 +740,9 @@ def intensity_from_json(text: str) -> LevyIntensity:
     for raw in raw_components:
         try:
             kind = raw["type"]
-            if kind == "mixture_atom":
-                components.append(
-                    MixtureAtom(weight=raw["weight"], probs=tuple(raw["probs"]))
-                )
-            elif kind == "set_singleton":
-                components.append(SetSingletonComponent(rate=raw["rate"]))
-            elif kind == "vertex":
-                components.append(
-                    VertexComponent(
-                        rate=raw["rate"],
-                        rho=raw["rho"],
-                        member_prob=raw.get("member_prob", 0.0),
-                        include_loop=raw.get("include_loop", False),
-                    )
-                )
-            elif kind == "pair":
-                components.append(
-                    PairComponent(
-                        rate=raw["rate"],
-                        pattern=tuple(raw.get("pattern", (1 / 3, 1 / 3, 1 / 3))),
-                    )
-                )
-            elif kind == "loop":
-                components.append(
-                    LoopComponent(
-                        rate=raw["rate"],
-                        pattern=tuple(raw.get("pattern", (0.0, 1.0, 0.0))),
-                    )
-                )
-            elif kind == "explicit":
-                components.append(
-                    ExplicitFinite(measure=measure_from_payload(raw["measure"]))
-                )
-            else:
+            if kind not in _COMPONENT_KINDS:
                 raise ValueError(f"unknown component type {kind!r}")
+            components.append(_COMPONENT_KINDS[kind].from_payload(raw))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"component missing field: {exc}") from None
     return LevyIntensity(signature, tuple(components))
@@ -780,8 +778,8 @@ def trajectory_from_csv(text: str, horizon: float | None = None) -> LevyTrajecto
 def events_to_jsonl(traj: LevyTrajectory, seed: int | None = None) -> str:
     """Event-stream form: a header record, then one jump increment per line.
 
-    The stream assumes the canonical start at the empty structure, so only
-    jump times and increments are recorded.
+    A path that starts at the empty structure, the canonical start, has no
+    ``init`` field in its header; any other start state is written there.
     """
     header = {
         "signature": str(traj.signature),
@@ -789,6 +787,9 @@ def events_to_jsonl(traj: LevyTrajectory, seed: int | None = None) -> str:
         "T": traj.horizon,
         "seed": seed,
     }
+    start = traj.events[0][1]
+    if not start.is_empty():
+        header["init"] = serialize(start)
     lines = [json.dumps(header, sort_keys=True)]
     increments = traj.jump_increments()
     for (t, _), inc in zip(traj.events[1:], increments):
@@ -805,9 +806,15 @@ def events_from_jsonl(text: str) -> LevyTrajectory:
         signature = Signature.parse(header["signature"])
         n = int(header["n"])
         horizon = float(header["T"])
+        init = header.get("init")
+        state = empty_structure(signature, n) if init is None else parse(init)
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed event-stream header: {exc}") from None
-    state = empty_structure(signature, n)
+    if state.signature != signature or state.n != n:
+        raise ValueError(
+            f"initial state {serialize(state)} does not match the header's "
+            f"signature {signature} and n={n}"
+        )
     events = [(0.0, state)]
     for line in lines[1:]:
         try:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .levy import LevyTrajectory
 from .orbits import DEFAULT_SPACE_CAP, iter_space
-from .structures import Signature, Structure, serialize
+from .structures import Signature, Structure, _cell_index, serialize
 
 __all__ = [
     "DensityVector",
@@ -61,13 +61,7 @@ def falling_factorial(n: int, m: int) -> int:
 
 
 def _contains(m: Structure, j: int, t: tuple[int, ...]) -> bool:
-    rel = m.relations[j]
-    if isinstance(rel, int):
-        idx = 0
-        for a in t:
-            idx = idx * m.n + (a - 1)
-        return bool(rel >> idx & 1)
-    return t in rel
+    return bool(m.relations[j] >> _cell_index(t, m.n) & 1)
 
 
 def _pattern_cells(signature: Signature, m: int) -> list[list[tuple[int, ...]]]:
@@ -169,22 +163,14 @@ def density_vector(
     counts: dict[tuple, int] = {}
     for phi in itertools.permutations(range(1, m.n + 1), level):
         payloads = []
-        for j, (arity, cell_list) in enumerate(zip(sig.arities, pattern_cells)):
-            if arity <= 2:
-                mask = 0
-                for idx, t in enumerate(cell_list):
-                    mapped = tuple(phi[x - 1] for x in t)
-                    if _contains(m, j, mapped):
-                        mask |= 1 << idx
-                payloads.append(mask)
-            else:
-                payloads.append(
-                    frozenset(
-                        t
-                        for t in cell_list
-                        if _contains(m, j, tuple(phi[x - 1] for x in t))
-                    )
-                )
+        for j, cell_list in enumerate(pattern_cells):
+            # cell_list runs in cell-index order, so idx is the pattern bit
+            mask = 0
+            for idx, t in enumerate(cell_list):
+                mapped = tuple(phi[x - 1] for x in t)
+                if _contains(m, j, mapped):
+                    mask |= 1 << idx
+            payloads.append(mask)
         key = tuple(payloads)
         counts[key] = counts.get(key, 0) + 1
     values: dict[Structure, float] = {}

@@ -26,7 +26,6 @@ from .structures import (
     relabel,
     serialize,
 )
-from .structures import _cell_decode  # cell layout shared with Structure
 
 __all__ = [
     "OrbitId",
@@ -131,22 +130,9 @@ def iter_space(signature: Signature, n: int, cap: int = DEFAULT_SPACE_CAP):
         raise ValueError(
             f"structure space of size {space_size(signature, n)} exceeds cap {cap}"
         )
-    cell_counts = [n**a for a in signature.arities]
-    ranges = [range(1 << c) for c in cell_counts]
+    ranges = [range(1 << (n**a)) for a in signature.arities]
     for masks in itertools.product(*ranges):
-        payloads = []
-        for arity, mask, cells in zip(signature.arities, masks, cell_counts):
-            if arity <= 2:
-                payloads.append(mask)
-            else:
-                payloads.append(
-                    frozenset(
-                        _cell_decode(i, n, arity)
-                        for i in range(cells)
-                        if mask >> i & 1
-                    )
-                )
-        yield Structure(signature, n, tuple(payloads))
+        yield Structure(signature, n, masks)
 
 
 @lru_cache(maxsize=64)

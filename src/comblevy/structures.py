@@ -6,10 +6,10 @@ common shape form an abelian group under the cellwise symmetric difference
 ("increment"), in which the empty structure is the identity and every element
 is its own inverse.  All process state in this package is a Structure.
 
-Relations of arity <= 2 are backed by integer bitmasks indexed by mixed-radix
-cell position (tuple (a1, ..., ar) -> sum (a_i - 1) * n^(r - i)), which makes
-the increment a plain XOR.  Relations of arity >= 3 fall back to frozensets
-of tuples.
+Every relation, whatever its arity, is backed by one integer bitmask indexed
+by mixed-radix cell position (tuple (a1, ..., ar) -> sum (a_i - 1) * n^(r - i)),
+so the increment is a plain XOR and an r-ary relation over [n] is an
+n^r-bit integer.
 
 Labels are 1-based throughout.
 """
@@ -31,9 +31,6 @@ __all__ = [
     "serialize",
     "parse",
 ]
-
-# Arities up to this bound use the dense bitmask backing.
-_BITMASK_MAX_ARITY = 2
 
 
 @dataclass(frozen=True)
@@ -112,9 +109,10 @@ def _validate_tuple(t: tuple[int, ...], arity: int, n: int) -> None:
 class Structure:
     """A finite labeled structure: base size ``n`` plus one set per relation.
 
-    ``relations[j]`` is an int bitmask for arity <= 2 and a frozenset of
-    tuples for arity >= 3.  Instances are immutable values; build them with
-    :func:`empty_structure` or :meth:`from_tuples` rather than directly.
+    ``relations[j]`` is the int bitmask of relation j, for every arity: bit
+    ``_cell_index(t, n)`` is set iff tuple t is present.  Instances are
+    immutable values; build them with :func:`empty_structure` or
+    :meth:`from_tuples` rather than directly.
     """
 
     signature: Signature
@@ -150,34 +148,22 @@ class Structure:
                 tuples.append(t)
             if len(set(tuples)) != len(tuples):
                 raise ValueError("duplicate tuples in relation")
-            if arity <= _BITMASK_MAX_ARITY:
-                mask = 0
-                for t in tuples:
-                    mask |= 1 << _cell_index(t, n)
-                payloads.append(mask)
-            else:
-                payloads.append(frozenset(tuples))
+            mask = 0
+            for t in tuples:
+                mask |= 1 << _cell_index(t, n)
+            payloads.append(mask)
         return cls(signature, n, tuple(payloads))
 
     def tuples(self, j: int) -> list[tuple[int, ...]]:
         """Sorted tuple list of relation ``j`` (0-based index)."""
         arity = self.signature.arities[j]
-        rel = self.relations[j]
-        if arity <= _BITMASK_MAX_ARITY:
-            return [_cell_decode(i, self.n, arity) for i in _iter_bits(rel)]
-        return sorted(rel)
+        return [_cell_decode(i, self.n, arity) for i in _iter_bits(self.relations[j])]
 
     def tuple_count(self, j: int) -> int:
-        rel = self.relations[j]
-        if isinstance(rel, int):
-            return rel.bit_count()
-        return len(rel)
+        return self.relations[j].bit_count()
 
     def is_empty(self) -> bool:
-        return all(
-            rel == 0 if isinstance(rel, int) else not rel
-            for rel in self.relations
-        )
+        return not any(self.relations)
 
     def __str__(self) -> str:
         return serialize(self)
@@ -220,11 +206,7 @@ def empty_structure(signature: Signature, n: int) -> Structure:
     """The identity of the increment group: all relations empty."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    payloads = tuple(
-        0 if a <= _BITMASK_MAX_ARITY else frozenset()
-        for a in signature.arities
-    )
-    return Structure(signature, n, payloads)
+    return Structure(signature, n, (0,) * signature.k)
 
 
 def _check_same_shape(m1: Structure, m2: Structure) -> None:
@@ -237,10 +219,7 @@ def _check_same_shape(m1: Structure, m2: Structure) -> None:
 def increment(m1: Structure, m2: Structure) -> Structure:
     """Cellwise symmetric difference of two structures of a common shape."""
     _check_same_shape(m1, m2)
-    payloads = tuple(
-        r1 ^ r2 if isinstance(r1, int) else r1.symmetric_difference(r2)
-        for r1, r2 in zip(m1.relations, m2.relations)
-    )
+    payloads = tuple(r1 ^ r2 for r1, r2 in zip(m1.relations, m2.relations))
     return Structure(m1.signature, m1.n, payloads)
 
 
@@ -252,17 +231,12 @@ def restrict(m: Structure, size: int) -> Structure:
         return m
     payloads = []
     for arity, rel in zip(m.signature.arities, m.relations):
-        if isinstance(rel, int):
-            mask = 0
-            for idx in _iter_bits(rel):
-                t = _cell_decode(idx, m.n, arity)
-                if all(a <= size for a in t):
-                    mask |= 1 << _cell_index(t, size)
-            payloads.append(mask)
-        else:
-            payloads.append(
-                frozenset(t for t in rel if all(a <= size for a in t))
-            )
+        mask = 0
+        for idx in _iter_bits(rel):
+            t = _cell_decode(idx, m.n, arity)
+            if all(a <= size for a in t):
+                mask |= 1 << _cell_index(t, size)
+        payloads.append(mask)
     return Structure(m.signature, size, tuple(payloads))
 
 
@@ -273,17 +247,12 @@ def relabel(m: Structure, sigma: Permutation) -> Structure:
     inv = sigma.inverse().image
     payloads = []
     for arity, rel in zip(m.signature.arities, m.relations):
-        if isinstance(rel, int):
-            mask = 0
-            for idx in _iter_bits(rel):
-                t = _cell_decode(idx, m.n, arity)
-                mapped = tuple(inv[a - 1] for a in t)
-                mask |= 1 << _cell_index(mapped, m.n)
-            payloads.append(mask)
-        else:
-            payloads.append(
-                frozenset(tuple(inv[a - 1] for a in t) for t in rel)
-            )
+        mask = 0
+        for idx in _iter_bits(rel):
+            t = _cell_decode(idx, m.n, arity)
+            mapped = tuple(inv[a - 1] for a in t)
+            mask |= 1 << _cell_index(mapped, m.n)
+        payloads.append(mask)
     return Structure(m.signature, m.n, tuple(payloads))
 
 

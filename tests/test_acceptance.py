@@ -16,12 +16,12 @@ import numpy as np
 from comblevy.inference import chi_square_exchangeability
 from comblevy.levy import (
     LevyIntensity,
+    RestrictedIntensity,
     SetSingletonComponent,
     expm_small,
     intensity_to_json,
     marginal_flip_probability,
     restrict_trajectory,
-    restricted_measure,
     simulate_levy,
 )
 from comblevy.limits import density_vector, hom_density_exact, hom_density_mc
@@ -252,7 +252,7 @@ def test_criterion_07_restriction_compatibility():
     # continuous: restricted jump counts are Poisson at the level-5 rate
     intensity = LevyIntensity(SIG1, (SetSingletonComponent(rate=1.0),))
     horizon, reps = 2.0, 400
-    lam = restricted_measure(intensity, 5).total_rate * horizon
+    lam = RestrictedIntensity(intensity, 5).total_rate * horizon
     counts = []
     for r in range(reps):
         traj = simulate_levy(intensity, 20, horizon, make_rng(9009, stream=r))

@@ -11,6 +11,7 @@ from comblevy.levy import (
     LoopComponent,
     MixtureAtom,
     PairComponent,
+    RestrictedIntensity,
     SetSingletonComponent,
     VertexComponent,
     _BernoulliBlocks,
@@ -21,7 +22,6 @@ from comblevy.levy import (
     intensity_to_json,
     marginal_flip_probability,
     restrict_trajectory,
-    restricted_measure,
     simulate_levy,
     trajectory_from_csv,
     trajectory_to_csv,
@@ -33,6 +33,7 @@ from comblevy.structures import (
     Signature,
     Structure,
     empty_structure,
+    increment,
     relabel,
     serialize,
 )
@@ -42,6 +43,7 @@ from helpers import random_permutation
 SIG1 = Signature((1,))
 SIG2 = Signature((2,))
 SIG12 = Signature((1, 2))
+SIG13 = Signature((1, 3))
 
 
 def S(sig, n, *relations):
@@ -96,35 +98,35 @@ class TestComponentValidation:
 class TestRestrictedRates:
     def test_set_singleton_rate(self):
         I = LevyIntensity(SIG1, (SetSingletonComponent(rate=2.0),))
-        assert restricted_measure(I, 3).total_rate == pytest.approx(6.0)
+        assert RestrictedIntensity(I, 3).total_rate == pytest.approx(6.0)
 
     def test_zero_intensity(self):
-        assert restricted_measure(LevyIntensity(SIG1, ()), 5).total_rate == 0.0
+        assert RestrictedIntensity(LevyIntensity(SIG1, ()), 5).total_rate == 0.0
 
     def test_mixture_rate(self):
         I = LevyIntensity(SIG1, (MixtureAtom(weight=1.0, probs=(0.5,)),))
-        assert restricted_measure(I, 2).total_rate == pytest.approx(0.75)
+        assert RestrictedIntensity(I, 2).total_rate == pytest.approx(0.75)
 
     def test_mixture_rate_multi_relation(self):
         I = LevyIntensity(SIG12, (MixtureAtom(weight=2.0, probs=(0.1, 0.2)),))
         n = 3
         expected = 2.0 * (1 - (0.9**3) * (0.8**9))
-        assert restricted_measure(I, n).total_rate == pytest.approx(expected)
+        assert RestrictedIntensity(I, n).total_rate == pytest.approx(expected)
 
     def test_vertex_rate(self):
         I = LevyIntensity(SIG2, (VertexComponent(rate=1.5, rho=0.3),))
         n = 4
         expected = 1.5 * n * (1 - 0.7 ** (2 * (n - 1)))
-        assert restricted_measure(I, n).total_rate == pytest.approx(expected)
+        assert RestrictedIntensity(I, n).total_rate == pytest.approx(expected)
 
     def test_pair_rate(self):
         I = LevyIntensity(SIG2, (PairComponent(rate=2.0),))
-        assert restricted_measure(I, 5).total_rate == pytest.approx(2.0 * 10)
-        assert restricted_measure(I, 1).total_rate == 0.0
+        assert RestrictedIntensity(I, 5).total_rate == pytest.approx(2.0 * 10)
+        assert RestrictedIntensity(I, 1).total_rate == 0.0
 
     def test_loop_rate(self):
         I = LevyIntensity(SIG2, (LoopComponent(rate=0.5),))
-        assert restricted_measure(I, 4).total_rate == pytest.approx(2.0)
+        assert RestrictedIntensity(I, 4).total_rate == pytest.approx(2.0)
 
     def test_community_vertex_rate(self):
         I = LevyIntensity(
@@ -132,12 +134,12 @@ class TestRestrictedRates:
         )
         n = 3
         expected = n * (1 - 0.75 * 0.6 ** (2 * (n - 1)))
-        assert restricted_measure(I, n).total_rate == pytest.approx(expected)
+        assert RestrictedIntensity(I, n).total_rate == pytest.approx(expected)
 
     def test_explicit_rate_same_level(self):
         mu = FiniteMeasure(SIG1, 2, {S(SIG1, 2, {1}): 0.7, S(SIG1, 2, {1, 2}): 0.8})
         I = LevyIntensity(SIG1, (ExplicitFinite(mu),))
-        assert restricted_measure(I, 2).total_rate == pytest.approx(1.5)
+        assert RestrictedIntensity(I, 2).total_rate == pytest.approx(1.5)
 
 
 def _conditional_bernoulli_law(n, p):
@@ -169,7 +171,7 @@ def _assert_law_close(empirical, exact, draws, z=4.0):
 class TestConditionalSamplers:
     def test_rejection_path_matches_exact_law(self):
         I = LevyIntensity(SIG1, (MixtureAtom(weight=1.0, probs=(0.4,)),))
-        r = restricted_measure(I, 3)
+        r = RestrictedIntensity(I, 3)
         assert r.components[0].blocks.hit_prob >= 0.01  # rejection path
         draws = 40_000
         empirical = _empirical_subset_law(
@@ -180,7 +182,7 @@ class TestConditionalSamplers:
     def test_analytic_path_matches_exact_law(self):
         p = 0.003
         I = LevyIntensity(SIG1, (MixtureAtom(weight=1.0, probs=(p,)),))
-        r = restricted_measure(I, 3)
+        r = RestrictedIntensity(I, 3)
         assert r.components[0].blocks.hit_prob < 0.01  # analytic fallback path
         draws = 40_000
         empirical = _empirical_subset_law(
@@ -210,7 +212,7 @@ class TestConditionalSamplers:
                 LoopComponent(rate=1.0, pattern=(0.3, 0.3, 0.4)),
             ),
         )
-        r = restricted_measure(I, 4)
+        r = RestrictedIntensity(I, 4)
         rng = make_rng(45)
         assert all(not r.sample(rng).is_empty() for _ in range(2000))
 
@@ -218,7 +220,7 @@ class TestConditionalSamplers:
 class TestLocalComponentSemantics:
     def test_vertex_flips_are_incident_to_one_vertex(self):
         I = LevyIntensity(SIG2, (VertexComponent(rate=1.0, rho=0.6),))
-        r = restricted_measure(I, 4)
+        r = RestrictedIntensity(I, 4)
         rng = make_rng(46)
         for _ in range(500):
             edges = r.sample(rng).tuples(0)
@@ -231,7 +233,7 @@ class TestLocalComponentSemantics:
         I = LevyIntensity(
             SIG2, (VertexComponent(rate=1.0, rho=0.9, include_loop=True),)
         )
-        r = restricted_measure(I, 3)
+        r = RestrictedIntensity(I, 3)
         rng = make_rng(47)
         saw_loop = False
         for _ in range(500):
@@ -245,7 +247,7 @@ class TestLocalComponentSemantics:
 
     def test_pair_patterns(self):
         I = LevyIntensity(SIG2, (PairComponent(rate=1.0, pattern=(0.25, 0.25, 0.5)),))
-        r = restricted_measure(I, 3)
+        r = RestrictedIntensity(I, 3)
         rng = make_rng(48)
         kinds = Counter()
         for _ in range(3000):
@@ -258,7 +260,7 @@ class TestLocalComponentSemantics:
 
     def test_loop_component_graph(self):
         I = LevyIntensity(SIG2, (LoopComponent(rate=1.0),))
-        r = restricted_measure(I, 3)
+        r = RestrictedIntensity(I, 3)
         rng = make_rng(49)
         for _ in range(200):
             edges = r.sample(rng).tuples(0)
@@ -266,7 +268,7 @@ class TestLocalComponentSemantics:
 
     def test_loop_component_community_patterns(self):
         I = LevyIntensity(SIG12, (LoopComponent(rate=1.0, pattern=(0.2, 0.3, 0.5)),))
-        r = restricted_measure(I, 3)
+        r = RestrictedIntensity(I, 3)
         rng = make_rng(50)
         kinds = Counter()
         for _ in range(5000):
@@ -289,7 +291,7 @@ class TestLocalComponentSemantics:
         I = LevyIntensity(
             SIG12, (VertexComponent(rate=1.0, rho=0.5, member_prob=0.5),)
         )
-        r = restricted_measure(I, 3)
+        r = RestrictedIntensity(I, 3)
         rng = make_rng(51)
         saw_member = saw_edges = False
         for _ in range(500):
@@ -320,20 +322,20 @@ class TestExplicitFinite:
         return LevyIntensity(SIG1, (ExplicitFinite(mu),))
 
     def test_pushforward_to_smaller_level(self):
-        r = restricted_measure(self._intensity(), 2)
+        r = RestrictedIntensity(self._intensity(), 2)
         assert r.total_rate == pytest.approx(1.5)
         law = r.components[0].level_measure
         assert law.mass(S(SIG1, 2, {1})) == pytest.approx(1.0)
         assert law.mass(S(SIG1, 2, {2})) == pytest.approx(0.5)
 
     def test_embedding_to_larger_level(self):
-        r = restricted_measure(self._intensity(), 4)
+        r = RestrictedIntensity(self._intensity(), 4)
         assert r.total_rate == pytest.approx(3.5)
         law = r.components[0].level_measure
         assert law.mass(S(SIG1, 4, {1, 3})) == pytest.approx(1.0)
 
     def test_conditional_sampling_frequencies(self):
-        r = restricted_measure(self._intensity(), 3)
+        r = RestrictedIntensity(self._intensity(), 3)
         rng = make_rng(52)
         draws = 30_000
         counts = Counter(serialize(r.sample(rng)) for _ in range(draws))
@@ -593,6 +595,12 @@ class TestFileFormats:
             intensity_from_json('{"signature": "(1)", "components": [{"type": "wat"}]}')
         with pytest.raises(ValueError):
             intensity_from_json('{"signature": "(1)", "components": [{"type": "vertex"}]}')
+        misspelled = (
+            '{"signature": "(1,2)", "components": [{"type": "vertex", "rate": 1,'
+            ' "rho": 0.3, "memberprob": 0.5}]}'
+        )
+        with pytest.raises(ValueError, match="memberprob"):
+            intensity_from_json(misspelled)
 
     def test_trajectory_csv_roundtrip(self):
         I = LevyIntensity(SIG1, (SetSingletonComponent(rate=1.0),))
@@ -601,12 +609,35 @@ class TestFileFormats:
         assert back.events == traj.events
 
     def test_events_jsonl_roundtrip(self):
-        I = LevyIntensity(SIG1, (SetSingletonComponent(rate=1.0),))
-        traj = simulate_levy(I, 4, 2.0, make_rng(66))
-        text = events_to_jsonl(traj, seed=66)
-        back = events_from_jsonl(text)
-        assert back.events == traj.events
-        assert back.horizon == traj.horizon
         import json
 
-        assert json.loads(text.splitlines()[0])["seed"] == 66
+        for I, n in [
+            (LevyIntensity(SIG1, (SetSingletonComponent(rate=1.0),)), 4),
+            (LevyIntensity(SIG13, (MixtureAtom(weight=2.0, probs=(0.3, 0.05)),)), 3),
+        ]:
+            traj = simulate_levy(I, n, 2.0, make_rng(66))
+            assert len(traj.events) > 1
+            text = events_to_jsonl(traj, seed=66)
+            back = events_from_jsonl(text)
+            assert back.events == traj.events
+            assert back.horizon == traj.horizon
+            header = json.loads(text.splitlines()[0])
+            assert header["seed"] == 66
+            assert "init" not in header
+
+    def test_events_jsonl_nonempty_start(self):
+        import json
+
+        I = LevyIntensity(SIG1, (SetSingletonComponent(rate=1.0),))
+        flip = S(SIG1, 4, {1})
+        traj = simulate_levy(I, 4, 2.0, make_rng(67))
+        started = LevyTrajectory(
+            4, traj.horizon, tuple((t, increment(s, flip)) for t, s in traj.events)
+        )
+        lines = events_to_jsonl(started).splitlines()
+        assert events_from_jsonl("\n".join(lines)).events == started.events
+        header = json.loads(lines[0])
+        for bad in ("L=(1)|n=3|R1={(1)}", "L=(2)|n=4|R1={}"):
+            header["init"] = bad
+            with pytest.raises(ValueError, match="initial state"):
+                events_from_jsonl("\n".join([json.dumps(header)] + lines[1:]))

@@ -30,6 +30,7 @@ from helpers import naive_hom_density, random_permutation, random_structure
 
 SIG1 = Signature((1,))
 SIG2 = Signature((2,))
+SIG3 = Signature((3,))
 
 
 def S(sig, n, *relations):
@@ -88,10 +89,12 @@ class TestDensityVector:
 
     def test_matches_exact_per_pattern(self):
         rng = make_rng(701)
-        M = random_structure(rng, SIG2, 4)
-        vec = density_vector(M, 2)
-        for A in iter_space(SIG2, 2):
-            assert vec.value(A) == pytest.approx(hom_density_exact(A, M), abs=1e-15)
+        for sig, n in [(SIG2, 4), (SIG3, 3)]:
+            M = random_structure(rng, sig, n)
+            vec = density_vector(M, 2)
+            assert abs(math.fsum(vec.values.values()) - 1.0) <= 1e-12
+            for A in iter_space(sig, 2):
+                assert vec.value(A) == pytest.approx(hom_density_exact(A, M), abs=1e-15)
 
     def test_normalization(self):
         rng = make_rng(702)

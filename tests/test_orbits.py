@@ -29,6 +29,7 @@ from helpers import random_permutation, random_structure
 SIG1 = Signature((1,))
 SIG2 = Signature((2,))
 SIG12 = Signature((1, 2))
+SIG3 = Signature((3,))
 
 
 def S(sig, n, *relations):
@@ -132,7 +133,7 @@ class TestEnumerateOrbits:
         assert sum(size for _, size in table.entries) == 16
 
     def test_size_sum_and_divisibility(self):
-        for sig, n in [(SIG1, 4), (SIG2, 3), (SIG12, 2)]:
+        for sig, n in [(SIG1, 4), (SIG2, 3), (SIG12, 2), (SIG3, 2)]:
             table = enumerate_orbits(sig, n)
             assert sum(s for _, s in table.entries) == space_size(sig, n)
             assert all(math.factorial(n) % s == 0 for _, s in table.entries)
