@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from scipy.special import gammaincc
@@ -77,7 +78,7 @@ def _frequency_measure(counts: Counter) -> FiniteMeasure:
     return FiniteMeasure(first.signature, first.n, weights)
 
 
-def jump_increment_sequence(traj) -> list:
+def jump_increment_sequence(traj) -> Sequence:
     """Increment sequence of a walk or of a continuous-time trajectory."""
     if isinstance(traj, WalkTrajectory):
         return traj.increments()

@@ -24,9 +24,12 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+from array import array
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from itertools import accumulate
+from itertools import accumulate, chain, islice
 
 import numpy as np
 
@@ -38,11 +41,17 @@ from .measures import (
 from .structures import (
     Signature,
     Structure,
+    _CellBits,
+    _cells,
+    _restrict_cells,
+    _structure_from_cells,
     empty_structure,
     increment,
     parse,
+    parse_cells,
     restrict,
     serialize,
+    serialize_cells,
 )
 
 __all__ = [
@@ -69,24 +78,33 @@ __all__ = [
 
 RATE_TOL = 1e-12
 REJECTION_CAP = 10_000
+# A trajectory keeps a full state every this many events (see LevyTrajectory).
+_SNAPSHOT_EVERY = 128
+
+
+def _check_number(x, name: str) -> float:
+    """``x`` as a float; strings, bools and non-finite values are refused."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x):
+        raise ValueError(f"{name} must be a finite number, got {x!r}")
+    return float(x)
 
 
 def _check_prob(p: float, name: str) -> float:
-    p = float(p)
+    p = _check_number(p, name)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"{name}={p} outside [0, 1]")
     return p
 
 
 def _check_rate(r: float, name: str) -> float:
-    r = float(r)
+    r = _check_number(r, name)
     if r < 0.0:
         raise ValueError(f"{name}={r} must be >= 0")
     return r
 
 
 def _check_pattern(pattern, name: str) -> tuple[float, float, float]:
-    pattern = tuple(float(p) for p in pattern)
+    pattern = tuple(_check_number(p, name) for p in pattern)
     if len(pattern) != 3 or any(p < 0 for p in pattern):
         raise ValueError(f"{name} must be 3 nonnegative probabilities")
     if abs(sum(pattern) - 1.0) > RATE_TOL:
@@ -104,8 +122,9 @@ class _Component:
     Each kind sets its JSON type ``tag`` and defines ``validate(signature)``,
     which raises ValueError unless the component fits the process signature,
     and ``restrict(signature, n)``, which returns its level-n sampler: a
-    finite ``rate`` plus ``sample(rng)`` of a nonempty increment.  The JSON
-    form is the tag plus the dataclass fields.
+    finite ``rate`` plus ``sample_cells(rng)`` of a nonempty increment.  The
+    JSON form is the tag plus the dataclass fields; each kind's
+    ``__post_init__`` checks their types and ranges.
     """
 
     tag: str
@@ -199,6 +218,10 @@ class VertexComponent(_Component):
         object.__setattr__(
             self, "member_prob", _check_prob(self.member_prob, "member_prob")
         )
+        if not isinstance(self.include_loop, bool):
+            raise ValueError(
+                f"include_loop must be a boolean, got {self.include_loop!r}"
+            )
 
     def validate(self, signature: Signature) -> None:
         _require_graph_signature(self, signature)
@@ -314,52 +337,197 @@ class LevyIntensity:
             comp.validate(self.signature)
 
 
-@dataclass(frozen=True)
 class LevyTrajectory:
-    """Right-continuous step path: state_at(t) is the last state with event
-    time <= t.  Event times are strictly increasing, consecutive states
-    differ, and the first event is the time-0 initial state."""
+    """Right-continuous step path: state_at(t) is the state after the last
+    event with time <= t.  Event times are strictly increasing, every jump
+    changes the state, and event 0 is the time-0 start state.
 
-    n: int
-    horizon: float
-    events: tuple
+    The path is stored as its start state plus a log of jump increments:
+    the event times and each jump's sorted cell indices per relation, in
+    flat columns, with a full state kept only every ``_SNAPSHOT_EVERY``
+    events and at the end.  Memory is O(sum of increment sizes + states /
+    _SNAPSHOT_EVERY), and ``state_at`` replays at most ``_SNAPSHOT_EVERY - 1``
+    increments onto a snapshot.
 
-    def __post_init__(self) -> None:
-        if not self.events:
-            raise ValueError("trajectory needs at least the initial event")
-        t0, s0 = self.events[0]
+    ``LevyTrajectory(n, horizon, events)`` builds the log from full-state
+    events ``(t, Structure)``; ``events`` rebuilds them on demand.
+    """
+
+    def __init__(self, n: int, horizon: float, events) -> None:
+        events = iter(events)
+        try:
+            t0, start = next(events)
+        except StopIteration:
+            raise ValueError("trajectory needs at least the initial event") from None
         if t0 != 0.0:
             raise ValueError(f"first event must be at time 0, got {t0}")
-        last_t, last_s = t0, s0
-        for t, s in self.events[1:]:
-            if t <= last_t:
-                raise ValueError("event times must be strictly increasing")
-            if s == last_s:
-                raise ValueError("consecutive events must change the state")
-            if s.signature != s0.signature or s.n != self.n:
-                raise ValueError("all states must share signature and n")
-            last_t, last_s = t, s
-        if s0.n != self.n:
-            raise ValueError(f"state size {s0.n} != trajectory resolution {self.n}")
-        if last_t > self.horizon:
+        if start.n != n:
+            raise ValueError(f"state size {start.n} != trajectory resolution {n}")
+        self._begin(start)
+        prev = start
+        for t, state in events:
+            self._append(t, _cells(increment(state, prev)))
+            prev = state
+        self._close(horizon)
+
+    @classmethod
+    def _started(cls, start: Structure) -> "LevyTrajectory":
+        """An open log at ``start``: extend it with ``_append``, end it with
+        ``_close``."""
+        traj = cls.__new__(cls)
+        traj._begin(start)
+        return traj
+
+    def _begin(self, start: Structure) -> None:
+        self.n = start.n
+        self._start = start
+        self._times = array("d", [0.0])
+        # cells of jump i, relation j: _cells[_bounds[i*k + j] : _bounds[i*k + j + 1]]
+        self._cells = array("q")
+        self._bounds = array("q", [0])
+        self._snapshots = [start]  # state after event i * _SNAPSHOT_EVERY
+        self._running = _CellBits(start)
+
+    def _append(self, t: float, cells) -> None:
+        """Log a jump at time ``t`` flipping the sorted cells ``cells[j]`` of
+        each relation j."""
+        if not t > self._times[-1]:
+            raise ValueError("event times must be strictly increasing")
+        if not any(cells):
+            raise ValueError("consecutive events must change the state")
+        self._times.append(t)
+        for rel_cells in cells:
+            self._cells.extend(rel_cells)
+            self._bounds.append(len(self._cells))
+        self._running.flip(cells)
+        if (len(self._times) - 1) % _SNAPSHOT_EVERY == 0:
+            self._snapshots.append(self._running.freeze())
+
+    def _close(self, horizon: float) -> None:
+        if self._times[-1] > horizon:
             raise ValueError("event beyond the horizon")
-        object.__setattr__(self, "_times", tuple(t for t, _ in self.events))
+        self.horizon = horizon
+        self._final = self._running.freeze()
+        del self._running
 
     @property
     def signature(self) -> Signature:
-        return self.events[0][1].signature
+        return self._start.signature
+
+    @property
+    def events(self) -> "_Events":
+        """The ``(time, state)`` events, a lazy read-only sequence."""
+        return _Events(self)
+
+    def _jump_cells(self, i: int) -> list:
+        """Sorted cells of jump ``i`` (event ``i + 1``), per relation."""
+        k = self.signature.k
+        b = self._bounds
+        return [self._cells[b[i * k + j]: b[i * k + j + 1]] for j in range(k)]
+
+    def _state(self, i: int) -> Structure:
+        """State after event ``i``: the nearest snapshot at or before it plus
+        the jumps in between."""
+        if i == len(self._times) - 1:
+            return self._final
+        snap, extra = divmod(i, _SNAPSHOT_EVERY)
+        if extra == 0:
+            return self._snapshots[snap]
+        bits = _CellBits(self._snapshots[snap])
+        for jump in range(i - extra, i):
+            bits.flip(self._jump_cells(jump))
+        return bits.freeze()
 
     def state_at(self, t: float) -> Structure:
         if not 0.0 <= t <= self.horizon:
             raise ValueError(f"time {t} outside [0, {self.horizon}]")
-        idx = bisect_right(self._times, t) - 1
-        return self.events[idx][1]
+        return self._state(bisect_right(self._times, t) - 1)
 
-    def jump_increments(self) -> list[Structure]:
-        return [
-            increment(self.events[i][1], self.events[i - 1][1])
-            for i in range(1, len(self.events))
-        ]
+    def jump_increments(self) -> "_Increments":
+        """The jump increments in order, a lazy read-only sequence of
+        Structures built from the log on demand."""
+        return _Increments(self)
+
+    def _log(self) -> tuple:
+        return self.n, self.horizon, self._start, self._times, self._bounds, self._cells
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LevyTrajectory):
+            return NotImplemented
+        return self._log() == other._log()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (
+            f"LevyTrajectory(n={self.n}, horizon={self.horizon}, "
+            f"signature={self.signature}, {len(self._times) - 1} jumps)"
+        )
+
+
+class _LogView(Sequence):
+    """A read-only sequence computed from a trajectory's log on demand;
+    equal to any tuple, list or view with equal items."""
+
+    __slots__ = ("_traj",)
+
+    def __init__(self, traj: LevyTrajectory):
+        self._traj = traj
+
+    def __getitem__(self, key):
+        picked = range(len(self))[key]
+        if not isinstance(key, slice):
+            return self._item(picked)
+        if picked.step > 0:
+            return tuple(islice(self, picked.start, picked.stop, picked.step))
+        return tuple(self._item(i) for i in picked)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, list, _LogView)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__[1:]} of {self._traj!r}>"
+
+
+class _Events(_LogView):
+    """``(time, state)`` per event.  Iteration streams the states by a
+    running XOR; an index rebuilds one state from the nearest snapshot;
+    ``[-1]`` is the kept final state."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return len(self._traj._times)
+
+    def _item(self, i: int) -> tuple[float, Structure]:
+        return self._traj._times[i], self._traj._state(i)
+
+    def __iter__(self):
+        traj = self._traj
+        yield traj._times[0], traj._start
+        bits = _CellBits(traj._start)
+        for i in range(len(traj._times) - 1):
+            yield traj._times[i + 1], bits.flip(traj._jump_cells(i)).freeze()
+
+
+class _Increments(_LogView):
+    """The jump increments as Structures, each built from its cells."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return len(self._traj._times) - 1
+
+    def cells(self, i: int) -> list:
+        """Sorted cell indices per relation of increment ``i``."""
+        return self._traj._jump_cells(range(len(self))[i])
+
+    def _item(self, i: int) -> Structure:
+        return _structure_from_cells(self._traj.signature, self._traj.n, self.cells(i))
 
 
 class _BernoulliBlocks:
@@ -448,19 +616,19 @@ class _BernoulliBlocks:
         return min(max(f, 0), c - 1)
 
 
-def _structure_from_cells(
-    signature: Signature, n: int, cells_per_relation
-) -> Structure:
-    payloads = []
-    for cells in cells_per_relation:
-        mask = 0
-        for i in cells:
-            mask |= 1 << i
-        payloads.append(mask)
-    return Structure(signature, n, tuple(payloads))
+class _LevelSampler:
+    """A level-n increment sampler: ``sample_cells(rng)`` draws a nonempty
+    increment as sorted cell indices per relation; ``sample(rng)`` returns
+    the same draw as a Structure."""
+
+    signature: Signature
+    n: int
+
+    def sample(self, rng) -> Structure:
+        return _structure_from_cells(self.signature, self.n, self.sample_cells(rng))
 
 
-class _RestrictedMixture:
+class _RestrictedMixture(_LevelSampler):
     def __init__(self, comp: MixtureAtom, signature: Signature, n: int):
         self.signature = signature
         self.n = n
@@ -474,26 +642,26 @@ class _RestrictedMixture:
         ]
         self.rate = comp.weight * self.blocks.hit_prob
 
-    def sample(self, rng) -> Structure:
+    def sample_cells(self, rng) -> list[list[int]]:
         flips = self.blocks.sample(rng)
         cells = [[] for _ in range(self.signature.k)]
         for pos, block_flips in zip(self.block_to_rel, flips):
             cells[pos] = block_flips
-        return _structure_from_cells(self.signature, self.n, cells)
+        return cells
 
 
-class _RestrictedSetSingleton:
+class _RestrictedSetSingleton(_LevelSampler):
     def __init__(self, comp: SetSingletonComponent, signature: Signature, n: int):
         self.signature = signature
         self.n = n
         self.rate = comp.rate * n
 
-    def sample(self, rng) -> Structure:
+    def sample_cells(self, rng) -> list[list[int]]:
         i = int(rng.integers(1, self.n + 1))
-        return _structure_from_cells(self.signature, self.n, [[i - 1]])
+        return [[i - 1]]
 
 
-class _RestrictedVertex:
+class _RestrictedVertex(_LevelSampler):
     def __init__(self, comp: VertexComponent, signature: Signature, n: int):
         self.signature = signature
         self.n = n
@@ -527,20 +695,20 @@ class _RestrictedVertex:
             return (vertex - 1) * n + (other - 1)
         return (other - 1) * n + (vertex - 1)
 
-    def sample(self, rng) -> Structure:
+    def sample_cells(self, rng) -> list[list[int]]:
         i = int(rng.integers(1, self.n + 1))
         flips = self.blocks.sample(rng)
         cells = [[] for _ in range(self.signature.k)]
         if self.member_pos is not None and flips[self.member_pos]:
             cells[0] = [i - 1]
         if self.edge_pos is not None:
-            cells[self.edge_rel] = [
+            cells[self.edge_rel] = sorted(
                 self._edge_cell_index(i, v) for v in flips[self.edge_pos]
-            ]
-        return _structure_from_cells(self.signature, self.n, cells)
+            )
+        return cells
 
 
-class _RestrictedPair:
+class _RestrictedPair(_LevelSampler):
     def __init__(self, comp: PairComponent, signature: Signature, n: int):
         self.signature = signature
         self.n = n
@@ -548,7 +716,7 @@ class _RestrictedPair:
         self.edge_rel = signature.k - 1
         self.rate = comp.rate * n * (n - 1) / 2.0
 
-    def sample(self, rng) -> Structure:
+    def sample_cells(self, rng) -> list[list[int]]:
         picked = rng.choice(self.n, size=2, replace=False)
         i, j = sorted(int(x) + 1 for x in picked)
         u = rng.random()
@@ -560,10 +728,10 @@ class _RestrictedPair:
         edge_cells = {0: [fwd], 1: [bwd], 2: [fwd, bwd]}[which]
         cells = [[] for _ in range(self.signature.k)]
         cells[self.edge_rel] = sorted(edge_cells)
-        return _structure_from_cells(self.signature, self.n, cells)
+        return cells
 
 
-class _RestrictedLoop:
+class _RestrictedLoop(_LevelSampler):
     def __init__(self, comp: LoopComponent, signature: Signature, n: int):
         self.signature = signature
         self.n = n
@@ -572,7 +740,7 @@ class _RestrictedLoop:
         self.has_member = signature == _SIG_COMMUNITY
         self.rate = comp.rate * n
 
-    def sample(self, rng) -> Structure:
+    def sample_cells(self, rng) -> list[list[int]]:
         i = int(rng.integers(1, self.n + 1))
         u = rng.random()
         which = min(bisect_right(self.pattern_cum, u), 2)
@@ -585,7 +753,7 @@ class _RestrictedLoop:
         else:
             cells[0] = [i - 1]
             cells[self.edge_rel] = [loop_cell]
-        return _structure_from_cells(self.signature, self.n, cells)
+        return cells
 
 
 def _embed(m: Structure, n: int) -> Structure:
@@ -596,8 +764,10 @@ def _embed(m: Structure, n: int) -> Structure:
     )
 
 
-class _RestrictedExplicit:
+class _RestrictedExplicit(_LevelSampler):
     def __init__(self, comp: ExplicitFinite, signature: Signature, n: int):
+        self.signature = signature
+        self.n = n
         mu = comp.measure
         weights: dict[Structure, float] = {}
         empty_n = empty_structure(signature, n)
@@ -608,12 +778,13 @@ class _RestrictedExplicit:
             weights[image] = weights.get(image, 0.0) + w
         self.level_measure = FiniteMeasure(signature, n, weights)
         self.rate = self.level_measure.total_mass
+        self.atom_cells = {m: _cells(m) for m in weights}
 
-    def sample(self, rng) -> Structure:
-        return self.level_measure.sample(rng)
+    def sample_cells(self, rng) -> list[list[int]]:
+        return self.atom_cells[self.level_measure.sample(rng)]
 
 
-class RestrictedIntensity:
+class RestrictedIntensity(_LevelSampler):
     """Level-n view of an intensity: finite total rate plus a sampler for
     increments conditioned on a nonempty restriction."""
 
@@ -630,12 +801,12 @@ class RestrictedIntensity:
         self.total_rate = math.fsum(self.component_rates)
         self._cum = list(accumulate(self.component_rates))
 
-    def sample(self, rng) -> Structure:
+    def sample_cells(self, rng) -> list[list[int]]:
         if self.total_rate <= 0.0:
             raise ValueError("cannot sample from a zero-rate intensity")
         u = rng.random() * self.total_rate
         idx = min(bisect_right(self._cum, u), len(self.components) - 1)
-        return self.components[idx].sample(rng)
+        return self.components[idx].sample_cells(rng)
 
 
 def simulate_levy(
@@ -645,8 +816,7 @@ def simulate_levy(
     if horizon <= 0.0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
     restricted = RestrictedIntensity(intensity, n)
-    state = empty_structure(intensity.signature, n)
-    events = [(0.0, state)]
+    traj = LevyTrajectory._started(empty_structure(intensity.signature, n))
     rate = restricted.total_rate
     if rate > 0.0:
         t = 0.0
@@ -654,22 +824,25 @@ def simulate_levy(
             t += rng.exponential(1.0 / rate)
             if t > horizon:
                 break
-            state = increment(state, restricted.sample(rng))
-            events.append((t, state))
-    return LevyTrajectory(n=n, horizon=float(horizon), events=tuple(events))
+            traj._append(t, restricted.sample_cells(rng))
+    traj._close(float(horizon))
+    return traj
 
 
 def restrict_trajectory(traj: LevyTrajectory, m: int) -> LevyTrajectory:
     """Project every state to [m]; jumps that vanish under restriction merge."""
     if not 0 <= m <= traj.n:
         raise ValueError(f"restriction level {m} outside 0..{traj.n}")
-    t0, s0 = traj.events[0]
-    events = [(t0, restrict(s0, m))]
-    for t, s in traj.events[1:]:
-        rs = restrict(s, m)
-        if rs != events[-1][1]:
-            events.append((t, rs))
-    return LevyTrajectory(n=m, horizon=traj.horizon, events=tuple(events))
+    arities = traj.signature.arities
+    restricted = LevyTrajectory._started(restrict(traj._start, m))
+    increments = traj.jump_increments()
+    for i in range(len(increments)):
+        cells = zip(increments.cells(i), arities)
+        kept = [_restrict_cells(c, traj.n, a, m) for c, a in cells]
+        if any(kept):
+            restricted._append(traj._times[i + 1], kept)
+    restricted._close(traj.horizon)
+    return restricted
 
 
 def marginal_flip_probability(c: float, t: float) -> float:
@@ -755,24 +928,26 @@ def trajectory_to_csv(traj: LevyTrajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_time(line: str) -> float:
+    time_text = line.partition(",")[0]
+    try:
+        return float(time_text)
+    except ValueError:
+        raise ValueError(f"malformed time: {time_text!r}") from None
+
+
 def trajectory_from_csv(text: str, horizon: float | None = None) -> LevyTrajectory:
+    """Read a full-state CSV; ``horizon`` defaults to the last event time."""
     lines = [ln for ln in text.splitlines() if ln]
     if not lines or lines[0] != "time,structure":
         raise ValueError("trajectory CSV must start with header 'time,structure'")
-    events = []
-    for line in lines[1:]:
-        time_text, _, struct_text = line.partition(",")
-        try:
-            t = float(time_text)
-        except ValueError:
-            raise ValueError(f"malformed time: {time_text!r}") from None
-        events.append((t, parse(struct_text)))
-    if not events:
+    if len(lines) == 1:
         raise ValueError("trajectory CSV has no events")
+    events = ((_csv_time(ln), parse(ln.partition(",")[2])) for ln in lines[1:])
+    first = next(events)
     if horizon is None:
-        horizon = events[-1][0]
-    n = events[0][1].n
-    return LevyTrajectory(n=n, horizon=horizon, events=tuple(events))
+        horizon = _csv_time(lines[-1])
+    return LevyTrajectory(first[1].n, horizon, chain([first], events))
 
 
 def events_to_jsonl(traj: LevyTrajectory, seed: int | None = None) -> str:
@@ -787,14 +962,26 @@ def events_to_jsonl(traj: LevyTrajectory, seed: int | None = None) -> str:
         "T": traj.horizon,
         "seed": seed,
     }
-    start = traj.events[0][1]
-    if not start.is_empty():
-        header["init"] = serialize(start)
+    if not traj._start.is_empty():
+        header["init"] = serialize(traj._start)
     lines = [json.dumps(header, sort_keys=True)]
     increments = traj.jump_increments()
-    for (t, _), inc in zip(traj.events[1:], increments):
-        lines.append(json.dumps({"t": t, "increment": serialize(inc)}, sort_keys=True))
+    for i in range(len(increments)):
+        record = {
+            "t": traj._times[i + 1],
+            "increment": serialize_cells(traj.signature, traj.n, increments.cells(i)),
+        }
+        lines.append(json.dumps(record, sort_keys=True))
     return "\n".join(lines) + "\n"
+
+
+def _text_field(record: dict, name: str) -> str:
+    value = record[name]
+    if not isinstance(value, str):
+        raise ValueError(
+            f"event-stream field {name!r} must be a structure string, got {value!r}"
+        )
+    return value
 
 
 def events_from_jsonl(text: str) -> LevyTrajectory:
@@ -806,8 +993,10 @@ def events_from_jsonl(text: str) -> LevyTrajectory:
         signature = Signature.parse(header["signature"])
         n = int(header["n"])
         horizon = float(header["T"])
-        init = header.get("init")
-        state = empty_structure(signature, n) if init is None else parse(init)
+        if "init" in header:
+            state = parse(_text_field(header, "init"))
+        else:
+            state = empty_structure(signature, n)
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed event-stream header: {exc}") from None
     if state.signature != signature or state.n != n:
@@ -815,14 +1004,19 @@ def events_from_jsonl(text: str) -> LevyTrajectory:
             f"initial state {serialize(state)} does not match the header's "
             f"signature {signature} and n={n}"
         )
-    events = [(0.0, state)]
+    traj = LevyTrajectory._started(state)
     for line in lines[1:]:
         try:
             record = json.loads(line)
             t = float(record["t"])
-            inc = parse(record["increment"])
+            inc_signature, inc_n, cells = parse_cells(_text_field(record, "increment"))
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed event record: {exc}") from None
-        state = increment(state, inc)
-        events.append((t, state))
-    return LevyTrajectory(n=n, horizon=horizon, events=tuple(events))
+        if inc_signature != signature or inc_n != n:
+            raise ValueError(
+                f"increment at t={t} has signature {inc_signature} and n={inc_n}, "
+                f"the header {signature} and n={n}"
+            )
+        traj._append(t, cells)
+    traj._close(horizon)
+    return traj

@@ -9,7 +9,9 @@ is its own inverse.  All process state in this package is a Structure.
 Every relation, whatever its arity, is backed by one integer bitmask indexed
 by mixed-radix cell position (tuple (a1, ..., ar) -> sum (a_i - 1) * n^(r - i)),
 so the increment is a plain XOR and an r-ary relation over [n] is an
-n^r-bit integer.
+n^r-bit integer.  The text form is written and read at the level of sorted
+cell indices (``serialize_cells``/``parse_cells``), so a sparse increment
+can be formatted or parsed without building its n^r-bit integer.
 
 Labels are 1-based throughout.
 """
@@ -30,6 +32,8 @@ __all__ = [
     "agreement_level",
     "serialize",
     "parse",
+    "serialize_cells",
+    "parse_cells",
 ]
 
 
@@ -136,23 +140,20 @@ class Structure:
             raise ValueError(
                 f"expected {signature.k} relations, got {len(relations)}"
             )
-        payloads = []
+        cells = []
         for arity, rel in zip(signature.arities, relations):
-            tuples = []
+            rel_cells = []
             for t in rel:
                 if isinstance(t, int):
                     t = (t,)
                 else:
                     t = tuple(int(a) for a in t)
                 _validate_tuple(t, arity, n)
-                tuples.append(t)
-            if len(set(tuples)) != len(tuples):
+                rel_cells.append(_cell_index(t, n))
+            if len(set(rel_cells)) != len(rel_cells):
                 raise ValueError("duplicate tuples in relation")
-            mask = 0
-            for t in tuples:
-                mask |= 1 << _cell_index(t, n)
-            payloads.append(mask)
-        return cls(signature, n, tuple(payloads))
+            cells.append(rel_cells)
+        return _structure_from_cells(signature, n, cells)
 
     def tuples(self, j: int) -> list[tuple[int, ...]]:
         """Sorted tuple list of relation ``j`` (0-based index)."""
@@ -229,15 +230,22 @@ def restrict(m: Structure, size: int) -> Structure:
         raise ValueError(f"restriction size {size} outside 0..{m.n}")
     if size == m.n:
         return m
-    payloads = []
-    for arity, rel in zip(m.signature.arities, m.relations):
-        mask = 0
-        for idx in _iter_bits(rel):
-            t = _cell_decode(idx, m.n, arity)
-            if all(a <= size for a in t):
-                mask |= 1 << _cell_index(t, size)
-        payloads.append(mask)
-    return Structure(m.signature, size, tuple(payloads))
+    cells = [
+        _restrict_cells(rel_cells, m.n, arity, size)
+        for arity, rel_cells in zip(m.signature.arities, _cells(m))
+    ]
+    return _structure_from_cells(m.signature, size, cells)
+
+
+def _restrict_cells(cells, n: int, arity: int, size: int) -> list[int]:
+    """The cells among ``cells`` (over [n]) whose entries all lie in
+    [size], re-indexed over [size]; order is kept."""
+    kept = []
+    for c in cells:
+        entries = _cell_decode(c, n, arity)
+        if all(a <= size for a in entries):
+            kept.append(_cell_index(entries, size))
+    return kept
 
 
 def relabel(m: Structure, sigma: Permutation) -> Structure:
@@ -275,19 +283,84 @@ def agreement_level(m1: Structure, m2: Structure) -> int:
     return level
 
 
-def serialize(m: Structure) -> str:
-    """Canonical text form, bit-exact and sortable.
+def _cells(m: Structure) -> list[list[int]]:
+    """Sorted cell indices of each relation of ``m``."""
+    return [list(_iter_bits(rel)) for rel in m.relations]
+
+
+class _CellBits:
+    """A mutable copy of a structure's relations, one little-endian bytearray
+    per relation, so flipping a cell is O(1) rather than a copy of the whole
+    n^arity-bit int; ``freeze`` returns the current Structure."""
+
+    __slots__ = ("signature", "n", "bufs")
+
+    def __init__(self, m: Structure):
+        self.signature = m.signature
+        self.n = m.n
+        self.bufs = [
+            bytearray(rel.to_bytes((m.n**arity + 7) // 8, "little"))
+            for arity, rel in zip(m.signature.arities, m.relations)
+        ]
+
+    def flip(self, cells) -> "_CellBits":
+        """XOR in the cells ``cells[j]`` of each relation j."""
+        for buf, rel_cells in zip(self.bufs, cells):
+            for c in rel_cells:
+                buf[c >> 3] ^= 1 << (c & 7)
+        return self
+
+    def freeze(self) -> Structure:
+        return Structure(
+            self.signature,
+            self.n,
+            tuple(int.from_bytes(buf, "little") for buf in self.bufs),
+        )
+
+
+# Up to this many cells, a bitmask is built by shifts, each of which copies
+# the int so far; beyond it, in one pass through a bytearray.
+_FEW_CELLS = 32
+
+
+def _mask_from_cells(cells) -> int:
+    if len(cells) <= _FEW_CELLS:
+        mask = 0
+        for c in cells:
+            mask |= 1 << c
+        return mask
+    buf = bytearray((max(cells) >> 3) + 1)
+    for c in cells:
+        buf[c >> 3] |= 1 << (c & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _structure_from_cells(signature: Signature, n: int, cells) -> Structure:
+    """The structure whose relation j holds the distinct in-range cells ``cells[j]``."""
+    return Structure(signature, n, tuple(_mask_from_cells(c) for c in cells))
+
+
+def serialize_cells(signature: Signature, n: int, cells) -> str:
+    """Canonical text of the structure whose relation j holds the sorted
+    cell indices ``cells[j]``.
 
     Format: ``L=(i1,...,ik)|n=N|R1={t;t;...}|...|Rk={...}`` with tuples
-    ``(a1,...,ai)`` in lexicographic order and no whitespace.
+    ``(a1,...,ai)`` in lexicographic order (which is cell-index order) and
+    no whitespace.
     """
-    parts = [f"L={m.signature}", f"n={m.n}"]
-    for j in range(m.signature.k):
+    parts = [f"L={signature}", f"n={n}"]
+    for j, (arity, rel_cells) in enumerate(zip(signature.arities, cells)):
         body = ";".join(
-            "(" + ",".join(str(a) for a in t) + ")" for t in m.tuples(j)
+            "(" + ",".join(str(a) for a in _cell_decode(c, n, arity)) + ")"
+            for c in rel_cells
         )
         parts.append(f"R{j + 1}={{{body}}}")
     return "|".join(parts)
+
+
+def serialize(m: Structure) -> str:
+    """Canonical text form, bit-exact and sortable (see :func:`serialize_cells`)."""
+    return serialize_cells(m.signature, m.n, _cells(m))
 
 
 def _parse_tuple(text: str, arity: int, n: int) -> tuple[int, ...]:
@@ -305,8 +378,9 @@ def _parse_tuple(text: str, arity: int, n: int) -> tuple[int, ...]:
     return entries
 
 
-def parse(text: str) -> Structure:
-    """Inverse of :func:`serialize`; rejects any non-canonical text."""
+def parse_cells(text: str) -> tuple[Signature, int, list[list[int]]]:
+    """Inverse of :func:`serialize_cells`: the signature, size and sorted
+    cell indices per relation; rejects any non-canonical text."""
     parts = text.split("|")
     if len(parts) < 2 or not parts[0].startswith("L=") or not parts[1].startswith("n="):
         raise ValueError(f"malformed structure text: {text!r}")
@@ -322,16 +396,23 @@ def parse(text: str) -> Structure:
         raise ValueError(
             f"expected {signature.k} relation fields, got {len(rel_parts)}"
         )
-    relations = []
+    cells = []
     for j, (arity, part) in enumerate(zip(signature.arities, rel_parts)):
         prefix = f"R{j + 1}={{"
         if not part.startswith(prefix) or not part.endswith("}"):
             raise ValueError(f"malformed relation field: {part!r}")
         body = part[len(prefix):-1]
-        tuples: list[tuple[int, ...]] = []
+        rel_cells: list[int] = []
         if body:
-            tuples = [_parse_tuple(tok, arity, n) for tok in body.split(";")]
-        if tuples != sorted(set(tuples)):
+            rel_cells = [
+                _cell_index(_parse_tuple(tok, arity, n), n) for tok in body.split(";")
+            ]
+        if any(a >= b for a, b in zip(rel_cells, rel_cells[1:])):
             raise ValueError(f"relation field not canonical: {part!r}")
-        relations.append(tuples)
-    return Structure.from_tuples(signature, n, relations)
+        cells.append(rel_cells)
+    return signature, n, cells
+
+
+def parse(text: str) -> Structure:
+    """Inverse of :func:`serialize`; rejects any non-canonical text."""
+    return _structure_from_cells(*parse_cells(text))

@@ -19,8 +19,8 @@ import comblevy
 from comblevy.structures import Permutation, Signature, Structure
 
 
-def run_comblevy(args, cwd) -> subprocess.CompletedProcess:
-    """Run ``python -m comblevy *args`` in ``cwd`` on the tree the tests imported.
+def run_python(args, cwd) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in ``cwd`` on the tree the tests imported.
 
     The directory holding the imported package (``src/`` of a checkout, or
     site-packages) goes first on the child's ``PYTHONPATH``, ahead of any
@@ -33,12 +33,17 @@ def run_comblevy(args, cwd) -> subprocess.CompletedProcess:
         p for p in (str(package_root), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, "-m", "comblevy", *[str(a) for a in args]],
+        [sys.executable, *[str(a) for a in args]],
         cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
     )
+
+
+def run_comblevy(args, cwd) -> subprocess.CompletedProcess:
+    """Run ``python -m comblevy *args`` in ``cwd`` (see :func:`run_python`)."""
+    return run_python(["-m", "comblevy", *args], cwd)
 
 
 def random_structure(rng, signature: Signature, n: int, density: float = 0.5) -> Structure:

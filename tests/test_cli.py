@@ -247,6 +247,13 @@ class TestErrorHandling:
         assert run_cli(["simulate-walk", "--measure", bad, "--steps", 2,
                         "--seed", 1, "--out", tmp_path / "w.csv"]) == 2
 
+    def test_mistyped_intensity_field_exit_2(self, tmp_path):
+        bad = tmp_path / "intensity.json"
+        component = {"type": "vertex", "rate": 1, "rho": 0.3, "include_loop": "false"}
+        bad.write_text(json.dumps({"signature": "(2)", "components": [component]}))
+        assert run_cli(["simulate-levy", "--intensity", bad, "--n", 5, "--horizon", 1,
+                        "--seed", 1, "--out", tmp_path / "t.csv"]) == 2
+
     def test_unknown_trajectory_header_exit_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")

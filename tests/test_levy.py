@@ -1,4 +1,7 @@
+import json
 import math
+import tracemalloc
+from bisect import bisect_right
 from collections import Counter
 
 import numpy as np
@@ -14,6 +17,7 @@ from comblevy.levy import (
     RestrictedIntensity,
     SetSingletonComponent,
     VertexComponent,
+    _SNAPSHOT_EVERY,
     _BernoulliBlocks,
     events_from_jsonl,
     events_to_jsonl,
@@ -35,10 +39,11 @@ from comblevy.structures import (
     empty_structure,
     increment,
     relabel,
+    restrict,
     serialize,
 )
 
-from helpers import random_permutation
+from helpers import random_permutation, random_structure
 
 SIG1 = Signature((1,))
 SIG2 = Signature((2,))
@@ -439,6 +444,147 @@ class TestRestrictTrajectory:
             restrict_trajectory(traj, 3)
 
 
+def _replay_full_states(intensity, n, horizon, rng):
+    """Brute-force jump chain: the same draws as simulate_levy, with every
+    increment XORed into a full state that is kept."""
+    restricted = RestrictedIntensity(intensity, n)
+    state = empty_structure(intensity.signature, n)
+    events = [(0.0, state)]
+    t = 0.0
+    while restricted.total_rate > 0.0:
+        t += rng.exponential(1.0 / restricted.total_rate)
+        if t > horizon:
+            break
+        state = increment(state, restricted.sample(rng))
+        events.append((t, state))
+    return events
+
+
+def _restrict_full_states(events, m):
+    out = [(0.0, restrict(events[0][1], m))]
+    for t, s in events[1:]:
+        if restrict(s, m) != out[-1][1]:
+            out.append((t, restrict(s, m)))
+    return out
+
+
+class TestIncrementLog:
+    """The increment log against full states kept by a brute-force replay."""
+
+    @staticmethod
+    def _community_explicit():
+        mu = FiniteMeasure(SIG12, 3, {S(SIG12, 3, {2}, {(1, 3), (3, 3)}): 2.0})
+        return ExplicitFinite(mu)
+
+    CASES = [
+        (SIG1, lambda: (SetSingletonComponent(rate=3.0),), 6, 20.0),
+        (
+            SIG2,
+            lambda: (
+                MixtureAtom(weight=0.5, probs=(0.1,)),
+                VertexComponent(rate=1.0, rho=0.3, include_loop=True),
+                PairComponent(rate=1.0),
+                LoopComponent(rate=1.0),
+            ),
+            5,
+            15.0,
+        ),
+        (
+            SIG12,
+            lambda: (
+                MixtureAtom(weight=0.5, probs=(0.2, 0.1)),
+                VertexComponent(rate=1.0, rho=0.3, member_prob=0.5),
+                PairComponent(rate=1.0),
+                LoopComponent(rate=1.0, pattern=(0.3, 0.4, 0.3)),
+                TestIncrementLog._community_explicit(),
+            ),
+            4,
+            20.0,
+        ),
+        (SIG13, lambda: (MixtureAtom(weight=2.0, probs=(0.3, 0.05)),), 3, 150.0),
+    ]
+
+    def _check(self, traj, events, horizon, rng):
+        times = [t for t, _ in events]
+        assert len(traj.events) == len(events)
+        assert traj.events == tuple(events) and traj.events == events
+        assert list(traj.events) == events
+        assert traj.events[-1] == events[-1]
+        stop = 3 * _SNAPSHOT_EVERY
+        assert traj.events[5:stop:7] == tuple(events[5:stop:7])
+        assert traj.events[::-3] == tuple(events[::-3])
+        increments = [increment(b, a) for (_, a), (_, b) in zip(events, events[1:])]
+        assert traj.jump_increments() == increments
+        assert traj.jump_increments()[-1] == increments[-1]
+        for i, (t, s) in enumerate(events):  # every event, so every snapshot boundary
+            assert traj.events[i] == (t, s)
+            assert traj.state_at(t) == s
+        for t in rng.uniform(0.0, horizon, 50):
+            assert traj.state_at(float(t)) == events[bisect_right(times, t) - 1][1]
+        assert traj.state_at(horizon) == events[-1][1]
+        assert LevyTrajectory(traj.n, horizon, events) == traj
+
+    @pytest.mark.parametrize("case", range(len(CASES)), ids=["1", "2", "1,2", "1,3"])
+    def test_matches_full_state_replay(self, case):
+        sig, components, n, horizon = self.CASES[case]
+        intensity = LevyIntensity(sig, components())
+        for seed in (81, 82, 83):
+            traj = simulate_levy(intensity, n, horizon, make_rng(seed))
+            events = _replay_full_states(intensity, n, horizon, make_rng(seed))
+            assert len(events) > 2 * _SNAPSHOT_EVERY
+            check_rng = make_rng(seed, stream=1)
+            self._check(traj, events, horizon, check_rng)
+            for m in (1, n - 1):
+                self._check(
+                    restrict_trajectory(traj, m),
+                    _restrict_full_states(events, m),
+                    horizon,
+                    check_rng,
+                )
+            start = random_structure(check_rng, sig, n)
+            started = [(t, increment(s, start)) for t, s in events]
+            traj = LevyTrajectory(n, horizon, started)
+            self._check(traj, started, horizon, check_rng)
+            self._check(
+                restrict_trajectory(traj, n - 1),
+                _restrict_full_states(started, n - 1),
+                horizon,
+                check_rng,
+            )
+            assert events_from_jsonl(events_to_jsonl(traj)) == traj
+            assert trajectory_from_csv(trajectory_to_csv(traj), horizon) == traj
+
+
+class TestMemory:
+    GRAPH_STREAM = {
+        "signature": "(2)",
+        "components": [
+            {"type": "pair", "rate": 0.2},
+            {"type": "vertex", "rate": 1.0, "rho": 0.02},
+            {"type": "loop", "rate": 1.0},
+        ],
+    }
+    BUDGET = 16 * 2**20
+
+    def test_event_stream_memory_does_not_grow_with_state_size(self):
+        # one full 90,000-bit state per event would take about 50 MB here
+        intensity = intensity_from_json(json.dumps(self.GRAPH_STREAM))
+        tracemalloc.start()
+        try:
+            traj = simulate_levy(intensity, 300, 0.5, make_rng(84))
+            text = events_to_jsonl(traj, seed=84)
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            back = events_from_jsonl(text)
+            read_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj.events) > 4000
+        assert back == traj
+        assert write_peak < self.BUDGET
+        assert read_peak < self.BUDGET
+
+
 class TestRestrictionInLaw:
     def test_restricted_increment_law_chi_square(self):
         # restricting a level-20 singleton process to [5] must reproduce the
@@ -601,6 +747,20 @@ class TestFileFormats:
         )
         with pytest.raises(ValueError, match="memberprob"):
             intensity_from_json(misspelled)
+        vertex = {"type": "vertex", "rate": 1, "rho": 0.3}
+        mistyped = [
+            ("(2)", {**vertex, "include_loop": "false"}),
+            ("(2)", {**vertex, "include_loop": 0}),
+            ("(2)", {**vertex, "rate": "1"}),
+            ("(2)", {**vertex, "rho": True}),
+            ("(2)", {**vertex, "rate": float("nan")}),
+            ("(2)", {"type": "pair", "rate": 1, "pattern": ["0.2", 0.3, 0.5]}),
+            ("(1)", {"type": "mixture_atom", "weight": 1, "probs": [True]}),
+        ]
+        for signature, comp in mistyped:
+            payload = {"signature": signature, "components": [comp]}
+            with pytest.raises(ValueError, match="must be a"):
+                intensity_from_json(json.dumps(payload))
 
     def test_trajectory_csv_roundtrip(self):
         I = LevyIntensity(SIG1, (SetSingletonComponent(rate=1.0),))
@@ -609,8 +769,6 @@ class TestFileFormats:
         assert back.events == traj.events
 
     def test_events_jsonl_roundtrip(self):
-        import json
-
         for I, n in [
             (LevyIntensity(SIG1, (SetSingletonComponent(rate=1.0),)), 4),
             (LevyIntensity(SIG13, (MixtureAtom(weight=2.0, probs=(0.3, 0.05)),)), 3),
@@ -625,9 +783,20 @@ class TestFileFormats:
             assert header["seed"] == 66
             assert "init" not in header
 
-    def test_events_jsonl_nonempty_start(self):
-        import json
+    def test_events_jsonl_rejects_malformed_records(self):
+        header = {"signature": "(1)", "n": 3, "T": 1.0, "seed": None}
+        with pytest.raises(ValueError, match="'increment'"):
+            events_from_jsonl(json.dumps(header) + '\n{"t": 0.5, "increment": 5}')
+        with pytest.raises(ValueError, match="'init'"):
+            events_from_jsonl(json.dumps({**header, "init": 7}))
+        other_n = json.dumps({"t": 0.5, "increment": "L=(1)|n=4|R1={(1)}"})
+        with pytest.raises(ValueError, match="n=4"):
+            events_from_jsonl(json.dumps(header) + "\n" + other_n)
+        nan_time = json.dumps({"t": float("nan"), "increment": "L=(1)|n=3|R1={(1)}"})
+        with pytest.raises(ValueError, match="increasing"):
+            events_from_jsonl(json.dumps(header) + "\n" + nan_time)
 
+    def test_events_jsonl_nonempty_start(self):
         I = LevyIntensity(SIG1, (SetSingletonComponent(rate=1.0),))
         flip = S(SIG1, 4, {1})
         traj = simulate_levy(I, 4, 2.0, make_rng(67))
