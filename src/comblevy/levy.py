@@ -835,9 +835,8 @@ def restrict_trajectory(traj: LevyTrajectory, m: int) -> LevyTrajectory:
         raise ValueError(f"restriction level {m} outside 0..{traj.n}")
     arities = traj.signature.arities
     restricted = LevyTrajectory._started(restrict(traj._start, m))
-    increments = traj.jump_increments()
-    for i in range(len(increments)):
-        cells = zip(increments.cells(i), arities)
+    for i in range(len(traj._times) - 1):
+        cells = zip(traj._jump_cells(i), arities)
         kept = [_restrict_cells(c, traj.n, a, m) for c, a in cells]
         if any(kept):
             restricted._append(traj._times[i + 1], kept)
@@ -965,6 +964,8 @@ def events_to_jsonl(traj: LevyTrajectory, seed: int | None = None) -> str:
     if not traj._start.is_empty():
         header["init"] = serialize(traj._start)
     lines = [json.dumps(header, sort_keys=True)]
+    # Through ``jump_increments()``: bench/tracing.py reports that call as
+    # the ``levy.jump_increments`` layer.
     increments = traj.jump_increments()
     for i in range(len(increments)):
         record = {

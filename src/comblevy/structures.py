@@ -318,26 +318,15 @@ class _CellBits:
         )
 
 
-# Up to this many cells, a bitmask is built by shifts, each of which copies
-# the int so far; beyond it, in one pass through a bytearray.
-_FEW_CELLS = 32
-
-
-def _mask_from_cells(cells) -> int:
-    if len(cells) <= _FEW_CELLS:
-        mask = 0
-        for c in cells:
-            mask |= 1 << c
-        return mask
-    buf = bytearray((max(cells) >> 3) + 1)
-    for c in cells:
-        buf[c >> 3] |= 1 << (c & 7)
-    return int.from_bytes(buf, "little")
-
-
 def _structure_from_cells(signature: Signature, n: int, cells) -> Structure:
     """The structure whose relation j holds the distinct in-range cells ``cells[j]``."""
-    return Structure(signature, n, tuple(_mask_from_cells(c) for c in cells))
+    payloads = []
+    for rel_cells in cells:
+        mask = 0
+        for c in rel_cells:
+            mask |= 1 << c
+        payloads.append(mask)
+    return Structure(signature, n, tuple(payloads))
 
 
 def serialize_cells(signature: Signature, n: int, cells) -> str:
