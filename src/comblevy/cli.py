@@ -17,6 +17,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .inference import (
     chi_square_exchangeability,
@@ -38,7 +40,7 @@ from .measures import (
     orbit_weights_to_json,
 )
 from .orbits import enumerate_orbits
-from .rng import make_rng
+from .rng import ALGORITHM, make_rng
 from .structures import Signature, empty_structure, parse
 from .walk import simulate_walk, walk_from_csv, walk_to_csv
 
@@ -76,6 +78,9 @@ def _write_manifest(args: argparse.Namespace, command: str, out: str) -> None:
         "config": config,
         "seed": getattr(args, "seed", None),
         "version": __version__,
+        # seeded streams are reproducible only within one numpy version
+        "numpy_version": np.__version__,
+        "rng_algorithm": ALGORITHM,
     }
     directory = Path(out).parent
     _write_atomic(

@@ -25,8 +25,6 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from scipy.special import gammaincc
-
 from .levy import LevyTrajectory
 from .measures import FiniteMeasure, symmetrize
 from .orbits import DEFAULT_CANONICAL_CAP, OrbitId, orbit_of
@@ -90,6 +88,10 @@ def jump_increment_sequence(traj) -> Sequence:
 def chi2_upper_tail(x: float, df: int) -> float:
     """Upper tail of the chi-square distribution via the regularized
     incomplete gamma ratio."""
+    # imported here, not at module level: no command but test-exchangeability
+    # needs scipy, and importing it slows every CLI process's start
+    from scipy.special import gammaincc
+
     if x < 0:
         raise ValueError(f"statistic must be >= 0, got {x}")
     if df < 1:

@@ -12,12 +12,13 @@ jump increments together with a rate:
 * ``ExplicitFinite`` - an arbitrary finite measure on increments over a
   fixed label window, with zero mass on the empty structure.
 
-Simulation never materializes the underlying Poisson point process.  At a
-finite resolution n, every component restricts to a finite total rate with
-an explicit conditional increment law given a nonempty restriction, so the
-process reduces to a Gillespie-style jump chain: exponential waiting times
-at the total restricted rate, component selection proportional to component
-rates, then one conditional increment draw.
+At a finite resolution n, every component restricts to a finite total rate
+with an explicit conditional increment law given a nonempty restriction, so
+the level-n process is compound Poisson: a Poisson number of jumps at the
+total restricted rate, at sorted uniform times, each with an independent
+increment (component chosen proportionally to its rate, then one
+conditional draw).  ``simulate_levy`` draws it that way, in batches
+(see ``_jump_chain``).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from functools import cached_property
 from itertools import accumulate, chain, islice
 
 import numpy as np
@@ -42,6 +44,7 @@ from .structures import (
     Signature,
     Structure,
     _CellBits,
+    _Formatter,
     _cells,
     _restrict_cells,
     _structure_from_cells,
@@ -51,7 +54,6 @@ from .structures import (
     parse_cells,
     restrict,
     serialize,
-    serialize_cells,
 )
 
 __all__ = [
@@ -80,6 +82,8 @@ RATE_TOL = 1e-12
 REJECTION_CAP = 10_000
 # A trajectory keeps a full state every this many events (see LevyTrajectory).
 _SNAPSHOT_EVERY = 128
+# Expected jumps per time block of the batched jump chain (see _jump_chain).
+_BLOCK_EVENTS = 2**16
 
 
 def _check_number(x, name: str) -> float:
@@ -404,6 +408,8 @@ class LevyTrajectory:
             self._snapshots.append(self._running.freeze())
 
     def _close(self, horizon: float) -> None:
+        if not math.isfinite(horizon):
+            raise ValueError(f"horizon must be finite, got {horizon}")
         if self._times[-1] > horizon:
             raise ValueError("event beyond the horizon")
         self.horizon = horizon
@@ -424,6 +430,12 @@ class LevyTrajectory:
         k = self.signature.k
         b = self._bounds
         return [self._cells[b[i * k + j]: b[i * k + j + 1]] for j in range(k)]
+
+    def _iter_jump_cells(self):
+        """Sorted cells per relation of every jump, in order."""
+        b = self._bounds
+        per_rel = (self._cells[lo:hi] for lo, hi in zip(b, islice(b, 1, None)))
+        return zip(*[per_rel] * self.signature.k)
 
     def _state(self, i: int) -> Structure:
         """State after event ``i``: the nearest snapshot at or before it plus
@@ -510,8 +522,8 @@ class _Events(_LogView):
         traj = self._traj
         yield traj._times[0], traj._start
         bits = _CellBits(traj._start)
-        for i in range(len(traj._times) - 1):
-            yield traj._times[i + 1], bits.flip(traj._jump_cells(i)).freeze()
+        for t, cells in zip(islice(traj._times, 1, None), traj._iter_jump_cells()):
+            yield t, bits.flip(cells).freeze()
 
 
 class _Increments(_LogView):
@@ -522,12 +534,13 @@ class _Increments(_LogView):
     def __len__(self) -> int:
         return len(self._traj._times) - 1
 
-    def cells(self, i: int) -> list:
-        """Sorted cell indices per relation of increment ``i``."""
-        return self._traj._jump_cells(range(len(self))[i])
+    def cells(self):
+        """Sorted cell indices per relation of each increment, in order."""
+        return self._traj._iter_jump_cells()
 
     def _item(self, i: int) -> Structure:
-        return _structure_from_cells(self._traj.signature, self._traj.n, self.cells(i))
+        traj = self._traj
+        return _structure_from_cells(traj.signature, traj.n, traj._jump_cells(i))
 
 
 class _BernoulliBlocks:
@@ -617,15 +630,25 @@ class _BernoulliBlocks:
 
 
 class _LevelSampler:
-    """A level-n increment sampler: ``sample_cells(rng)`` draws a nonempty
-    increment as sorted cell indices per relation; ``sample(rng)`` returns
-    the same draw as a Structure."""
+    """A level-n increment sampler.  ``sample_cells_batch(rng, k)`` draws k
+    independent nonempty increments, each as sorted cell indices per
+    relation; ``sample_cells`` is the batch of one and ``sample`` the same
+    draw as a Structure."""
 
     signature: Signature
     n: int
 
+    def sample_cells(self, rng) -> list[list[int]]:
+        return self.sample_cells_batch(rng, 1)[0]
+
     def sample(self, rng) -> Structure:
         return _structure_from_cells(self.signature, self.n, self.sample_cells(rng))
+
+
+def _pattern_choice(rng, pattern_cum: np.ndarray, k: int) -> list[int]:
+    """k draws of a pattern index 0, 1 or 2 from its cumulative weights."""
+    picked = np.searchsorted(pattern_cum, rng.random(k), side="right")
+    return np.minimum(picked, 2).tolist()
 
 
 class _RestrictedMixture(_LevelSampler):
@@ -642,12 +665,14 @@ class _RestrictedMixture(_LevelSampler):
         ]
         self.rate = comp.weight * self.blocks.hit_prob
 
-    def sample_cells(self, rng) -> list[list[int]]:
-        flips = self.blocks.sample(rng)
-        cells = [[] for _ in range(self.signature.k)]
-        for pos, block_flips in zip(self.block_to_rel, flips):
-            cells[pos] = block_flips
-        return cells
+    def sample_cells_batch(self, rng, k: int) -> list[list[list[int]]]:
+        rows = []
+        for _ in range(k):
+            cells = [[] for _ in range(self.signature.k)]
+            for pos, block_flips in zip(self.block_to_rel, self.blocks.sample(rng)):
+                cells[pos] = block_flips
+            rows.append(cells)
+        return rows
 
 
 class _RestrictedSetSingleton(_LevelSampler):
@@ -656,18 +681,29 @@ class _RestrictedSetSingleton(_LevelSampler):
         self.n = n
         self.rate = comp.rate * n
 
-    def sample_cells(self, rng) -> list[list[int]]:
-        i = int(rng.integers(1, self.n + 1))
-        return [[i - 1]]
+    def sample_cells_batch(self, rng, k: int) -> list[list[list[int]]]:
+        return [[[i]] for i in rng.integers(0, self.n, k).tolist()]
 
 
-class _RestrictedVertex(_LevelSampler):
+class _GraphSampler(_LevelSampler):
+    """A component on signature (2) or (1,2): membership cells (relation 0
+    of (1,2)) and edge cells (the last relation)."""
+
+    def _rows(self, edges, members=None) -> list[list[list[int]]]:
+        """Increments from per-row edge cells and, for (1,2), member cells."""
+        if self.signature.k == 1:
+            return [[e] for e in edges]
+        if members is None:
+            return [[[], e] for e in edges]
+        return [[m, e] for m, e in zip(members, edges)]
+
+
+class _RestrictedVertex(_GraphSampler):
     def __init__(self, comp: VertexComponent, signature: Signature, n: int):
         self.signature = signature
         self.n = n
         self.comp = comp
         self.has_member = signature == _SIG_COMMUNITY
-        self.edge_rel = signature.k - 1
         self.edge_cells = 2 * (n - 1) + (1 if comp.include_loop else 0)
         blocks = []
         if self.has_member:
@@ -685,75 +721,76 @@ class _RestrictedVertex(_LevelSampler):
             self.edge_pos = pos
         self.rate = comp.rate * n * self.blocks.hit_prob
 
-    def _edge_cell_index(self, vertex: int, v: int) -> int:
+    def _edge_cell_index(self, v: int, x: int) -> int:
+        """Cell of the x-th edge slot of the 0-based vertex v: slots 2p and
+        2p + 1 are the out- and in-edge to the p-th other vertex, and the
+        last slot is the loop when it is included."""
         n = self.n
-        if self.comp.include_loop and v == self.edge_cells - 1:
-            return (vertex - 1) * n + (vertex - 1)
-        pair_idx, direction = divmod(v, 2)
-        other = pair_idx + 1 if pair_idx + 1 < vertex else pair_idx + 2
+        if self.comp.include_loop and x == self.edge_cells - 1:
+            return v * n + v
+        pair_idx, direction = divmod(x, 2)
+        other = pair_idx if pair_idx < v else pair_idx + 1
         if direction == 0:
-            return (vertex - 1) * n + (other - 1)
-        return (other - 1) * n + (vertex - 1)
+            return v * n + other
+        return other * n + v
 
-    def sample_cells(self, rng) -> list[list[int]]:
-        i = int(rng.integers(1, self.n + 1))
-        flips = self.blocks.sample(rng)
-        cells = [[] for _ in range(self.signature.k)]
-        if self.member_pos is not None and flips[self.member_pos]:
-            cells[0] = [i - 1]
-        if self.edge_pos is not None:
-            cells[self.edge_rel] = sorted(
-                self._edge_cell_index(i, v) for v in flips[self.edge_pos]
+    def sample_cells_batch(self, rng, k: int) -> list[list[list[int]]]:
+        members, edges = [], []
+        for v in rng.integers(0, self.n, k).tolist():
+            flips = self.blocks.sample(rng)
+            has_member = self.member_pos is not None and flips[self.member_pos]
+            members.append([v] if has_member else [])
+            edges.append(
+                sorted(self._edge_cell_index(v, x) for x in flips[self.edge_pos])
+                if self.edge_pos is not None
+                else []
             )
-        return cells
+        return self._rows(edges, members)
 
 
-class _RestrictedPair(_LevelSampler):
+class _RestrictedPair(_GraphSampler):
     def __init__(self, comp: PairComponent, signature: Signature, n: int):
         self.signature = signature
         self.n = n
-        self.pattern_cum = list(accumulate(comp.pattern))
-        self.edge_rel = signature.k - 1
+        self.pattern_cum = np.array(list(accumulate(comp.pattern)))
         self.rate = comp.rate * n * (n - 1) / 2.0
 
-    def sample_cells(self, rng) -> list[list[int]]:
-        picked = rng.choice(self.n, size=2, replace=False)
-        i, j = sorted(int(x) + 1 for x in picked)
-        u = rng.random()
-        which = bisect_right(self.pattern_cum, u)
-        which = min(which, 2)
+    def sample_cells_batch(self, rng, k: int) -> list[list[list[int]]]:
+        # an ordered pair uniform over i != j, by rejecting i == j, gives the
+        # unordered pair {i, j} uniform over all pairs
         n = self.n
-        fwd = (i - 1) * n + (j - 1)
-        bwd = (j - 1) * n + (i - 1)
-        edge_cells = {0: [fwd], 1: [bwd], 2: [fwd, bwd]}[which]
-        cells = [[] for _ in range(self.signature.k)]
-        cells[self.edge_rel] = sorted(edge_cells)
-        return cells
+        a = rng.integers(0, n, k)
+        b = rng.integers(0, n, k)
+        tied = np.flatnonzero(a == b)
+        while tied.size:
+            b[tied] = rng.integers(0, n, tied.size)
+            tied = tied[a[tied] == b[tied]]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        fwd = (lo * n + hi).tolist()
+        bwd = (hi * n + lo).tolist()
+        which = _pattern_choice(rng, self.pattern_cum, k)
+        edges = [
+            [f] if w == 0 else [r] if w == 1 else [f, r]
+            for f, r, w in zip(fwd, bwd, which)
+        ]
+        return self._rows(edges)
 
 
-class _RestrictedLoop(_LevelSampler):
+class _RestrictedLoop(_GraphSampler):
     def __init__(self, comp: LoopComponent, signature: Signature, n: int):
         self.signature = signature
         self.n = n
-        self.pattern_cum = list(accumulate(comp.pattern))
-        self.edge_rel = signature.k - 1
-        self.has_member = signature == _SIG_COMMUNITY
+        self.pattern_cum = np.array(list(accumulate(comp.pattern)))
         self.rate = comp.rate * n
 
-    def sample_cells(self, rng) -> list[list[int]]:
-        i = int(rng.integers(1, self.n + 1))
-        u = rng.random()
-        which = min(bisect_right(self.pattern_cum, u), 2)
-        cells = [[] for _ in range(self.signature.k)]
-        loop_cell = (i - 1) * self.n + (i - 1)
-        if which == 0:
-            cells[0] = [i - 1]
-        elif which == 1:
-            cells[self.edge_rel] = [loop_cell]
-        else:
-            cells[0] = [i - 1]
-            cells[self.edge_rel] = [loop_cell]
-        return cells
+    def sample_cells_batch(self, rng, k: int) -> list[list[list[int]]]:
+        # pattern: 0 flips the membership only, 1 the loop only, 2 both
+        vertices = rng.integers(0, self.n, k).tolist()
+        which = _pattern_choice(rng, self.pattern_cum, k)
+        loop = self.n + 1
+        members = [[v] if w != 1 else [] for v, w in zip(vertices, which)]
+        edges = [[v * loop] if w != 0 else [] for v, w in zip(vertices, which)]
+        return self._rows(edges, members)
 
 
 def _embed(m: Structure, n: int) -> Structure:
@@ -778,10 +815,18 @@ class _RestrictedExplicit(_LevelSampler):
             weights[image] = weights.get(image, 0.0) + w
         self.level_measure = FiniteMeasure(signature, n, weights)
         self.rate = self.level_measure.total_mass
-        self.atom_cells = {m: _cells(m) for m in weights}
 
-    def sample_cells(self, rng) -> list[list[int]]:
-        return self.atom_cells[self.level_measure.sample(rng)]
+    @cached_property
+    def _inverse_cdf(self) -> tuple[list, np.ndarray]:
+        """Each atom's cells and the cumulative masses, in the measure's
+        sampling order; built on the first draw."""
+        atoms, cum = self.level_measure.sampling_arrays()
+        return [_cells(m) for m in atoms], np.array(cum)
+
+    def sample_cells_batch(self, rng, k: int) -> list[list[list[int]]]:
+        atoms, cum = self._inverse_cdf
+        picked = np.searchsorted(cum, rng.random(k) * self.rate, side="right")
+        return [atoms[i] for i in np.minimum(picked, len(atoms) - 1).tolist()]
 
 
 class RestrictedIntensity(_LevelSampler):
@@ -799,32 +844,60 @@ class RestrictedIntensity(_LevelSampler):
         self.components = [rc for rc in restricted if rc.rate > RATE_TOL]
         self.component_rates = [rc.rate for rc in self.components]
         self.total_rate = math.fsum(self.component_rates)
-        self._cum = list(accumulate(self.component_rates))
+        self._cum = np.array(list(accumulate(self.component_rates)))
 
-    def sample_cells(self, rng) -> list[list[int]]:
+    def sample_cells_batch(self, rng, k: int) -> list[list[list[int]]]:
+        """k increments: every component label from one uniform draw each,
+        then one batch draw per component, in the labels' order."""
         if self.total_rate <= 0.0:
             raise ValueError("cannot sample from a zero-rate intensity")
-        u = rng.random() * self.total_rate
-        idx = min(bisect_right(self._cum, u), len(self.components) - 1)
-        return self.components[idx].sample_cells(rng)
+        labels = np.searchsorted(self._cum, rng.random(k) * self.total_rate, side="right")
+        labels = np.minimum(labels, len(self.components) - 1)
+        rows = [None] * k
+        for label, comp in enumerate(self.components):
+            picked = np.flatnonzero(labels == label)
+            if picked.size:
+                draws = comp.sample_cells_batch(rng, picked.size)
+                for i, cells in zip(picked.tolist(), draws):
+                    rows[i] = cells
+        return rows
+
+
+def _jump_chain(restricted: RestrictedIntensity, horizon: float, rng):
+    """The jumps of the level-n chain on [0, horizon], as ``(time, cells)``
+    in time order.
+
+    The chain is a compound Poisson process, so it is drawn exactly in time
+    blocks of about ``_BLOCK_EVENTS`` expected jumps: per block, a Poisson
+    jump count at the block's total rate, that many sorted uniform times in
+    the block, and i.i.d. increments from the normalized restricted measure.
+    Blocks are independent because Poisson increments over disjoint
+    intervals are.
+    """
+    rate = restricted.total_rate
+    if rate <= 0.0:
+        return
+    span = _BLOCK_EVENTS / rate
+    block = 0
+    while block * span < horizon:
+        start = block * span
+        length = min((block + 1) * span, horizon) - start
+        count = int(rng.poisson(rate * length))
+        times = np.minimum(start + length * np.sort(rng.random(count)), horizon)
+        yield from zip(times.tolist(), restricted.sample_cells_batch(rng, count))
+        block += 1
 
 
 def simulate_levy(
     intensity: LevyIntensity, n: int, horizon: float, rng
 ) -> LevyTrajectory:
     """Jump-chain simulation at resolution n over [0, horizon]."""
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be finite and > 0, got {horizon}")
     restricted = RestrictedIntensity(intensity, n)
     traj = LevyTrajectory._started(empty_structure(intensity.signature, n))
-    rate = restricted.total_rate
-    if rate > 0.0:
-        t = 0.0
-        while True:
-            t += rng.exponential(1.0 / rate)
-            if t > horizon:
-                break
-            traj._append(t, restricted.sample_cells(rng))
+    for t, cells in _jump_chain(restricted, horizon, rng):
+        traj._append(t, cells)
     traj._close(float(horizon))
     return traj
 
@@ -835,11 +908,10 @@ def restrict_trajectory(traj: LevyTrajectory, m: int) -> LevyTrajectory:
         raise ValueError(f"restriction level {m} outside 0..{traj.n}")
     arities = traj.signature.arities
     restricted = LevyTrajectory._started(restrict(traj._start, m))
-    for i in range(len(traj._times) - 1):
-        cells = zip(traj._jump_cells(i), arities)
-        kept = [_restrict_cells(c, traj.n, a, m) for c, a in cells]
+    for t, cells in zip(islice(traj._times, 1, None), traj._iter_jump_cells()):
+        kept = [_restrict_cells(c, traj.n, a, m) for c, a in zip(cells, arities)]
         if any(kept):
-            restricted._append(traj._times[i + 1], kept)
+            restricted._append(t, kept)
     restricted._close(traj.horizon)
     return restricted
 
@@ -921,9 +993,10 @@ def intensity_from_json(text: str) -> LevyIntensity:
 
 
 def trajectory_to_csv(traj: LevyTrajectory) -> str:
+    text = _Formatter(traj.signature, traj.n)
     lines = ["time,structure"]
     for t, s in traj.events:
-        lines.append(f"{t!r},{serialize(s)}")
+        lines.append(f"{t!r},{text(_cells(s))}")
     return "\n".join(lines) + "\n"
 
 
@@ -964,25 +1037,53 @@ def events_to_jsonl(traj: LevyTrajectory, seed: int | None = None) -> str:
     if not traj._start.is_empty():
         header["init"] = serialize(traj._start)
     lines = [json.dumps(header, sort_keys=True)]
+    text = _Formatter(traj.signature, traj.n)
     # Through ``jump_increments()``: bench/tracing.py reports that call as
     # the ``levy.jump_increments`` layer.
     increments = traj.jump_increments()
-    for i in range(len(increments)):
-        record = {
-            "t": traj._times[i + 1],
-            "increment": serialize_cells(traj.signature, traj.n, increments.cells(i)),
-        }
-        lines.append(json.dumps(record, sort_keys=True))
+    # Each record is what json.dumps(..., sort_keys=True) gives: the
+    # structure text needs no escaping and a finite float's JSON is its repr.
+    for t, cells in zip(islice(traj._times, 1, None), increments.cells()):
+        lines.append(f'{{"increment": "{text(cells)}", "t": {t!r}}}')
     return "\n".join(lines) + "\n"
 
 
 def _text_field(record: dict, name: str) -> str:
     value = record[name]
     if not isinstance(value, str):
-        raise ValueError(
-            f"event-stream field {name!r} must be a structure string, got {value!r}"
-        )
+        raise ValueError(f"event-stream field {name!r} must be a string, got {value!r}")
     return value
+
+
+def _int_field(record: dict, name: str) -> int:
+    value = record[name]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"event-stream field {name!r} must be an integer, got {value!r}")
+    return value
+
+
+def _header(text: str) -> tuple[Structure, float]:
+    """Start state and horizon of an event-stream header.  Fields are
+    type-checked rather than coerced: n an integer, T a finite number > 0,
+    seed (optional) an integer or null."""
+    header = json.loads(text)
+    signature = Signature.parse(_text_field(header, "signature"))
+    n = _int_field(header, "n")
+    horizon = _check_number(header["T"], "event-stream field 'T'")
+    if horizon <= 0.0:
+        raise ValueError(f"event-stream field 'T' must be > 0, got {horizon}")
+    if header.get("seed") is not None:
+        _int_field(header, "seed")
+    if "init" in header:
+        state = parse(_text_field(header, "init"))
+    else:
+        state = empty_structure(signature, n)
+    if state.signature != signature or state.n != n:
+        raise ValueError(
+            f"initial state {serialize(state)} does not match the header's "
+            f"signature {signature} and n={n}"
+        )
+    return state, horizon
 
 
 def events_from_jsonl(text: str) -> LevyTrajectory:
@@ -990,28 +1091,20 @@ def events_from_jsonl(text: str) -> LevyTrajectory:
     if not lines:
         raise ValueError("empty event stream")
     try:
-        header = json.loads(lines[0])
-        signature = Signature.parse(header["signature"])
-        n = int(header["n"])
-        horizon = float(header["T"])
-        if "init" in header:
-            state = parse(_text_field(header, "init"))
-        else:
-            state = empty_structure(signature, n)
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        state, horizon = _header(lines[0])
+    except (json.JSONDecodeError, KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed event-stream header: {exc}") from None
-    if state.signature != signature or state.n != n:
-        raise ValueError(
-            f"initial state {serialize(state)} does not match the header's "
-            f"signature {signature} and n={n}"
-        )
+    signature, n = state.signature, state.n
     traj = LevyTrajectory._started(state)
     for line in lines[1:]:
         try:
             record = json.loads(line)
-            t = float(record["t"])
+            t = record["t"]
+            if isinstance(t, bool) or not isinstance(t, numbers.Real):
+                raise ValueError(f"event-stream field 't' must be a number, got {t!r}")
+            t = float(t)
             inc_signature, inc_n, cells = parse_cells(_text_field(record, "increment"))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed event record: {exc}") from None
         if inc_signature != signature or inc_n != n:
             raise ValueError(

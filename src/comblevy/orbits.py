@@ -8,7 +8,8 @@ gated by an enumeration cap (default n <= 8).
 
 With the cap in place all labels are single decimal digits, so comparing
 per-relation sorted tuple sequences is identical to comparing serialized
-strings; the cheaper tuple comparison is what the code uses.
+strings.  Cell-index order is the lexicographic tuple order, so the code
+compares per-relation sorted cell indices, the cheapest equivalent key.
 """
 
 from __future__ import annotations
@@ -22,8 +23,11 @@ from .structures import (
     Permutation,
     Signature,
     Structure,
+    _cell_decode,
+    _cell_index,
+    _cells,
+    _structure_from_cells,
     parse,
-    relabel,
     serialize,
 )
 
@@ -83,8 +87,21 @@ def _permutations(n: int) -> tuple[Permutation, ...]:
     )
 
 
-def _sort_key(m: Structure) -> tuple:
-    return tuple(tuple(m.tuples(j)) for j in range(m.signature.k))
+def _relabelings(m: Structure) -> set[tuple]:
+    """Every relabeling of ``m`` as its sort key: the sorted cell indices
+    of each relation."""
+    n = m.n
+    tuples = [
+        [_cell_decode(c, n, arity) for c in rel_cells]
+        for arity, rel_cells in zip(m.signature.arities, _cells(m))
+    ]
+    return {
+        tuple(
+            tuple(sorted(_cell_index([sigma.image[a - 1] for a in t], n) for t in rel))
+            for rel in tuples
+        )
+        for sigma in _permutations(n)
+    }
 
 
 def _check_cap(n: int, cap: int) -> None:
@@ -95,17 +112,16 @@ def _check_cap(n: int, cap: int) -> None:
 def canonical_form(m: Structure, cap: int = DEFAULT_CANONICAL_CAP) -> Structure:
     """Relabeling of ``m`` with lexicographically minimal serialization."""
     _check_cap(m.n, cap)
-    return min(
-        (relabel(m, sigma) for sigma in _permutations(m.n)),
-        key=_sort_key,
-    )
+    return _structure_from_cells(m.signature, m.n, min(_relabelings(m)))
 
 
 def orbit_members(m: Structure, cap: int = DEFAULT_CANONICAL_CAP) -> list[Structure]:
     """All distinct relabelings of ``m``, sorted by canonical key."""
     _check_cap(m.n, cap)
-    members = {relabel(m, sigma) for sigma in _permutations(m.n)}
-    return sorted(members, key=_sort_key)
+    return [
+        _structure_from_cells(m.signature, m.n, key)
+        for key in sorted(_relabelings(m))
+    ]
 
 
 def orbit_of(m: Structure, cap: int = DEFAULT_CANONICAL_CAP) -> OrbitId:
@@ -140,15 +156,13 @@ def _orbit_data(
     signature: Signature, n: int, space_cap: int, canonical_cap: int
 ) -> tuple[OrbitTable, dict]:
     _check_cap(n, canonical_cap)
-    sigmas = _permutations(n)
     lookup: dict[Structure, OrbitId] = {}
     entries = []
     for m in iter_space(signature, n, space_cap):
         if m in lookup:
             continue
-        members = {relabel(m, sigma) for sigma in sigmas}
-        rep = min(members, key=_sort_key)
-        oid = OrbitId(serialize(rep))
+        members = orbit_members(m, canonical_cap)
+        oid = OrbitId(serialize(members[0]))
         for member in members:
             lookup[member] = oid
         entries.append((oid, len(members)))

@@ -19,7 +19,9 @@ Labels are 1-based throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 __all__ = [
     "Signature",
@@ -94,11 +96,12 @@ def _cell_decode(idx: int, n: int, arity: int) -> tuple[int, ...]:
     return tuple(entries)
 
 
-def _iter_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _set_bits(mask: int) -> list[int]:
+    """Ascending indices of the set bits of ``mask``, in time linear in its
+    width: the little-endian bytes, unpacked to one byte per bit."""
+    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    bits = np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little")
+    return np.flatnonzero(bits).tolist()
 
 
 def _validate_tuple(t: tuple[int, ...], arity: int, n: int) -> None:
@@ -158,7 +161,7 @@ class Structure:
     def tuples(self, j: int) -> list[tuple[int, ...]]:
         """Sorted tuple list of relation ``j`` (0-based index)."""
         arity = self.signature.arities[j]
-        return [_cell_decode(i, self.n, arity) for i in _iter_bits(self.relations[j])]
+        return [_cell_decode(i, self.n, arity) for i in _set_bits(self.relations[j])]
 
     def tuple_count(self, j: int) -> int:
         return self.relations[j].bit_count()
@@ -253,15 +256,14 @@ def relabel(m: Structure, sigma: Permutation) -> Structure:
     if sigma.n != m.n:
         raise ValueError(f"permutation size {sigma.n} != structure size {m.n}")
     inv = sigma.inverse().image
-    payloads = []
-    for arity, rel in zip(m.signature.arities, m.relations):
-        mask = 0
-        for idx in _iter_bits(rel):
-            t = _cell_decode(idx, m.n, arity)
-            mapped = tuple(inv[a - 1] for a in t)
-            mask |= 1 << _cell_index(mapped, m.n)
-        payloads.append(mask)
-    return Structure(m.signature, m.n, tuple(payloads))
+    cells = [
+        [
+            _cell_index([inv[a - 1] for a in _cell_decode(c, m.n, arity)], m.n)
+            for c in rel_cells
+        ]
+        for arity, rel_cells in zip(m.signature.arities, _cells(m))
+    ]
+    return _structure_from_cells(m.signature, m.n, cells)
 
 
 def agreement_level(m1: Structure, m2: Structure) -> int:
@@ -285,7 +287,7 @@ def agreement_level(m1: Structure, m2: Structure) -> int:
 
 def _cells(m: Structure) -> list[list[int]]:
     """Sorted cell indices of each relation of ``m``."""
-    return [list(_iter_bits(rel)) for rel in m.relations]
+    return [_set_bits(rel) for rel in m.relations]
 
 
 class _CellBits:
@@ -329,6 +331,54 @@ def _structure_from_cells(signature: Signature, n: int, cells) -> Structure:
     return Structure(signature, n, tuple(payloads))
 
 
+class _TokenCache(dict):
+    """Cell index -> tuple text ``(a1,...,ar)`` over [n], built on first use."""
+
+    __slots__ = ("n", "arity")
+
+    def __init__(self, n: int, arity: int):
+        self.n = n
+        self.arity = arity
+
+    def __missing__(self, c: int) -> str:
+        # _cell_decode inlined, with the labels kept as text: a writer runs
+        # this once per distinct cell, e.g. ~37k times on a 28.8k-jump graph
+        # stream, where the call and the int round trip cost ~40% more
+        entries = []
+        rest = c
+        for _ in range(self.arity):
+            rest, a = divmod(rest, self.n)
+            entries.append(str(a + 1))
+        entries.reverse()
+        token = self[c] = "(" + ",".join(entries) + ")"
+        return token
+
+
+class _Formatter:
+    """Canonical text of structures of one signature and size, given as sorted
+    cell indices per relation (see :func:`serialize_cells`).
+
+    Each cell's tuple text is built once and kept for the formatter's life,
+    so a writer that uses one formatter per file formats every distinct cell
+    once.
+    """
+
+    __slots__ = ("head", "fields")
+
+    def __init__(self, signature: Signature, n: int):
+        self.head = f"L={signature}|n={n}"
+        self.fields = [
+            (f"R{j}={{", _TokenCache(n, arity))
+            for j, arity in enumerate(signature.arities, start=1)
+        ]
+
+    def __call__(self, cells) -> str:
+        parts = [self.head]
+        for (prefix, tokens), rel_cells in zip(self.fields, cells):
+            parts.append(prefix + ";".join(map(tokens.__getitem__, rel_cells)) + "}")
+        return "|".join(parts)
+
+
 def serialize_cells(signature: Signature, n: int, cells) -> str:
     """Canonical text of the structure whose relation j holds the sorted
     cell indices ``cells[j]``.
@@ -337,14 +387,7 @@ def serialize_cells(signature: Signature, n: int, cells) -> str:
     ``(a1,...,ai)`` in lexicographic order (which is cell-index order) and
     no whitespace.
     """
-    parts = [f"L={signature}", f"n={n}"]
-    for j, (arity, rel_cells) in enumerate(zip(signature.arities, cells)):
-        body = ";".join(
-            "(" + ",".join(str(a) for a in _cell_decode(c, n, arity)) + ")"
-            for c in rel_cells
-        )
-        parts.append(f"R{j + 1}={{{body}}}")
-    return "|".join(parts)
+    return _Formatter(signature, n)(cells)
 
 
 def serialize(m: Structure) -> str:

@@ -131,3 +131,25 @@ def naive_hom_density(a: Structure, m: Structure) -> float:
                 break
         hits += ok
     return hits / total if total else 0.0
+
+
+def gillespie_levy(restricted, horizon: float, rng) -> tuple[list[float], list[Structure]]:
+    """Reference jump chain, one event at a time: exponential waiting times
+    at the total restricted rate, then one ``restricted.sample(rng)``
+    increment per jump.  Returns the jump times and increments.
+
+    A test oracle for the batched chain in ``simulate_levy``: it shares the
+    per-kind increment samplers but none of the batching (Poisson counts,
+    sorted uniform times, label draws, time blocks).
+    """
+    times: list[float] = []
+    increments: list[Structure] = []
+    rate = restricted.total_rate
+    t = 0.0
+    while rate > 0.0:
+        t += rng.exponential(1.0 / rate)
+        if t > horizon:
+            break
+        times.append(t)
+        increments.append(restricted.sample(rng))
+    return times, increments

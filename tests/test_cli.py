@@ -19,7 +19,7 @@ from comblevy.measures import (
 from comblevy.structures import Signature, empty_structure, serialize
 from comblevy.walk import walk_from_csv
 
-from helpers import run_comblevy
+from helpers import run_comblevy, run_python
 
 SIG1 = Signature((1,))
 
@@ -145,6 +145,23 @@ class TestSimulateLevy:
             t = float(t_text)
             p = marginal_flip_probability(1.0, t)
             assert abs(float(density) - p) <= 3 * math.sqrt(p * (1 - p) / n)
+
+    def test_manifest_records_numpy_and_rng(self, tmp_path, intensity_file):
+        import numpy as np
+
+        from comblevy.rng import ALGORITHM
+
+        assert run_cli(["simulate-levy", "--intensity", intensity_file, "--n", 4,
+                        "--horizon", 1.0, "--seed", 2, "--out", tmp_path / "l.csv"]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["rng_algorithm"] == ALGORITHM == "philox4x64"
+
+    def test_rejects_non_finite_horizon(self, tmp_path, intensity_file):
+        for horizon in ("inf", "nan"):
+            assert run_cli(["simulate-levy", "--intensity", intensity_file, "--n", 4,
+                            "--horizon", horizon, "--seed", 2,
+                            "--out", tmp_path / "l.csv"]) == 2
 
     def test_limit_level_requires_grid(self, tmp_path, intensity_file):
         code = run_cli(["simulate-levy", "--intensity", intensity_file, "--n", 4,
@@ -296,3 +313,24 @@ class TestDeterminism:
             dirs.append(d)
         for fname in ("levy.csv", "levy.csv.limits.csv", "manifest.json"):
             assert (dirs[0] / fname).read_bytes() == (dirs[1] / fname).read_bytes()
+
+
+class TestImportCost:
+    def test_simulate_levy_leaves_scipy_unloaded(self, tmp_path, intensity_file):
+        # only test-exchangeability needs scipy; it costs a process ~0.15 s
+        script = (
+            "import sys\n"
+            "import comblevy\n"
+            "import comblevy.cli\n"
+            "loaded = 'scipy' in sys.modules\n"
+            "code = comblevy.cli.main(sys.argv[1:])\n"
+            "print(code, loaded, 'scipy' in sys.modules)\n"
+        )
+        proc = run_python(
+            ["-c", script, "simulate-levy", "--intensity", intensity_file,
+             "--n", 5, "--horizon", 2.0, "--seed", 3, "--format", "jsonl",
+             "--out", "levy.jsonl"],
+            tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False", "False"]

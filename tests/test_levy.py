@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -6,7 +7,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from comblevy import levy
 from comblevy.levy import (
     ExplicitFinite,
     LevyIntensity,
@@ -19,6 +22,7 @@ from comblevy.levy import (
     VertexComponent,
     _SNAPSHOT_EVERY,
     _BernoulliBlocks,
+    _jump_chain,
     events_from_jsonl,
     events_to_jsonl,
     expm_small,
@@ -36,6 +40,7 @@ from comblevy.rng import make_rng
 from comblevy.structures import (
     Signature,
     Structure,
+    _structure_from_cells,
     empty_structure,
     increment,
     relabel,
@@ -43,7 +48,7 @@ from comblevy.structures import (
     serialize,
 )
 
-from helpers import random_permutation, random_structure
+from helpers import gillespie_levy, random_permutation, random_structure
 
 SIG1 = Signature((1,))
 SIG2 = Signature((2,))
@@ -418,6 +423,14 @@ class TestTrajectoryType:
         with pytest.raises(ValueError):
             LevyTrajectory(2, 1.0, ((0.0, e), (1.5, S(SIG1, 2, {1}))))
 
+    def test_rejects_non_finite_horizon(self):
+        e = empty_structure(SIG1, 2)
+        for horizon in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                LevyTrajectory(2, horizon, ((0.0, e),))
+            with pytest.raises(ValueError, match="finite"):
+                simulate_levy(LevyIntensity(SIG1, ()), 2, horizon, make_rng(57))
+
     def test_state_at_bounds(self):
         e = empty_structure(SIG1, 2)
         traj = LevyTrajectory(2, 2.0, ((0.0, e), (1.0, S(SIG1, 2, {1}))))
@@ -445,17 +458,13 @@ class TestRestrictTrajectory:
 
 
 def _replay_full_states(intensity, n, horizon, rng):
-    """Brute-force jump chain: the same draws as simulate_levy, with every
-    increment XORed into a full state that is kept."""
+    """Brute-force replay of simulate_levy's own draws (the batched chain's
+    jumps), with every increment XORed into a full state that is kept."""
     restricted = RestrictedIntensity(intensity, n)
     state = empty_structure(intensity.signature, n)
     events = [(0.0, state)]
-    t = 0.0
-    while restricted.total_rate > 0.0:
-        t += rng.exponential(1.0 / restricted.total_rate)
-        if t > horizon:
-            break
-        state = increment(state, restricted.sample(rng))
+    for t, cells in _jump_chain(restricted, horizon, rng):
+        state = increment(state, _structure_from_cells(intensity.signature, n, cells))
         events.append((t, state))
     return events
 
@@ -553,6 +562,205 @@ class TestIncrementLog:
             )
             assert events_from_jsonl(events_to_jsonl(traj)) == traj
             assert trajectory_from_csv(trajectory_to_csv(traj), horizon) == traj
+
+
+def _poisson_fit_p(counts, mean):
+    """Chi-square goodness-of-fit p-value of the counts against
+    Poisson(mean).  Bins run up from 0 and close once they expect at least
+    5; the last bin takes the whole upper tail."""
+    counts = np.asarray(counts)
+    runs = len(counts)
+    observed, expected = [], []
+    o = e = 0.0
+    k = 0
+    while True:
+        o += np.count_nonzero(counts == k)
+        e += runs * stats.poisson.pmf(k, mean)
+        tail = runs * stats.poisson.sf(k, mean)
+        if tail < 5.0:
+            observed.append(o + np.count_nonzero(counts > k))
+            expected.append(e + tail)
+            break
+        if e >= 5.0:
+            observed.append(o)
+            expected.append(e)
+            o = e = 0.0
+        k += 1
+    statistic = sum((a - b) ** 2 / b for a, b in zip(observed, expected))
+    return stats.chi2.sf(statistic, len(expected) - 1)
+
+
+def _community_cells(n):
+    """Every (relation, tuple) cell of signature (1,2) over [n]."""
+    return [
+        (j, t)
+        for j, arity in enumerate(SIG12.arities)
+        for t in itertools.product(range(1, n + 1), repeat=arity)
+    ]
+
+
+def _community_with_explicit():
+    mu = FiniteMeasure(
+        SIG12,
+        3,
+        {
+            S(SIG12, 3, {2}, {(1, 3), (3, 3)}): 2.0,
+            S(SIG12, 3, set(), {(1, 2)}): 1.0,
+        },
+    )
+    return LevyIntensity(
+        SIG12,
+        (
+            MixtureAtom(weight=0.5, probs=(0.2, 0.1)),
+            VertexComponent(rate=1.0, rho=0.3, member_prob=0.5),
+            PairComponent(rate=1.0),
+            LoopComponent(rate=1.0, pattern=(0.3, 0.4, 0.3)),
+            ExplicitFinite(mu),
+        ),
+    )
+
+
+class TestBatchedChainInLaw:
+    """simulate_levy's batched chain against the per-event Gillespie
+    reference (tests/helpers.py) on the (1,2) community intensity with an
+    explicit component, at n=4, and the per-cell flip frequencies also
+    against their exact values.  Every check has a false-alarm rate of
+    1e-3 for an exact sampler, so the class has at most 6e-3."""
+
+    N = 4
+    ALPHA = 1e-3
+
+    @pytest.mark.parametrize("block_events", [levy._BLOCK_EVENTS, 2])
+    def test_jump_count_is_poisson(self, monkeypatch, block_events):
+        # with 2 expected jumps per block, each path spans about 8 blocks
+        monkeypatch.setattr(levy, "_BLOCK_EVENTS", block_events)
+        intensity = _community_with_explicit()
+        mean = RestrictedIntensity(intensity, self.N).total_rate * 1.0
+        runs = 500
+        batched = [
+            len(simulate_levy(intensity, self.N, 1.0, make_rng(90, stream=r)).events) - 1
+            for r in range(runs)
+        ]
+        assert _poisson_fit_p(batched, mean) > self.ALPHA
+        if block_events == 2:
+            return
+        restricted = RestrictedIntensity(intensity, self.N)
+        reference = [
+            len(gillespie_levy(restricted, 1.0, make_rng(91, stream=r))[0])
+            for r in range(runs)
+        ]
+        assert _poisson_fit_p(reference, mean) > self.ALPHA
+
+    @staticmethod
+    def _samples(horizon=400.0):
+        intensity = _community_with_explicit()
+        traj = simulate_levy(intensity, 4, horizon, make_rng(92))
+        _, reference = gillespie_levy(
+            RestrictedIntensity(intensity, 4), horizon, make_rng(93)
+        )
+        return list(traj.jump_increments()), reference
+
+    @staticmethod
+    def _exact_flip_probs(intensity, n):
+        """Per-jump probability that each cell (relation, tuple) flips,
+        derived from the component definitions at level n; it shares no
+        code with the samplers.  The component rates come from
+        RestrictedIntensity, which TestRestrictedRates checks against
+        closed forms."""
+        restricted = RestrictedIntensity(intensity, n)
+        probs = Counter()
+        pairs = n * (n - 1) / 2
+        for comp, rc in zip(intensity.components, restricted.components):
+            share = rc.rate / restricted.total_rate
+            if isinstance(comp, MixtureAtom):
+                p_member, p_edge = comp.probs
+                hit = 1 - (1 - p_member) ** n * (1 - p_edge) ** (n * n)
+                cell = {0: p_member / hit, 1: p_edge / hit}
+                for j, t in _community_cells(n):
+                    probs[j, t] += share * cell[j]
+            elif isinstance(comp, VertexComponent):
+                hit = 1 - (1 - comp.member_prob) * (1 - comp.rho) ** (2 * (n - 1))
+                for j, t in _community_cells(n):
+                    if j == 0:
+                        probs[j, t] += share * comp.member_prob / hit / n
+                    elif t[0] != t[1]:  # either endpoint is the vertex
+                        probs[j, t] += share * comp.rho / hit * 2 / n
+            elif isinstance(comp, PairComponent):
+                fwd, bwd, both = comp.pattern
+                for j, t in _community_cells(n):
+                    if j == 1 and t[0] != t[1]:
+                        p = fwd + both if t[0] < t[1] else bwd + both
+                        probs[j, t] += share * p / pairs
+            elif isinstance(comp, LoopComponent):
+                member, loop, both = comp.pattern
+                for j, t in _community_cells(n):
+                    if j == 0:
+                        probs[j, t] += share * (member + both) / n
+                    elif t[0] == t[1]:
+                        probs[j, t] += share * (loop + both) / n
+            else:  # explicit, its atoms embedded at level n unchanged
+                mass = comp.measure.total_mass
+                for atom, w in comp.measure.weights.items():
+                    for j in range(2):
+                        for t in atom.tuples(j):
+                            probs[j, t] += share * w / mass
+        return probs
+
+    def test_cell_flip_frequencies(self):
+        batched, reference = self._samples()
+        cells = _community_cells(self.N)
+        exact = self._exact_flip_probs(_community_with_explicit(), self.N)
+        # two-sided z-tests per cell, Bonferroni over the cells and the
+        # three comparisons (each sampler against the exact law, and the
+        # two samplers against each other)
+        bound = stats.norm.isf(self.ALPHA / (2 * 3 * len(cells)))
+
+        def flips(increments):
+            counts = Counter()
+            for inc in increments:
+                counts.update((j, t) for j in range(2) for t in inc.tuples(j))
+            return counts
+
+        a, b = flips(batched), flips(reference)
+        na, nb = len(batched), len(reference)
+        assert min(na, nb) > 5000
+        for cell in cells:
+            for counts, size in ((a, na), (b, nb)):
+                p = exact[cell]
+                spread = math.sqrt(p * (1 - p) / size)
+                assert abs(counts[cell] / size - p) <= bound * spread, cell
+            pooled = (a[cell] + b[cell]) / (na + nb)
+            spread = math.sqrt(pooled * (1 - pooled) * (1 / na + 1 / nb))
+            assert abs(a[cell] / na - b[cell] / nb) <= bound * spread, cell
+
+    def test_orbit_counts(self):
+        batched, reference = self._samples()
+        orbit = {}
+
+        def counts(increments):
+            out = Counter()
+            for inc in increments:
+                if inc not in orbit:
+                    orbit[inc] = orbit_of(inc)
+                out[orbit[inc]] += 1
+            return out
+
+        a, b = counts(batched), counts(reference)
+        na, nb = len(batched), len(reference)
+        # 2 x K homogeneity table; orbits expecting under 5 in a row are pooled
+        table, rare = [], [0, 0]
+        for oid in sorted(set(a) | set(b), key=lambda o: o.canonical):
+            share = (a[oid] + b[oid]) / (na + nb)
+            if min(na, nb) * share < 5.0:
+                rare[0] += a[oid]
+                rare[1] += b[oid]
+            else:
+                table.append([a[oid], b[oid]])
+        if sum(rare):
+            table.append(rare)
+        assert len(table) > 10
+        statistic, p_value, _, _ = stats.chi2_contingency(np.array(table).T, correction=False)
+        assert p_value > self.ALPHA
 
 
 class TestMemory:
@@ -773,7 +981,8 @@ class TestFileFormats:
             (LevyIntensity(SIG1, (SetSingletonComponent(rate=1.0),)), 4),
             (LevyIntensity(SIG13, (MixtureAtom(weight=2.0, probs=(0.3, 0.05)),)), 3),
         ]:
-            traj = simulate_levy(I, n, 2.0, make_rng(66))
+            # horizon 10: no jump at all has probability below 1e-7 in both cases
+            traj = simulate_levy(I, n, 10.0, make_rng(66))
             assert len(traj.events) > 1
             text = events_to_jsonl(traj, seed=66)
             back = events_from_jsonl(text)
@@ -795,6 +1004,64 @@ class TestFileFormats:
         nan_time = json.dumps({"t": float("nan"), "increment": "L=(1)|n=3|R1={(1)}"})
         with pytest.raises(ValueError, match="increasing"):
             events_from_jsonl(json.dumps(header) + "\n" + nan_time)
+
+    def test_writers_fixed_log_text(self):
+        # the exact bytes both writers gave before the cached-token formatter
+        S12 = lambda a, b: S(SIG12, 3, a, b)
+        events = [
+            (0.0, S12({2}, {(1, 3)})),
+            (0.25, S12({2, 3}, {(1, 3)})),
+            (0.5, S12({3}, {(1, 3), (3, 1), (2, 2)})),
+            (1.125, S12(set(), {(2, 2)})),
+        ]
+        traj = LevyTrajectory(3, 2.0, events)
+        assert events_to_jsonl(traj, seed=9) == (
+            '{"T": 2.0, "init": "L=(1,2)|n=3|R1={(2)}|R2={(1,3)}", "n": 3, '
+            '"seed": 9, "signature": "(1,2)"}\n'
+            '{"increment": "L=(1,2)|n=3|R1={(3)}|R2={}", "t": 0.25}\n'
+            '{"increment": "L=(1,2)|n=3|R1={(2)}|R2={(2,2);(3,1)}", "t": 0.5}\n'
+            '{"increment": "L=(1,2)|n=3|R1={(3)}|R2={(1,3);(3,1)}", "t": 1.125}\n'
+        )
+        assert trajectory_to_csv(traj) == (
+            "time,structure\n"
+            "0.0,L=(1,2)|n=3|R1={(2)}|R2={(1,3)}\n"
+            "0.25,L=(1,2)|n=3|R1={(2);(3)}|R2={(1,3)}\n"
+            "0.5,L=(1,2)|n=3|R1={(3)}|R2={(1,3);(2,2);(3,1)}\n"
+            "1.125,L=(1,2)|n=3|R1={}|R2={(2,2)}\n"
+        )
+        # every record line is exactly json.dumps of its record
+        simulated = simulate_levy(self._intensity(), 3, 5.0, make_rng(68))
+        lines = events_to_jsonl(simulated).splitlines()[1:]
+        assert len(lines) > 10
+        increments = simulated.jump_increments()
+        for line, (t, _), inc in zip(lines, simulated.events[1:], increments):
+            assert line == json.dumps({"t": t, "increment": serialize(inc)}, sort_keys=True)
+
+    def test_events_jsonl_header_types(self):
+        # header fields are checked, not coerced (n=3.7 used to load as n=3,
+        # T "2" and true as horizons 2.0 and 1.0)
+        header = {"signature": "(1)", "n": 3, "T": 2.0, "seed": 5}
+        record = json.dumps({"t": 0.5, "increment": "L=(1)|n=3|R1={(1)}"})
+        good = events_from_jsonl(json.dumps(header) + "\n" + record)
+        assert (good.n, good.horizon, len(good.events)) == (3, 2.0, 2)
+        assert events_from_jsonl(json.dumps({**header, "T": 2, "seed": None})).horizon == 2
+        bad = [
+            ("n", 3.7), ("n", "3"), ("n", True), ("n", None),
+            ("T", "2"), ("T", True), ("T", 0), ("T", -1.0), ("T", None),
+            ("T", float("nan")), ("T", float("inf")),
+            ("seed", "5"), ("seed", 1.5), ("seed", True),
+            ("signature", 12),
+        ]
+        for field, value in bad:
+            text = json.dumps({**header, field: value}) + "\n" + record
+            with pytest.raises(ValueError, match=f"'{field}'"):
+                events_from_jsonl(text)
+        for t in ("0.5", True):
+            text = json.dumps(header) + "\n" + json.dumps(
+                {"t": t, "increment": "L=(1)|n=3|R1={(1)}"}
+            )
+            with pytest.raises(ValueError, match="'t'"):
+                events_from_jsonl(text)
 
     def test_events_jsonl_nonempty_start(self):
         I = LevyIntensity(SIG1, (SetSingletonComponent(rate=1.0),))

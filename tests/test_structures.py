@@ -1,11 +1,15 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from comblevy.structures import (
     Permutation,
     Signature,
     Structure,
+    _Formatter,
+    _cells,
+    _set_bits,
     agreement_level,
     empty_structure,
     increment,
@@ -328,3 +332,75 @@ class TestFromTuples:
         assert m.tuples(0) == [(1, 2, 1), (2, 2, 2)]
         assert m.tuple_count(0) == 2
         assert parse(serialize(m)) == m
+
+
+def _scan(mask: int, n: int, arity: int) -> list[tuple[int, ...]]:
+    """Brute-force membership scan: every tuple over [n] in lexicographic
+    order, kept when the bit at its mixed-radix index is set."""
+    present = []
+    for t in itertools.product(range(1, n + 1), repeat=arity):
+        idx = sum((a - 1) * n ** (arity - 1 - pos) for pos, a in enumerate(t))
+        if mask >> idx & 1:
+            present.append(t)
+    return present
+
+
+def _scan_text(m: Structure) -> str:
+    """Canonical text built from the membership scan alone."""
+    fields = [f"L={m.signature}", f"n={m.n}"]
+    for j, (arity, mask) in enumerate(zip(m.signature.arities, m.relations), start=1):
+        body = ";".join(
+            "(" + ",".join(str(a) for a in t) + ")" for t in _scan(mask, m.n, arity)
+        )
+        fields.append(f"R{j}={{{body}}}")
+    return "|".join(fields)
+
+
+class TestLinearDecode:
+    """The set-bit decode and the cached-token formatter against a
+    brute-force membership scan."""
+
+    CASES = [(1, 1), (1, 9), (1, 64), (2, 1), (2, 5), (2, 12), (3, 2), (3, 5)]
+
+    def _masks(self, rng, n, arity):
+        width = n**arity
+        full = (1 << width) - 1
+        random = [int(sum(1 << int(i) for i in np.flatnonzero(rng.random(width) < d)))
+                  for d in (0.05, 0.5, 0.95)]
+        return [0, full, 1, 1 << (width - 1)] + random
+
+    def test_decode_matches_scan(self):
+        rng = make_rng(120)
+        for arity, n in self.CASES:
+            for mask in self._masks(rng, n, arity):
+                m = Structure(Signature((arity,)), n, (mask,))
+                assert m.tuples(0) == _scan(mask, n, arity)
+                assert _set_bits(mask) == [
+                    i for i in range(n**arity) if mask >> i & 1
+                ]
+
+    def test_formatter_matches_scan(self):
+        rng = make_rng(121)
+        sig = Signature((0, 1, 2, 3))
+        for n in (1, 2, 3, 4):
+            text = _Formatter(sig, n)  # one formatter: later states hit its cache
+            for _ in range(6):
+                m = random_structure(rng, sig, n, density=float(rng.random()))
+                assert serialize(m) == _scan_text(m)
+                assert text(_cells(m)) == _scan_text(m)
+        for m in (empty_structure(sig, 3), Structure(sig, 2, (1, 3, 15, 255))):
+            assert serialize(m) == _scan_text(m)
+
+    def test_dense_graph_n300(self):
+        rng = make_rng(122)
+        n = 300
+        mask = int.from_bytes(rng.bytes(n * n // 8), "little")
+        m = Structure(SIG2, n, (mask,))
+        scanned = _scan(mask, n, 2)
+        assert len(scanned) > n * n // 3
+        assert m.tuples(0) == scanned
+        assert serialize(m) == _scan_text(m)
+        sigma = random_permutation(rng, n)
+        inv = sigma.inverse()
+        relabeled = set(relabel(m, sigma).tuples(0))
+        assert relabeled == {(inv(a), inv(b)) for a, b in scanned}
