@@ -26,6 +26,7 @@ from .inference import (
     report_to_json,
 )
 from .levy import (
+    events_from_jsonl,
     events_to_jsonl,
     intensity_from_json,
     simulate_levy,
@@ -90,13 +91,16 @@ def _write_manifest(args: argparse.Namespace, command: str, out: str) -> None:
 
 
 def _load_trajectory(path: str):
-    """Walk or continuous-time trajectory, detected by the CSV header."""
+    """Walk CSV, continuous-time CSV or event stream, detected by the first
+    line."""
     text = _read_text(path)
-    header = text.splitlines()[0] if text.splitlines() else ""
+    header = text.partition("\n")[0].rstrip("\r")
     if header == "step,structure":
         return walk_from_csv(text)
     if header == "time,structure":
         return trajectory_from_csv(text)
+    if header.startswith("{"):
+        return events_from_jsonl(text)
     raise ValueError(f"unrecognized trajectory header: {header!r}")
 
 

@@ -31,7 +31,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import accumulate, chain, islice
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -45,13 +45,13 @@ from .structures import (
     Structure,
     _CellBits,
     _Formatter,
+    _Parser,
     _cells,
     _restrict_cells,
     _structure_from_cells,
     empty_structure,
     increment,
     parse,
-    parse_cells,
     restrict,
     serialize,
 )
@@ -1015,11 +1015,12 @@ def trajectory_from_csv(text: str, horizon: float | None = None) -> LevyTrajecto
         raise ValueError("trajectory CSV must start with header 'time,structure'")
     if len(lines) == 1:
         raise ValueError("trajectory CSV has no events")
-    events = ((_csv_time(ln), parse(ln.partition(",")[2])) for ln in lines[1:])
-    first = next(events)
+    # one parser, bound to the first row's signature and n, for every row
+    parser = _Parser.of(lines[1].partition(",")[2])
+    events = ((_csv_time(ln), parser.structure(ln.partition(",")[2])) for ln in lines[1:])
     if horizon is None:
         horizon = _csv_time(lines[-1])
-    return LevyTrajectory(first[1].n, horizon, chain([first], events))
+    return LevyTrajectory(parser.n, horizon, events)
 
 
 def events_to_jsonl(traj: LevyTrajectory, seed: int | None = None) -> str:
@@ -1094,7 +1095,7 @@ def events_from_jsonl(text: str) -> LevyTrajectory:
         state, horizon = _header(lines[0])
     except (json.JSONDecodeError, KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed event-stream header: {exc}") from None
-    signature, n = state.signature, state.n
+    parser = _Parser(state.signature, state.n)
     traj = LevyTrajectory._started(state)
     for line in lines[1:]:
         try:
@@ -1103,14 +1104,13 @@ def events_from_jsonl(text: str) -> LevyTrajectory:
             if isinstance(t, bool) or not isinstance(t, numbers.Real):
                 raise ValueError(f"event-stream field 't' must be a number, got {t!r}")
             t = float(t)
-            inc_signature, inc_n, cells = parse_cells(_text_field(record, "increment"))
+            inc_text = _text_field(record, "increment")
         except (json.JSONDecodeError, KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed event record: {exc}") from None
-        if inc_signature != signature or inc_n != n:
-            raise ValueError(
-                f"increment at t={t} has signature {inc_signature} and n={inc_n}, "
-                f"the header {signature} and n={n}"
-            )
+        try:
+            cells = parser(inc_text)
+        except ValueError as exc:
+            raise ValueError(f"increment at t={t}: {exc}") from None
         traj._append(t, cells)
     traj._close(horizon)
     return traj

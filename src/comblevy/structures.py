@@ -18,7 +18,10 @@ Labels are 1-based throughout.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import islice
+from operator import lt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -395,25 +398,38 @@ def serialize(m: Structure) -> str:
     return serialize_cells(m.signature, m.n, _cells(m))
 
 
-def _parse_tuple(text: str, arity: int, n: int) -> tuple[int, ...]:
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ValueError(f"malformed tuple: {text!r}")
-    inner = text[1:-1]
-    if not inner:
-        entries: tuple[int, ...] = ()
-    else:
-        try:
-            entries = tuple(int(p) for p in inner.split(","))
-        except ValueError:
-            raise ValueError(f"malformed tuple: {text!r}") from None
-    _validate_tuple(entries, arity, n)
-    return entries
+class _CellCache(dict):
+    """Tuple text ``(a1,...,ar)`` over [n] -> cell index, parsed on first use.
+
+    The miss path accepts only the canonical grammar: plain ASCII decimal
+    labels with no sign, leading zero, underscore or whitespace.
+    """
+
+    __slots__ = ("n", "grammar")
+
+    def __init__(self, n: int, arity: int):
+        self.n = n
+        self.grammar = re.compile(r"\(" + ",".join(["([1-9][0-9]*)"] * arity) + r"\)")
+
+    def __missing__(self, token: str) -> int:
+        match = self.grammar.fullmatch(token)
+        if match is None:
+            raise ValueError(f"malformed tuple for arity {self.grammar.groups}: {token!r}")
+        n = self.n
+        idx = 0
+        for label in match.groups():
+            a = int(label)
+            if a > n:
+                raise ValueError(f"tuple {token} has entry {a} outside 1..{n}")
+            idx = idx * n + a - 1
+        self[token] = idx
+        return idx
 
 
-def parse_cells(text: str) -> tuple[Signature, int, list[list[int]]]:
-    """Inverse of :func:`serialize_cells`: the signature, size and sorted
-    cell indices per relation; rejects any non-canonical text."""
-    parts = text.split("|")
+def _head(text: str) -> tuple[Signature, int]:
+    """Signature and size named by the canonical head ``L=(...)|n=N`` of
+    structure text."""
+    parts = text.split("|", 2)
     if len(parts) < 2 or not parts[0].startswith("L=") or not parts[1].startswith("n="):
         raise ValueError(f"malformed structure text: {text!r}")
     signature = Signature.parse(parts[0][2:])
@@ -423,28 +439,70 @@ def parse_cells(text: str) -> tuple[Signature, int, list[list[int]]]:
         raise ValueError(f"malformed size field: {parts[1]!r}") from None
     if n < 0:
         raise ValueError(f"negative size: {n}")
-    rel_parts = parts[2:]
-    if len(rel_parts) != signature.k:
-        raise ValueError(
-            f"expected {signature.k} relation fields, got {len(rel_parts)}"
-        )
-    cells = []
-    for j, (arity, part) in enumerate(zip(signature.arities, rel_parts)):
-        prefix = f"R{j + 1}={{"
-        if not part.startswith(prefix) or not part.endswith("}"):
-            raise ValueError(f"malformed relation field: {part!r}")
-        body = part[len(prefix):-1]
-        rel_cells: list[int] = []
-        if body:
-            rel_cells = [
-                _cell_index(_parse_tuple(tok, arity, n), n) for tok in body.split(";")
-            ]
-        if any(a >= b for a, b in zip(rel_cells, rel_cells[1:])):
-            raise ValueError(f"relation field not canonical: {part!r}")
-        cells.append(rel_cells)
-    return signature, n, cells
+    if parts[0] != f"L={signature}" or parts[1] != f"n={n}":
+        raise ValueError(f"non-canonical structure head: {parts[0]}|{parts[1]}")
+    return signature, n
+
+
+class _Parser:
+    """Sorted cell indices per relation of the canonical text of structures
+    of one signature and size; the inverse of :class:`_Formatter`.
+
+    Each distinct tuple text is parsed and validated once and kept for the
+    parser's life, so a reader that uses one parser per file parses every
+    distinct tuple once.  Text of another signature or size is rejected.
+    """
+
+    __slots__ = ("signature", "n", "head", "fields")
+
+    def __init__(self, signature: Signature, n: int):
+        self.signature = signature
+        self.n = n
+        self.head = [f"L={signature}", f"n={n}"]
+        self.fields = [
+            (f"R{j}={{", _CellCache(n, arity))
+            for j, arity in enumerate(signature.arities, start=1)
+        ]
+
+    @classmethod
+    def of(cls, text: str) -> "_Parser":
+        """A parser for the signature and size named by ``text``'s head."""
+        return cls(*_head(text))
+
+    def __call__(self, text: str) -> list[list[int]]:
+        parts = text.split("|")
+        if parts[:2] != self.head:
+            signature, n = _head(text)
+            raise ValueError(
+                f"structure of signature {signature} and n={n}, "
+                f"expected {self.signature} and n={self.n}"
+            )
+        if len(parts) != len(self.fields) + 2:
+            raise ValueError(
+                f"expected {len(self.fields)} relation fields, got {len(parts) - 2}"
+            )
+        cells = []
+        for (prefix, cache), part in zip(self.fields, islice(parts, 2, None)):
+            if not (part.startswith(prefix) and part.endswith("}")):
+                raise ValueError(f"malformed relation field: {part!r}")
+            body = part[len(prefix):-1]
+            rel_cells = list(map(cache.__getitem__, body.split(";"))) if body else []
+            if not all(map(lt, rel_cells, islice(rel_cells, 1, None))):
+                raise ValueError(f"relation field not canonical: {part!r}")
+            cells.append(rel_cells)
+        return cells
+
+    def structure(self, text: str) -> Structure:
+        return _structure_from_cells(self.signature, self.n, self(text))
+
+
+def parse_cells(text: str) -> tuple[Signature, int, list[list[int]]]:
+    """Inverse of :func:`serialize_cells`: the signature, size and sorted
+    cell indices per relation; rejects any non-canonical text."""
+    parser = _Parser.of(text)
+    return parser.signature, parser.n, parser(text)
 
 
 def parse(text: str) -> Structure:
     """Inverse of :func:`serialize`; rejects any non-canonical text."""
-    return _structure_from_cells(*parse_cells(text))
+    return _Parser.of(text).structure(text)

@@ -22,7 +22,7 @@ from .orbits import (
     orbit_of,
     space_size,
 )
-from .structures import Structure, empty_structure, increment, parse, serialize
+from .structures import Structure, _Parser, empty_structure, increment, serialize
 
 __all__ = [
     "WalkTrajectory",
@@ -175,6 +175,7 @@ def walk_from_csv(text: str) -> WalkTrajectory:
     if not lines or lines[0] != "step,structure":
         raise ValueError("walk CSV must start with header 'step,structure'")
     states = []
+    parser = None  # one parser, bound to the first row's signature and n
     for expected, line in enumerate(lines[1:]):
         step_text, _, struct_text = line.partition(",")
         try:
@@ -183,5 +184,7 @@ def walk_from_csv(text: str) -> WalkTrajectory:
             raise ValueError(f"malformed step index: {step_text!r}") from None
         if step != expected:
             raise ValueError(f"non-contiguous step index {step}, expected {expected}")
-        states.append(parse(struct_text))
+        if parser is None:
+            parser = _Parser.of(struct_text)
+        states.append(parser.structure(struct_text))
     return WalkTrajectory(tuple(states))

@@ -225,6 +225,22 @@ class TestOtherCommands:
         mu = measure_from_json(out.read_text())
         assert abs(mu.total_mass - 1.0) <= 1e-12
 
+    def test_estimate_jumps_reads_event_streams(self, tmp_path, intensity_file):
+        # one seeded path, written as a full-state CSV and as an event stream
+        outputs = []
+        for fmt in ("csv", "jsonl"):
+            levy_out = tmp_path / f"levy.{fmt}"
+            assert run_cli(["simulate-levy", "--intensity", intensity_file, "--n", 30,
+                            "--horizon", 2.0, "--seed", 11, "--format", fmt,
+                            "--out", levy_out]) == 0
+            out = tmp_path / f"jumps-{fmt}.json"
+            assert run_cli(["estimate-jumps", "--trajectory", levy_out, "--out", out]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        mu = measure_from_json(outputs[1].decode())
+        assert len(mu.weights) > 10
+        assert all(m.tuple_count(0) == 1 for m in mu.weights)
+
     def test_test_exchangeability(self, tmp_path, measure_file):
         walk_out = tmp_path / "walk.csv"
         run_cli(["simulate-walk", "--measure", measure_file, "--steps", 400,

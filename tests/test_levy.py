@@ -40,6 +40,7 @@ from comblevy.rng import make_rng
 from comblevy.structures import (
     Signature,
     Structure,
+    _CellCache,
     _structure_from_cells,
     empty_structure,
     increment,
@@ -47,6 +48,7 @@ from comblevy.structures import (
     restrict,
     serialize,
 )
+from comblevy.walk import WalkTrajectory, walk_from_csv, walk_to_csv
 
 from helpers import gillespie_levy, random_permutation, random_structure
 
@@ -991,6 +993,50 @@ class TestFileFormats:
             header = json.loads(text.splitlines()[0])
             assert header["seed"] == 66
             assert "init" not in header
+
+    def test_readers_parse_each_distinct_tuple_once(self, monkeypatch):
+        # 50 states over the few cells of [3]: every reader keeps one parser
+        # per file, so it parses each distinct tuple text once, not per token
+        rng = make_rng(69)
+        states = [empty_structure(SIG12, 3)]
+        while len(states) < 50:
+            m = random_structure(rng, SIG12, 3, density=0.3)
+            if m != states[-1]:
+                states.append(m)
+        traj = LevyTrajectory(3, 49.0, [(float(i), m) for i, m in enumerate(states)])
+        walk = WalkTrajectory(tuple(states))
+        increments = list(traj.jump_increments())
+
+        def distinct(structures):
+            return sum(len({t for m in structures for t in m.tuples(j)}) for j in range(2))
+
+        misses = []
+        miss = _CellCache.__missing__
+
+        def counted_miss(cache, token):
+            misses.append(token)
+            return miss(cache, token)
+
+        monkeypatch.setattr(_CellCache, "__missing__", counted_miss)
+        for read, text, structures, expected in [
+            (trajectory_from_csv, trajectory_to_csv(traj), states, traj),
+            (events_from_jsonl, events_to_jsonl(traj), increments, traj),
+            (walk_from_csv, walk_to_csv(walk), states, walk),
+        ]:
+            misses.clear()
+            back = read(text)
+            assert back == expected
+            tokens = sum(m.tuple_count(j) for m in structures for j in range(2))
+            assert len(misses) == distinct(structures) < tokens / 4
+
+        lines = trajectory_to_csv(traj).splitlines()
+        lines[20] = lines[20].partition(",")[0] + "," + serialize(empty_structure(SIG12, 4))
+        with pytest.raises(ValueError, match="n=4"):
+            trajectory_from_csv("\n".join(lines))
+        lines = walk_to_csv(walk).splitlines()
+        lines[20] = "19," + serialize(empty_structure(SIG12, 4))
+        with pytest.raises(ValueError, match="n=4"):
+            walk_from_csv("\n".join(lines))
 
     def test_events_jsonl_rejects_malformed_records(self):
         header = {"signature": "(1)", "n": 3, "T": 1.0, "seed": None}

@@ -8,6 +8,7 @@ from comblevy.structures import (
     Signature,
     Structure,
     _Formatter,
+    _Parser,
     _cells,
     _set_bits,
     agreement_level,
@@ -306,6 +307,15 @@ class TestSerialization:
             "L=(1)|n=2|R1={}|R2={}",       # extra relation
             "L=(1)|n=2",                   # missing relation
             "L=(1)|n=-1|R1={}",
+            # non-canonical labels and heads
+            "L=(2)|n=3|R1={(1, 2)}",
+            "L=(2)|n=3|R1={(+1,2)}",
+            "L=(2)|n=3|R1={(01,2)}",
+            "L=(1)|n=20|R1={(1_0)}",
+            "L=(1)|n=20|R1={(\u0663)}",   # Arabic-Indic digit three
+            "L=( 2)|n=3|R1={(1,2)}",
+            "L=(2)|n=+3|R1={(1,2)}",
+            "L=(2)|n=03|R1={(1,2)}",
         ]
         for text in bad:
             with pytest.raises(ValueError):
@@ -316,6 +326,35 @@ class TestSerialization:
         m = Structure.from_tuples(sig0, 1, [[()]])
         assert serialize(m) == "L=(0)|n=1|R1={()}"
         assert parse(serialize(m)) == m
+
+
+class TestParser:
+    """The per-file parser against the set-bit decode and the serializer."""
+
+    def test_matches_decode(self):
+        rng = make_rng(123)
+        for sig in (Signature((0, 1)), SIG2, SIG12, SIG3, Signature((0, 1, 2, 3))):
+            for n in (0, 1, 3, 11):
+                if n**sig.max_arity > 1500:
+                    continue
+                parser = _Parser(sig, n)  # one parser: later states hit its cache
+                states = [empty_structure(sig, n)]
+                states.append(Structure(sig, n, tuple((1 << n**a) - 1 for a in sig.arities)))
+                states += [
+                    random_structure(rng, sig, n, density=d)
+                    for d in (0.05, 0.3, 0.5, 0.3, 0.95)
+                ]
+                for m in states:
+                    text = serialize(m)
+                    assert parser(text) == _cells(m)
+                    assert parse(text) == m
+
+    def test_rejects_other_shape(self):
+        parser = _Parser(SIG12, 3)
+        for text in ("L=(1,2)|n=4|R1={}|R2={}", "L=(2)|n=3|R1={}", "L=(1,2)|n=3|R1={}"):
+            with pytest.raises(ValueError):
+                parser(text)
+        assert parser("L=(1,2)|n=3|R1={(3)}|R2={(1,1)}") == [[2], [0]]
 
 
 class TestFromTuples:
