@@ -33,7 +33,13 @@ from .levy import (
     trajectory_from_csv,
     trajectory_to_csv,
 )
-from .limits import density_to_csv, density_vector, limit_path, limit_path_to_csv
+from .limits import (
+    _limit_grid,
+    density_to_csv,
+    density_vector,
+    limit_path,
+    limit_path_to_csv,
+)
 from .measures import (
     decompose_exchangeable,
     measure_from_json,
@@ -94,7 +100,8 @@ def _load_trajectory(path: str):
     """Walk CSV, continuous-time CSV or event stream, detected by the first
     line."""
     text = _read_text(path)
-    header = text.partition("\n")[0].rstrip("\r")
+    end = text.find("\n")  # not partition: that would copy the whole rest
+    header = (text if end < 0 else text[:end]).rstrip("\r")
     if header == "step,structure":
         return walk_from_csv(text)
     if header == "time,structure":
@@ -102,6 +109,13 @@ def _load_trajectory(path: str):
     if header.startswith("{"):
         return events_from_jsonl(text)
     raise ValueError(f"unrecognized trajectory header: {header!r}")
+
+
+def _replicates(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -129,8 +143,11 @@ def cmd_simulate_walk(args: argparse.Namespace) -> None:
 def cmd_simulate_levy(args: argparse.Namespace) -> None:
     intensity = intensity_from_json(_read_text(args.intensity))
     grid = _parse_grid(args.grid) if args.grid else None
-    if args.limit_level is not None and grid is None:
-        raise ValueError("--limit-level requires --grid")
+    if args.limit_level is not None:
+        if grid is None:
+            raise ValueError("--limit-level requires --grid")
+        # checked before any trajectory is simulated or written
+        grid = _limit_grid(grid, args.limit_level, args.n, args.horizon)
     for r in range(args.replicates):
         rng = make_rng(args.seed, stream=r)
         traj = simulate_levy(intensity, args.n, args.horizon, rng)
@@ -196,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--init", help="initial structure text (default: empty)")
-    p.add_argument("--replicates", type=int, default=1)
+    p.add_argument("--replicates", type=_replicates, default=1)
     p.add_argument("--out", required=True, help="trajectory CSV path")
     p.set_defaults(func=cmd_simulate_walk)
 
@@ -205,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="resolution level")
     p.add_argument("--horizon", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--replicates", type=int, default=1)
+    p.add_argument("--replicates", type=_replicates, default=1)
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--limit-level", type=int, help="also export a limit path")
     p.add_argument("--grid", help="comma-separated times for the limit path")

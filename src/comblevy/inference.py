@@ -25,7 +25,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .levy import LevyTrajectory
+from .trajectory import LevyTrajectory
 from .measures import FiniteMeasure, symmetrize
 from .orbits import DEFAULT_CANONICAL_CAP, OrbitId, orbit_of
 from .structures import serialize

@@ -18,7 +18,9 @@ the level-n process is compound Poisson: a Poisson number of jumps at the
 total restricted rate, at sorted uniform times, each with an independent
 increment (component chosen proportionally to its rate, then one
 conditional draw).  ``simulate_levy`` draws it that way, in batches
-(see ``_jump_chain``).
+(see ``_jump_chain``), into a :class:`~comblevy.trajectory.LevyTrajectory`
+log a block at a time.  The trajectory readers at the end of this module
+build that log a batch of parsed records at a time too.
 """
 
 from __future__ import annotations
@@ -26,12 +28,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from array import array
-from bisect import bisect_right
-from collections.abc import Sequence
+import re
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 
 import numpy as np
 
@@ -43,18 +43,22 @@ from .measures import (
 from .structures import (
     Signature,
     Structure,
-    _CellBits,
+    _BatchError,
+    _line_batches,
     _Formatter,
     _Parser,
+    _cell_lists,
     _cells,
+    _flat_cells,
+    _row_increments,
     _restrict_cells,
     _structure_from_cells,
     empty_structure,
-    increment,
     parse,
     restrict,
     serialize,
 )
+from .trajectory import LevyTrajectory
 
 __all__ = [
     "MixtureAtom",
@@ -80,8 +84,6 @@ __all__ = [
 
 RATE_TOL = 1e-12
 REJECTION_CAP = 10_000
-# A trajectory keeps a full state every this many events (see LevyTrajectory).
-_SNAPSHOT_EVERY = 128
 # Expected jumps per time block of the batched jump chain (see _jump_chain).
 _BLOCK_EVENTS = 2**16
 
@@ -339,208 +341,6 @@ class LevyIntensity:
             if not isinstance(comp, _Component):
                 raise ValueError(f"unknown component type: {type(comp).__name__}")
             comp.validate(self.signature)
-
-
-class LevyTrajectory:
-    """Right-continuous step path: state_at(t) is the state after the last
-    event with time <= t.  Event times are strictly increasing, every jump
-    changes the state, and event 0 is the time-0 start state.
-
-    The path is stored as its start state plus a log of jump increments:
-    the event times and each jump's sorted cell indices per relation, in
-    flat columns, with a full state kept only every ``_SNAPSHOT_EVERY``
-    events and at the end.  Memory is O(sum of increment sizes + states /
-    _SNAPSHOT_EVERY), and ``state_at`` replays at most ``_SNAPSHOT_EVERY - 1``
-    increments onto a snapshot.
-
-    ``LevyTrajectory(n, horizon, events)`` builds the log from full-state
-    events ``(t, Structure)``; ``events`` rebuilds them on demand.
-    """
-
-    def __init__(self, n: int, horizon: float, events) -> None:
-        events = iter(events)
-        try:
-            t0, start = next(events)
-        except StopIteration:
-            raise ValueError("trajectory needs at least the initial event") from None
-        if t0 != 0.0:
-            raise ValueError(f"first event must be at time 0, got {t0}")
-        if start.n != n:
-            raise ValueError(f"state size {start.n} != trajectory resolution {n}")
-        self._begin(start)
-        prev = start
-        for t, state in events:
-            self._append(t, _cells(increment(state, prev)))
-            prev = state
-        self._close(horizon)
-
-    @classmethod
-    def _started(cls, start: Structure) -> "LevyTrajectory":
-        """An open log at ``start``: extend it with ``_append``, end it with
-        ``_close``."""
-        traj = cls.__new__(cls)
-        traj._begin(start)
-        return traj
-
-    def _begin(self, start: Structure) -> None:
-        self.n = start.n
-        self._start = start
-        self._times = array("d", [0.0])
-        # cells of jump i, relation j: _cells[_bounds[i*k + j] : _bounds[i*k + j + 1]]
-        self._cells = array("q")
-        self._bounds = array("q", [0])
-        self._snapshots = [start]  # state after event i * _SNAPSHOT_EVERY
-        self._running = _CellBits(start)
-
-    def _append(self, t: float, cells) -> None:
-        """Log a jump at time ``t`` flipping the sorted cells ``cells[j]`` of
-        each relation j."""
-        if not t > self._times[-1]:
-            raise ValueError("event times must be strictly increasing")
-        if not any(cells):
-            raise ValueError("consecutive events must change the state")
-        self._times.append(t)
-        for rel_cells in cells:
-            self._cells.extend(rel_cells)
-            self._bounds.append(len(self._cells))
-        self._running.flip(cells)
-        if (len(self._times) - 1) % _SNAPSHOT_EVERY == 0:
-            self._snapshots.append(self._running.freeze())
-
-    def _close(self, horizon: float) -> None:
-        if not math.isfinite(horizon):
-            raise ValueError(f"horizon must be finite, got {horizon}")
-        if self._times[-1] > horizon:
-            raise ValueError("event beyond the horizon")
-        self.horizon = horizon
-        self._final = self._running.freeze()
-        del self._running
-
-    @property
-    def signature(self) -> Signature:
-        return self._start.signature
-
-    @property
-    def events(self) -> "_Events":
-        """The ``(time, state)`` events, a lazy read-only sequence."""
-        return _Events(self)
-
-    def _jump_cells(self, i: int) -> list:
-        """Sorted cells of jump ``i`` (event ``i + 1``), per relation."""
-        k = self.signature.k
-        b = self._bounds
-        return [self._cells[b[i * k + j]: b[i * k + j + 1]] for j in range(k)]
-
-    def _iter_jump_cells(self):
-        """Sorted cells per relation of every jump, in order."""
-        b = self._bounds
-        per_rel = (self._cells[lo:hi] for lo, hi in zip(b, islice(b, 1, None)))
-        return zip(*[per_rel] * self.signature.k)
-
-    def _state(self, i: int) -> Structure:
-        """State after event ``i``: the nearest snapshot at or before it plus
-        the jumps in between."""
-        if i == len(self._times) - 1:
-            return self._final
-        snap, extra = divmod(i, _SNAPSHOT_EVERY)
-        if extra == 0:
-            return self._snapshots[snap]
-        bits = _CellBits(self._snapshots[snap])
-        for jump in range(i - extra, i):
-            bits.flip(self._jump_cells(jump))
-        return bits.freeze()
-
-    def state_at(self, t: float) -> Structure:
-        if not 0.0 <= t <= self.horizon:
-            raise ValueError(f"time {t} outside [0, {self.horizon}]")
-        return self._state(bisect_right(self._times, t) - 1)
-
-    def jump_increments(self) -> "_Increments":
-        """The jump increments in order, a lazy read-only sequence of
-        Structures built from the log on demand."""
-        return _Increments(self)
-
-    def _log(self) -> tuple:
-        return self.n, self.horizon, self._start, self._times, self._bounds, self._cells
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LevyTrajectory):
-            return NotImplemented
-        return self._log() == other._log()
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return (
-            f"LevyTrajectory(n={self.n}, horizon={self.horizon}, "
-            f"signature={self.signature}, {len(self._times) - 1} jumps)"
-        )
-
-
-class _LogView(Sequence):
-    """A read-only sequence computed from a trajectory's log on demand;
-    equal to any tuple, list or view with equal items."""
-
-    __slots__ = ("_traj",)
-
-    def __init__(self, traj: LevyTrajectory):
-        self._traj = traj
-
-    def __getitem__(self, key):
-        picked = range(len(self))[key]
-        if not isinstance(key, slice):
-            return self._item(picked)
-        if picked.step > 0:
-            return tuple(islice(self, picked.start, picked.stop, picked.step))
-        return tuple(self._item(i) for i in picked)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (tuple, list, _LogView)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__[1:]} of {self._traj!r}>"
-
-
-class _Events(_LogView):
-    """``(time, state)`` per event.  Iteration streams the states by a
-    running XOR; an index rebuilds one state from the nearest snapshot;
-    ``[-1]`` is the kept final state."""
-
-    __slots__ = ()
-
-    def __len__(self) -> int:
-        return len(self._traj._times)
-
-    def _item(self, i: int) -> tuple[float, Structure]:
-        return self._traj._times[i], self._traj._state(i)
-
-    def __iter__(self):
-        traj = self._traj
-        yield traj._times[0], traj._start
-        bits = _CellBits(traj._start)
-        for t, cells in zip(islice(traj._times, 1, None), traj._iter_jump_cells()):
-            yield t, bits.flip(cells).freeze()
-
-
-class _Increments(_LogView):
-    """The jump increments as Structures, each built from its cells."""
-
-    __slots__ = ()
-
-    def __len__(self) -> int:
-        return len(self._traj._times) - 1
-
-    def cells(self):
-        """Sorted cell indices per relation of each increment, in order."""
-        return self._traj._iter_jump_cells()
-
-    def _item(self, i: int) -> Structure:
-        traj = self._traj
-        return _structure_from_cells(traj.signature, traj.n, traj._jump_cells(i))
 
 
 class _BernoulliBlocks:
@@ -864,8 +664,8 @@ class RestrictedIntensity(_LevelSampler):
 
 
 def _jump_chain(restricted: RestrictedIntensity, horizon: float, rng):
-    """The jumps of the level-n chain on [0, horizon], as ``(time, cells)``
-    in time order.
+    """The jumps of the level-n chain on [0, horizon] in time order, one
+    block at a time: the block's sorted times and each jump's cells.
 
     The chain is a compound Poisson process, so it is drawn exactly in time
     blocks of about ``_BLOCK_EVENTS`` expected jumps: per block, a Poisson
@@ -884,7 +684,7 @@ def _jump_chain(restricted: RestrictedIntensity, horizon: float, rng):
         length = min((block + 1) * span, horizon) - start
         count = int(rng.poisson(rate * length))
         times = np.minimum(start + length * np.sort(rng.random(count)), horizon)
-        yield from zip(times.tolist(), restricted.sample_cells_batch(rng, count))
+        yield times, restricted.sample_cells_batch(rng, count)
         block += 1
 
 
@@ -896,8 +696,8 @@ def simulate_levy(
         raise ValueError(f"horizon must be finite and > 0, got {horizon}")
     restricted = RestrictedIntensity(intensity, n)
     traj = LevyTrajectory._started(empty_structure(intensity.signature, n))
-    for t, cells in _jump_chain(restricted, horizon, rng):
-        traj._append(t, cells)
+    for times, rows in _jump_chain(restricted, horizon, rng):
+        traj._extend(times, *_flat_cells(rows, intensity.signature.k))
     traj._close(float(horizon))
     return traj
 
@@ -907,11 +707,12 @@ def restrict_trajectory(traj: LevyTrajectory, m: int) -> LevyTrajectory:
     if not 0 <= m <= traj.n:
         raise ValueError(f"restriction level {m} outside 0..{traj.n}")
     arities = traj.signature.arities
+    jumps = (
+        (t, [_restrict_cells(c, traj.n, a, m) for c, a in zip(cells, arities)])
+        for t, cells in zip(islice(traj._times, 1, None), traj._iter_jump_cells())
+    )
     restricted = LevyTrajectory._started(restrict(traj._start, m))
-    for t, cells in zip(islice(traj._times, 1, None), traj._iter_jump_cells()):
-        kept = [_restrict_cells(c, traj.n, a, m) for c, a in zip(cells, arities)]
-        if any(kept):
-            restricted._append(t, kept)
+    restricted._extend_rows((t, kept) for t, kept in jumps if any(kept))
     restricted._close(traj.horizon)
     return restricted
 
@@ -1000,8 +801,13 @@ def trajectory_to_csv(traj: LevyTrajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv_time(line: str) -> float:
-    time_text = line.partition(",")[0]
+def _csv_rows(lines: list[str]) -> tuple[list[float], list[str]]:
+    """The times and structure texts of full-state CSV rows."""
+    rows = [ln.partition(",") for ln in lines]
+    return [_csv_time(t) for t, _, _ in rows], [s for _, _, s in rows]
+
+
+def _csv_time(time_text: str) -> float:
     try:
         return float(time_text)
     except ValueError:
@@ -1009,18 +815,31 @@ def _csv_time(line: str) -> float:
 
 
 def trajectory_from_csv(text: str, horizon: float | None = None) -> LevyTrajectory:
-    """Read a full-state CSV; ``horizon`` defaults to the last event time."""
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != "time,structure":
+    """Read a full-state CSV.  The format does not record the horizon, so it
+    is the last event time unless ``horizon`` is given.
+
+    Rows are parsed a batch at a time (see ``structures._line_batches``)
+    with one parser, bound to the first row's signature and n, and logged
+    as the sorted symmetric differences of consecutive rows.
+    """
+    batches = _line_batches(text)
+    header, *rest = next(batches, [""])
+    if header != "time,structure":
         raise ValueError("trajectory CSV must start with header 'time,structure'")
-    if len(lines) == 1:
+    batches = (_csv_rows(lines) for lines in chain([rest], batches) if lines)
+    times, texts = next(batches, (None, None))
+    if times is None:
         raise ValueError("trajectory CSV has no events")
-    # one parser, bound to the first row's signature and n, for every row
-    parser = _Parser.of(lines[1].partition(",")[2])
-    events = ((_csv_time(ln), parser.structure(ln.partition(",")[2])) for ln in lines[1:])
-    if horizon is None:
-        horizon = _csv_time(lines[-1])
-    return LevyTrajectory(parser.n, horizon, events)
+    if times[0] != 0.0:
+        raise ValueError(f"first event must be at time 0, got {times[0]}")
+    parser = _Parser.of(texts[0])
+    rows = _cell_lists(*parser.batch(texts[:1]))
+    traj = LevyTrajectory._started(_structure_from_cells(parser.signature, parser.n, rows[0]))
+    for times, texts in chain([(times[1:], texts[1:])], batches):
+        rows = rows[-1:] + _cell_lists(*parser.batch(texts))
+        traj._extend(times, *_flat_cells(_row_increments(rows), parser.signature.k))
+    traj._close(traj._times[-1] if horizon is None else horizon)
+    return traj
 
 
 def events_to_jsonl(traj: LevyTrajectory, seed: int | None = None) -> str:
@@ -1087,30 +906,58 @@ def _header(text: str) -> tuple[Structure, float]:
     return state, horizon
 
 
+# An event record as events_to_jsonl writes it: JSON reads such a line as
+# this increment string (no quote, backslash or control character in it)
+# and, for a time of at most 17 integer digits and no sign, as the float
+# its text gives.
+_RECORD = re.compile(
+    r'\{"increment": "([^"\\\x00-\x1f]*)", '
+    r'"t": ((?:0|[1-9][0-9]{0,16})(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)\}'
+)
+
+
+def _records(lines: list[str]) -> tuple[list[float], list[str]]:
+    """The times and increment texts of event records; a line in the
+    writer's form skips the JSON parse."""
+    times, texts = [], []
+    for line in lines:
+        match = _RECORD.fullmatch(line)
+        if match:
+            inc_text, t = match.group(1), float(match.group(2))
+        else:
+            try:
+                record = json.loads(line)
+                t = record["t"]
+                if isinstance(t, bool) or not isinstance(t, numbers.Real):
+                    raise ValueError(f"event-stream field 't' must be a number, got {t!r}")
+                t = float(t)
+                inc_text = _text_field(record, "increment")
+            except (json.JSONDecodeError, KeyError, TypeError, OverflowError) as exc:
+                raise ValueError(f"malformed event record: {exc}") from None
+        times.append(t)
+        texts.append(inc_text)
+    return times, texts
+
+
 def events_from_jsonl(text: str) -> LevyTrajectory:
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines:
+    """Read an event stream, a batch of records at a time (see
+    ``structures._line_batches``)."""
+    batches = _line_batches(text)
+    header, *rest = next(batches, [""])
+    if not header:
         raise ValueError("empty event stream")
     try:
-        state, horizon = _header(lines[0])
+        state, horizon = _header(header)
     except (json.JSONDecodeError, KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed event-stream header: {exc}") from None
     parser = _Parser(state.signature, state.n)
     traj = LevyTrajectory._started(state)
-    for line in lines[1:]:
+    for lines in chain([rest], batches):
+        times, texts = _records(lines)
         try:
-            record = json.loads(line)
-            t = record["t"]
-            if isinstance(t, bool) or not isinstance(t, numbers.Real):
-                raise ValueError(f"event-stream field 't' must be a number, got {t!r}")
-            t = float(t)
-            inc_text = _text_field(record, "increment")
-        except (json.JSONDecodeError, KeyError, TypeError, OverflowError) as exc:
-            raise ValueError(f"malformed event record: {exc}") from None
-        try:
-            cells = parser(inc_text)
-        except ValueError as exc:
-            raise ValueError(f"increment at t={t}: {exc}") from None
-        traj._append(t, cells)
+            cells, counts = parser.batch(texts)
+        except _BatchError as exc:
+            raise ValueError(f"increment at t={times[exc.index]}: {exc}") from None
+        traj._extend(times, cells, counts)
     traj._close(horizon)
     return traj

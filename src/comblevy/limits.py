@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .levy import LevyTrajectory
+from .trajectory import LevyTrajectory
 from .orbits import DEFAULT_SPACE_CAP, iter_space
 from .structures import Signature, Structure, _cell_index, serialize
 
@@ -231,6 +231,23 @@ def set_frequency(m: Structure) -> float:
     return m.tuple_count(0) / m.n
 
 
+def _limit_grid(
+    grid, level: int, n: int, horizon: float, injection_cap: int = DEFAULT_INJECTION_CAP
+) -> list[float]:
+    """``grid`` as floats, once checked: a level-``level`` limit path of a
+    level-n trajectory on [0, horizon] can be taken at its times."""
+    grid = [float(t) for t in grid]
+    for t in grid:
+        if not 0.0 <= t <= horizon:
+            raise ValueError(f"grid time {t} outside [0, {horizon}]")
+    if not 0 <= level <= n:
+        raise ValueError(f"level {level} outside 0..{n}")
+    total = falling_factorial(n, level)
+    if total > injection_cap:
+        raise ValueError(f"injection count {total} exceeds cap {injection_cap}")
+    return grid
+
+
 def limit_path(
     traj: LevyTrajectory,
     level: int,
@@ -238,10 +255,7 @@ def limit_path(
     injection_cap: int = DEFAULT_INJECTION_CAP,
 ) -> list[DensityVector]:
     """Density vectors of the trajectory state sampled on a time grid."""
-    grid = [float(t) for t in grid]
-    for t in grid:
-        if not 0.0 <= t <= traj.horizon:
-            raise ValueError(f"grid time {t} outside [0, {traj.horizon}]")
+    grid = _limit_grid(grid, level, traj.n, traj.horizon, injection_cap)
     return [
         density_vector(traj.state_at(t), level, injection_cap) for t in grid
     ]

@@ -11,7 +11,10 @@ by mixed-radix cell position (tuple (a1, ..., ar) -> sum (a_i - 1) * n^(r - i)),
 so the increment is a plain XOR and an r-ary relation over [n] is an
 n^r-bit integer.  The text form is written and read at the level of sorted
 cell indices (``serialize_cells``/``parse_cells``), so a sparse increment
-can be formatted or parsed without building its n^r-bit integer.
+can be formatted or parsed without building its n^r-bit integer.  The file
+readers parse many texts at once (``_Parser.batch``, of which ``parse`` is
+the batch of one) into one flat int64 cell column plus a count per text and
+relation, reading the file text in bounded pieces (``_line_batches``).
 
 Labels are 1-based throughout.
 """
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, chain, islice, pairwise
 from operator import lt
 from typing import Iterable, Sequence
 
@@ -315,6 +318,12 @@ class _CellBits:
                 buf[c >> 3] ^= 1 << (c & 7)
         return self
 
+    def flip_runs(self, cells: np.ndarray, counts: np.ndarray) -> "_CellBits":
+        """XOR in a flat cell column of (rows x k) ``counts`` (see
+        :meth:`_Parser.batch`); a cell listed twice flips back."""
+        rels = np.repeat(np.tile(np.arange(len(self.bufs)), len(counts)), counts.ravel())
+        return self.flip([cells[rels == j].tolist() for j in range(len(self.bufs))])
+
     def freeze(self) -> Structure:
         return Structure(
             self.signature,
@@ -398,34 +407,6 @@ def serialize(m: Structure) -> str:
     return serialize_cells(m.signature, m.n, _cells(m))
 
 
-class _CellCache(dict):
-    """Tuple text ``(a1,...,ar)`` over [n] -> cell index, parsed on first use.
-
-    The miss path accepts only the canonical grammar: plain ASCII decimal
-    labels with no sign, leading zero, underscore or whitespace.
-    """
-
-    __slots__ = ("n", "grammar")
-
-    def __init__(self, n: int, arity: int):
-        self.n = n
-        self.grammar = re.compile(r"\(" + ",".join(["([1-9][0-9]*)"] * arity) + r"\)")
-
-    def __missing__(self, token: str) -> int:
-        match = self.grammar.fullmatch(token)
-        if match is None:
-            raise ValueError(f"malformed tuple for arity {self.grammar.groups}: {token!r}")
-        n = self.n
-        idx = 0
-        for label in match.groups():
-            a = int(label)
-            if a > n:
-                raise ValueError(f"tuple {token} has entry {a} outside 1..{n}")
-            idx = idx * n + a - 1
-        self[token] = idx
-        return idx
-
-
 def _head(text: str) -> tuple[Signature, int]:
     """Signature and size named by the canonical head ``L=(...)|n=N`` of
     structure text."""
@@ -444,65 +425,202 @@ def _head(text: str) -> tuple[Signature, int]:
     return signature, n
 
 
-class _Parser:
-    """Sorted cell indices per relation of the canonical text of structures
-    of one signature and size; the inverse of :class:`_Formatter`.
+# A parsed relation's cell indices, 0 .. n^arity - 1, are decoded in int64,
+# so a parser decodes cells only when n^arity stays below this.
+_MAX_CELLS = 10**18
+_LABEL = re.compile("[1-9][0-9]*")
+_GAPS = str.maketrans("(),;", "    ")  # tuple punctuation, as label separators
 
-    Each distinct tuple text is parsed and validated once and kept for the
-    parser's life, so a reader that uses one parser per file parses every
-    distinct tuple once.  Text of another signature or size is rejected.
+
+class _BatchError(ValueError):
+    """A ValueError about the text at position ``index`` of a parsed batch."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
+class _Parser:
+    """Sorted cell indices of the canonical text of structures of one
+    signature and size; the inverse of :class:`_Formatter`.
+
+    :meth:`batch` parses a list of texts at once: one compiled
+    canonical-grammar match per text checks its head, its field count, its
+    field prefixes and the form of every tuple, then one numpy pass per
+    relation decodes all the labels and checks their range and order.  Only
+    a rejected batch is checked again text by text, to name the first
+    defect.  Text of another signature or size is rejected.
     """
 
-    __slots__ = ("signature", "n", "head", "fields")
+    __slots__ = ("signature", "n", "head", "grammar")
 
     def __init__(self, signature: Signature, n: int):
         self.signature = signature
         self.n = n
         self.head = [f"L={signature}", f"n={n}"]
-        self.fields = [
-            (f"R{j}={{", _CellCache(n, arity))
-            for j, arity in enumerate(signature.arities, start=1)
-        ]
+        fields = []
+        for j, arity in enumerate(signature.arities, start=1):
+            cell = r"\(" + ",".join([_LABEL.pattern] * arity) + r"\)"
+            fields.append(rf"\|R{j}=\{{((?:{cell}(?:;{cell})*)?)\}}")
+        self.grammar = re.compile(re.escape("|".join(self.head)) + "".join(fields))
 
     @classmethod
     def of(cls, text: str) -> "_Parser":
         """A parser for the signature and size named by ``text``'s head."""
         return cls(*_head(text))
 
-    def __call__(self, text: str) -> list[list[int]]:
+    def batch(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """The cells of every text: one flat int64 column holding text 0's
+        sorted cells of relation 0, 1, ..., k - 1, then text 1's, and so on,
+        and the (texts x k) array of how many cells each run holds.  If a
+        text is rejected, the first such raises a :class:`_BatchError`
+        naming its position and its first defect."""
+        fullmatch = self.grammar.fullmatch
+        bodies = []
+        for text in texts:
+            match = fullmatch(text)
+            if match is None:
+                self._reject(texts)
+            bodies.append(match.groups())
+        per_rel = [
+            self._decode([b[j] for b in bodies], arity)
+            for j, arity in enumerate(self.signature.arities)
+        ]
+        if None in per_rel:
+            self._reject(texts)
+        counts = np.array([c for _, c in per_rel], np.int64).reshape(len(per_rel), len(texts)).T
+        cells = np.concatenate([np.zeros(0, np.int64), *(cells for cells, _ in per_rel)])
+        if len(texts) > 1 and len(per_rel) > 1:
+            # relation-major to text-major: a stable sort by text keeps each
+            # text's relations in order
+            text = np.concatenate([np.repeat(np.arange(len(texts)), c) for _, c in per_rel])
+            cells = cells[np.argsort(text, kind="stable")]
+        return cells, counts
+
+    def _decode(self, bodies: list[str], arity: int):
+        """The cells of relation bodies ``(a,b);(c,d)...`` that the grammar
+        matched, in order, and how many each body holds; None if a label
+        exceeds n or a body's cells are not strictly increasing."""
+        counts = np.array([body.count("(") for body in bodies], np.int64)
+        if arity == 0:
+            cells = np.zeros(int(counts.sum()), np.int64)
+        else:
+            # one C pass over all labels; one past the int64 range reads as
+            # the int64 maximum, so it fails the range test like any label > n
+            labels = np.fromstring("".join(bodies).translate(_GAPS), np.int64, sep=" ")
+            if not labels.size:
+                return labels, counts
+            if labels.max() > self.n:
+                return None
+            if self.n**arity >= _MAX_CELLS:
+                raise ValueError(f"n={self.n} is too large to index cells of arity {arity}")
+            cells = labels[::arity] - 1
+            for i in range(1, arity):
+                cells = cells * self.n + labels[i::arity] - 1
+        # step p compares cells p - 1 and p; a body's first cell has no step
+        steps = np.ones(len(cells) + 1, bool)
+        steps[1:-1] = cells[1:] > cells[:-1]
+        steps[np.cumsum(counts)] = True
+        return (cells, counts) if steps.all() else None
+
+    def _reject(self, texts: Sequence[str]) -> None:
+        """Raise the :class:`_BatchError` of the first text with a defect."""
+        for i, text in enumerate(texts):
+            defect = self._defect(text)
+            if defect:
+                raise _BatchError(i, defect)
+        raise AssertionError("the batch and the piecewise checks disagree")
+
+    def _defect(self, text: str) -> str | None:
+        """What is wrong with ``text``, found by checking it piece by piece
+        (field, then tuple, then label), or None if it is canonical."""
         parts = text.split("|")
         if parts[:2] != self.head:
-            signature, n = _head(text)
-            raise ValueError(
+            try:
+                signature, n = _head(text)
+            except ValueError as exc:
+                return str(exc)
+            return (
                 f"structure of signature {signature} and n={n}, "
                 f"expected {self.signature} and n={self.n}"
             )
-        if len(parts) != len(self.fields) + 2:
-            raise ValueError(
-                f"expected {len(self.fields)} relation fields, got {len(parts) - 2}"
-            )
-        cells = []
-        for (prefix, cache), part in zip(self.fields, islice(parts, 2, None)):
+        if len(parts) != self.signature.k + 2:
+            return f"expected {self.signature.k} relation fields, got {len(parts) - 2}"
+        for j, (arity, part) in enumerate(zip(self.signature.arities, parts[2:]), start=1):
+            prefix = f"R{j}={{"
             if not (part.startswith(prefix) and part.endswith("}")):
-                raise ValueError(f"malformed relation field: {part!r}")
+                return f"malformed relation field: {part!r}"
             body = part[len(prefix):-1]
-            rel_cells = list(map(cache.__getitem__, body.split(";"))) if body else []
-            if not all(map(lt, rel_cells, islice(rel_cells, 1, None))):
-                raise ValueError(f"relation field not canonical: {part!r}")
-            cells.append(rel_cells)
-        return cells
+            cells = []
+            for token in body.split(";") if body else ():
+                inner = token[1:-1]
+                labels = inner.split(",") if inner else []
+                if not (
+                    token[:1] == "(" and token[-1:] == ")" and len(labels) == arity
+                    and all(map(_LABEL.fullmatch, labels))
+                ):
+                    return f"malformed tuple for arity {arity}: {token!r}"
+                entries = [int(a) for a in labels]
+                for a in entries:
+                    if a > self.n:
+                        return f"tuple {token} has entry {a} outside 1..{self.n}"
+                cells.append(_cell_index(entries, self.n))
+            if not all(map(lt, cells, islice(cells, 1, None))):
+                return f"relation field not canonical: {part!r}"
+        return None
 
-    def structure(self, text: str) -> Structure:
-        return _structure_from_cells(self.signature, self.n, self(text))
+
+def _cell_lists(cells: np.ndarray, counts: np.ndarray) -> list[list[list[int]]]:
+    """Per text of a parsed batch, its sorted cell list per relation."""
+    flat = cells.tolist()
+    bounds = [0, *accumulate(counts.ravel().tolist())]
+    runs = [flat[lo:hi] for lo, hi in zip(bounds, islice(bounds, 1, None))]
+    k = counts.shape[1]
+    return [runs[i:i + k] for i in range(0, len(runs), k)] if k else [[] for _ in counts]
+
+
+def _flat_cells(rows, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat cell column and (rows x k) counts of ``rows``, each a list
+    of k sorted cell lists; the inverse of :func:`_cell_lists`."""
+    runs = list(chain.from_iterable(rows))
+    counts = np.fromiter(map(len, runs), np.int64, len(runs)).reshape(len(rows), k)
+    return np.fromiter(chain.from_iterable(runs), np.int64), counts
+
+
+def _row_increments(rows) -> list[list[list[int]]]:
+    """The increments between consecutive ``rows``, each a list of k sorted
+    cell lists: per relation, the sorted symmetric difference."""
+    return [
+        [sorted(set(a).symmetric_difference(b)) for a, b in zip(prev, row)]
+        for prev, row in pairwise(rows)
+    ]
+
+
+# Characters of file text that a reader parses at a time (see _line_batches).
+_READ_BATCH_CHARS = 2**16
+
+
+def _line_batches(text: str):
+    """The non-empty lines of ``text`` (as ``str.splitlines`` splits them),
+    in lists of about ``_READ_BATCH_CHARS`` characters, so a reader holds
+    one list's records at a time."""
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + _READ_BATCH_CHARS - 1)
+        stop = len(text) if stop < 0 else stop + 1
+        lines = [ln for ln in text[start:stop].splitlines() if ln]
+        if lines:
+            yield lines
+        start = stop
 
 
 def parse_cells(text: str) -> tuple[Signature, int, list[list[int]]]:
     """Inverse of :func:`serialize_cells`: the signature, size and sorted
     cell indices per relation; rejects any non-canonical text."""
     parser = _Parser.of(text)
-    return parser.signature, parser.n, parser(text)
+    return parser.signature, parser.n, _cell_lists(*parser.batch([text]))[0]
 
 
 def parse(text: str) -> Structure:
     """Inverse of :func:`serialize`; rejects any non-canonical text."""
-    return _Parser.of(text).structure(text)
+    return _structure_from_cells(*parse_cells(text))

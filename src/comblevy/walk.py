@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 
 from .measures import FiniteMeasure, is_exchangeable
 from .orbits import (
@@ -22,7 +23,16 @@ from .orbits import (
     orbit_of,
     space_size,
 )
-from .structures import Structure, _Parser, empty_structure, increment, serialize
+from .structures import (
+    Structure,
+    _cell_lists,
+    _line_batches,
+    _Parser,
+    _structure_from_cells,
+    empty_structure,
+    increment,
+    serialize,
+)
 
 __all__ = [
     "WalkTrajectory",
@@ -171,20 +181,29 @@ def walk_to_csv(traj: WalkTrajectory) -> str:
 
 
 def walk_from_csv(text: str) -> WalkTrajectory:
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != "step,structure":
+    """Read a walk CSV, a batch of rows at a time, with one parser bound to
+    the first row's signature and n."""
+    batches = _line_batches(text)
+    header, *rest = next(batches, [""])
+    if header != "step,structure":
         raise ValueError("walk CSV must start with header 'step,structure'")
     states = []
-    parser = None  # one parser, bound to the first row's signature and n
-    for expected, line in enumerate(lines[1:]):
-        step_text, _, struct_text = line.partition(",")
-        try:
-            step = int(step_text)
-        except ValueError:
-            raise ValueError(f"malformed step index: {step_text!r}") from None
-        if step != expected:
-            raise ValueError(f"non-contiguous step index {step}, expected {expected}")
-        if parser is None:
-            parser = _Parser.of(struct_text)
-        states.append(parser.structure(struct_text))
+    for lines in chain([rest], batches):
+        texts = []
+        for line in lines:
+            step_text, _, struct_text = line.partition(",")
+            try:
+                step = int(step_text)
+            except ValueError:
+                raise ValueError(f"malformed step index: {step_text!r}") from None
+            expected = len(states) + len(texts)
+            if step != expected:
+                raise ValueError(f"non-contiguous step index {step}, expected {expected}")
+            texts.append(struct_text)
+        if not texts:
+            continue
+        if not states:
+            parser = _Parser.of(texts[0])
+        for cells in _cell_lists(*parser.batch(texts)):
+            states.append(_structure_from_cells(parser.signature, parser.n, cells))
     return WalkTrajectory(tuple(states))

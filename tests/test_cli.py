@@ -293,6 +293,28 @@ class TestErrorHandling:
         assert run_cli(["test-exchangeability", "--trajectory", bad,
                         "--out", tmp_path / "r.json"]) == 2
 
+    def test_nonpositive_replicates_exit_2(self, tmp_path, measure_file, intensity_file):
+        commands = [
+            ["simulate-levy", "--intensity", intensity_file, "--n", 4, "--horizon", 1.0],
+            ["simulate-walk", "--measure", measure_file, "--steps", 3],
+        ]
+        for command in commands:
+            for replicates in (0, -1):
+                with pytest.raises(SystemExit) as exc:
+                    run_cli(command + ["--seed", 1, "--replicates", replicates,
+                                       "--out", tmp_path / "out.csv"])
+                assert exc.value.code == 2
+        assert not any(tmp_path.glob("out.csv*")) and not (tmp_path / "manifest.json").exists()
+
+    def test_limit_arguments_checked_before_simulating(self, tmp_path, intensity_file):
+        out = tmp_path / "levy.csv"
+        for level, grid in [(1, "0.5,7"), (1, "-0.5"), (9, "0.5")]:
+            code = run_cli(["simulate-levy", "--intensity", intensity_file, "--n", 4,
+                            "--horizon", 1.0, "--seed", 2, "--limit-level", level,
+                            "--grid", grid, "--out", out])
+            assert code == 2
+            assert not out.exists() and not (tmp_path / "manifest.json").exists()
+
     def test_missing_required_args(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["simulate-walk"])

@@ -4,12 +4,13 @@ import math
 import tracemalloc
 from bisect import bisect_right
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from comblevy import levy
+from comblevy import levy, structures
 from comblevy.levy import (
     ExplicitFinite,
     LevyIntensity,
@@ -20,7 +21,6 @@ from comblevy.levy import (
     RestrictedIntensity,
     SetSingletonComponent,
     VertexComponent,
-    _SNAPSHOT_EVERY,
     _BernoulliBlocks,
     _jump_chain,
     events_from_jsonl,
@@ -40,7 +40,6 @@ from comblevy.rng import make_rng
 from comblevy.structures import (
     Signature,
     Structure,
-    _CellCache,
     _structure_from_cells,
     empty_structure,
     increment,
@@ -48,6 +47,7 @@ from comblevy.structures import (
     restrict,
     serialize,
 )
+from comblevy.trajectory import _SNAPSHOT_EVERY
 from comblevy.walk import WalkTrajectory, walk_from_csv, walk_to_csv
 
 from helpers import gillespie_levy, random_permutation, random_structure
@@ -465,9 +465,10 @@ def _replay_full_states(intensity, n, horizon, rng):
     restricted = RestrictedIntensity(intensity, n)
     state = empty_structure(intensity.signature, n)
     events = [(0.0, state)]
-    for t, cells in _jump_chain(restricted, horizon, rng):
-        state = increment(state, _structure_from_cells(intensity.signature, n, cells))
-        events.append((t, state))
+    for times, rows in _jump_chain(restricted, horizon, rng):
+        for t, cells in zip(times.tolist(), rows):
+            state = increment(state, _structure_from_cells(intensity.signature, n, cells))
+            events.append((t, state))
     return events
 
 
@@ -994,9 +995,9 @@ class TestFileFormats:
             assert header["seed"] == 66
             assert "init" not in header
 
-    def test_readers_parse_each_distinct_tuple_once(self, monkeypatch):
-        # 50 states over the few cells of [3]: every reader keeps one parser
-        # per file, so it parses each distinct tuple text once, not per token
+    def test_readers_roundtrip_and_reject_other_n(self):
+        # 50 states over the few cells of [3]; every reader binds one parser
+        # to the file's first signature and n
         rng = make_rng(69)
         states = [empty_structure(SIG12, 3)]
         while len(states) < 50:
@@ -1005,29 +1006,12 @@ class TestFileFormats:
                 states.append(m)
         traj = LevyTrajectory(3, 49.0, [(float(i), m) for i, m in enumerate(states)])
         walk = WalkTrajectory(tuple(states))
-        increments = list(traj.jump_increments())
-
-        def distinct(structures):
-            return sum(len({t for m in structures for t in m.tuples(j)}) for j in range(2))
-
-        misses = []
-        miss = _CellCache.__missing__
-
-        def counted_miss(cache, token):
-            misses.append(token)
-            return miss(cache, token)
-
-        monkeypatch.setattr(_CellCache, "__missing__", counted_miss)
-        for read, text, structures, expected in [
-            (trajectory_from_csv, trajectory_to_csv(traj), states, traj),
-            (events_from_jsonl, events_to_jsonl(traj), increments, traj),
-            (walk_from_csv, walk_to_csv(walk), states, walk),
+        for read, text, expected in [
+            (trajectory_from_csv, trajectory_to_csv(traj), traj),
+            (events_from_jsonl, events_to_jsonl(traj), traj),
+            (walk_from_csv, walk_to_csv(walk), walk),
         ]:
-            misses.clear()
-            back = read(text)
-            assert back == expected
-            tokens = sum(m.tuple_count(j) for m in structures for j in range(2))
-            assert len(misses) == distinct(structures) < tokens / 4
+            assert read(text) == expected
 
         lines = trajectory_to_csv(traj).splitlines()
         lines[20] = lines[20].partition(",")[0] + "," + serialize(empty_structure(SIG12, 4))
@@ -1038,7 +1022,7 @@ class TestFileFormats:
         with pytest.raises(ValueError, match="n=4"):
             walk_from_csv("\n".join(lines))
 
-    def test_events_jsonl_rejects_malformed_records(self):
+    def test_events_jsonl_rejects_malformed_records(self, monkeypatch):
         header = {"signature": "(1)", "n": 3, "T": 1.0, "seed": None}
         with pytest.raises(ValueError, match="'increment'"):
             events_from_jsonl(json.dumps(header) + '\n{"t": 0.5, "increment": 5}')
@@ -1050,6 +1034,79 @@ class TestFileFormats:
         nan_time = json.dumps({"t": float("nan"), "increment": "L=(1)|n=3|R1={(1)}"})
         with pytest.raises(ValueError, match="increasing"):
             events_from_jsonl(json.dumps(header) + "\n" + nan_time)
+        for increment, problem in [
+            ("L=(1)|n=3|R1={(" + "1" * 30 + ")}", "outside 1..3"),
+            ("L=(1)|n=3|R1={(2);(1)}", "not canonical"),
+            ("L=(1)|n=3|R1={(2);(2)}", "not canonical"),
+            ("L=(1)|n=3|R1={(1,2)}", "malformed tuple"),
+            ("L=(1)|n=3|R1={}", "change the state"),
+        ]:
+            record = json.dumps({"t": 0.5, "increment": increment})
+            with pytest.raises(ValueError, match=problem):
+                events_from_jsonl(json.dumps(header) + "\n" + record)
+
+        # one bad increment in the first, a middle or the last of many
+        # batches of about two records is named by its record's time
+        monkeypatch.setattr(structures, "_READ_BATCH_CHARS", 100)
+        I = LevyIntensity(SIG1, (SetSingletonComponent(rate=1.0),))
+        lines = events_to_jsonl(simulate_levy(I, 4, 20.0, make_rng(70))).splitlines()
+        assert len(lines) > 40
+        for i in (1, len(lines) // 2, len(lines) - 1):
+            record = json.loads(lines[i])
+            bad = lines[:i] + [lines[i].replace("R1={(", "R1={(5);(", 1)] + lines[i + 1:]
+            with pytest.raises(ValueError, match=f"increment at t={record['t']}: tuple \\(5\\)"):
+                events_from_jsonl("\n".join(bad))
+
+    def test_readers_cross_batch_and_snapshot_boundaries(self, monkeypatch):
+        # a non-empty start and more than three snapshots' worth of jumps,
+        # read back in batches of a few characters to a few records: every
+        # batch boundary falls inside the log's snapshot stretches
+        intensity = LevyIntensity(
+            SIG12,
+            (
+                MixtureAtom(weight=0.5, probs=(0.2, 0.1)),
+                VertexComponent(rate=1.0, rho=0.3, member_prob=0.5),
+                PairComponent(rate=1.0),
+            ),
+        )
+        simulated = simulate_levy(intensity, 4, 60.0, make_rng(71))
+        start = random_structure(make_rng(72), SIG12, 4)
+        traj = LevyTrajectory(
+            4, simulated.horizon, [(t, increment(s, start)) for t, s in simulated.events]
+        )
+        assert len(traj.events) > 3 * _SNAPSHOT_EVERY
+        states = tuple(s for _, s in traj.events)[:300]
+        walk = WalkTrajectory(states)
+        texts = [
+            (events_from_jsonl, events_to_jsonl(traj)),
+            # the CSV does not record the horizon
+            (partial(trajectory_from_csv, horizon=traj.horizon), trajectory_to_csv(traj)),
+        ]
+        walk_text = walk_to_csv(walk)
+        for chars in (1, 37, 500, 5000):
+            monkeypatch.setattr(structures, "_READ_BATCH_CHARS", chars)
+            assert walk_from_csv(walk_text) == walk
+            for read, text in texts:
+                for back in (read(text), read(text.replace("\n", "\r\n"))):
+                    assert back == traj
+                    assert back._snapshots == traj._snapshots
+                    assert back.events[-1] == traj.events[-1]
+
+    def test_events_jsonl_reads_records_in_any_json_form(self):
+        # records in another key order or spacing, or with an integer time,
+        # read as the writer's form does
+        I = LevyIntensity(SIG12, (MixtureAtom(weight=2.0, probs=(0.3, 0.2)),))
+        traj = simulate_levy(I, 3, 20.0, make_rng(73))
+        lines = events_to_jsonl(traj).splitlines()
+        records = [json.loads(line) for line in lines[1:]]
+        reworded = [lines[0]] + [
+            json.dumps({"t": r["t"], "increment": r["increment"]}, indent=None, separators=(",", ":"))
+            for r in records
+        ]
+        assert events_from_jsonl("\n".join(reworded)) == traj
+        whole = {"signature": "(1)", "n": 2, "T": 5.0, "seed": None}
+        text = json.dumps(whole) + '\n{"increment": "L=(1)|n=2|R1={(2)}", "t": 3}\n'
+        assert events_from_jsonl(text).events[1][0] == 3.0
 
     def test_writers_fixed_log_text(self):
         # the exact bytes both writers gave before the cached-token formatter

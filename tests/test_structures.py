@@ -9,6 +9,7 @@ from comblevy.structures import (
     Structure,
     _Formatter,
     _Parser,
+    _cell_lists,
     _cells,
     _set_bits,
     agreement_level,
@@ -18,6 +19,7 @@ from comblevy.structures import (
     relabel,
     restrict,
     serialize,
+    serialize_cells,
 )
 from comblevy.rng import make_rng
 
@@ -337,24 +339,50 @@ class TestParser:
             for n in (0, 1, 3, 11):
                 if n**sig.max_arity > 1500:
                     continue
-                parser = _Parser(sig, n)  # one parser: later states hit its cache
+                parser = _Parser(sig, n)
                 states = [empty_structure(sig, n)]
                 states.append(Structure(sig, n, tuple((1 << n**a) - 1 for a in sig.arities)))
                 states += [
                     random_structure(rng, sig, n, density=d)
                     for d in (0.05, 0.3, 0.5, 0.3, 0.95)
                 ]
-                for m in states:
-                    text = serialize(m)
-                    assert parser(text) == _cells(m)
+                texts = [serialize(m) for m in states]
+                cells, counts = parser.batch(texts)
+                assert _cell_lists(cells, counts) == [_cells(m) for m in states]
+                for m, text in zip(states, texts):
                     assert parse(text) == m
 
     def test_rejects_other_shape(self):
         parser = _Parser(SIG12, 3)
         for text in ("L=(1,2)|n=4|R1={}|R2={}", "L=(2)|n=3|R1={}", "L=(1,2)|n=3|R1={}"):
             with pytest.raises(ValueError):
-                parser(text)
-        assert parser("L=(1,2)|n=3|R1={(3)}|R2={(1,1)}") == [[2], [0]]
+                parser.batch([text])
+        cells, counts = parser.batch(["L=(1,2)|n=3|R1={(3)}|R2={(1,1)}"])
+        assert _cell_lists(cells, counts) == [[[2], [0]]]
+
+
+    def test_batch_check_agrees_with_piecewise_check(self):
+        # single-character edits of canonical texts: the batch check accepts
+        # exactly the texts in which the piecewise check finds no defect,
+        # rejects the others with that defect, and reads each accepted text
+        # back to itself
+        rng = make_rng(124)
+        alphabet = "0123456789(),;|{}=LRn "
+        for sig, n in [(SIG1, 12), (SIG12, 3), (Signature((0, 2)), 4)]:
+            parser = _Parser(sig, n)
+            for _ in range(200):
+                text = serialize(random_structure(rng, sig, n, density=0.2))
+                i = int(rng.integers(0, len(text)))
+                c = alphabet[int(rng.integers(0, len(alphabet)))]
+                for edited in (text[:i] + c + text[i:], text[:i] + c + text[i + 1:], text[:i] + text[i + 1:]):
+                    defect = parser._defect(edited)
+                    try:
+                        cells, counts = parser.batch([text, edited, text])
+                    except ValueError as exc:
+                        assert (exc.index, str(exc)) == (1, defect)
+                    else:
+                        assert defect is None
+                        assert serialize_cells(sig, n, _cell_lists(cells, counts)[1]) == edited
 
 
 class TestFromTuples:
