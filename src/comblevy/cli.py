@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 validation error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -60,14 +61,27 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+# Characters of an output that are encoded and written at a time.
+_WRITE_SLICE_CHARS = 2**16
+
+
 def _write_atomic(path: str, content: str) -> None:
-    """Write via a temp file and rename, so outputs appear whole."""
+    """Write via a temp file and rename, so outputs appear whole; a failed
+    write or rename removes the temp file.  The text is written in slices,
+    so its UTF-8 copy never exists whole."""
     target = Path(path)
     if target.parent and not target.parent.exists():
         target.parent.mkdir(parents=True, exist_ok=True)
     tmp = target.with_name(target.name + ".tmp")
-    tmp.write_text(content, encoding="utf-8", newline="\n")
-    os.replace(tmp, target)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as out:
+            for start in range(0, len(content), _WRITE_SLICE_CHARS):
+                out.write(content[start:start + _WRITE_SLICE_CHARS])
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 def _replicate_path(out: str, replicate: int, replicates: int) -> str:

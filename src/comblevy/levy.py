@@ -45,7 +45,7 @@ from .structures import (
     Structure,
     _BatchError,
     _line_batches,
-    _Formatter,
+    _formatter,
     _Parser,
     _cell_lists,
     _cells,
@@ -794,11 +794,11 @@ def intensity_from_json(text: str) -> LevyIntensity:
 
 
 def trajectory_to_csv(traj: LevyTrajectory) -> str:
-    text = _Formatter(traj.signature, traj.n)
-    lines = ["time,structure"]
-    for t, s in traj.events:
-        lines.append(f"{t!r},{text(_cells(s))}")
-    return "\n".join(lines) + "\n"
+    """Full-state CSV: one ``time,structure`` row per event, formatted a
+    block of states at a time."""
+    text = _formatter(traj.signature, traj.n)
+    states = (s for _, s in traj.events)
+    return "".join(["time,structure\n", *text.state_lines(f"%r,{text.form}\n", traj._times, states)])
 
 
 def _csv_rows(lines: list[str]) -> tuple[list[float], list[str]]:
@@ -843,7 +843,8 @@ def trajectory_from_csv(text: str, horizon: float | None = None) -> LevyTrajecto
 
 
 def events_to_jsonl(traj: LevyTrajectory, seed: int | None = None) -> str:
-    """Event-stream form: a header record, then one jump increment per line.
+    """Event-stream form: a header record, then one jump increment per line,
+    formatted a block of jumps at a time straight from the log.
 
     A path that starts at the empty structure, the canonical start, has no
     ``init`` field in its header; any other start state is written there.
@@ -856,16 +857,16 @@ def events_to_jsonl(traj: LevyTrajectory, seed: int | None = None) -> str:
     }
     if not traj._start.is_empty():
         header["init"] = serialize(traj._start)
-    lines = [json.dumps(header, sort_keys=True)]
-    text = _Formatter(traj.signature, traj.n)
-    # Through ``jump_increments()``: bench/tracing.py reports that call as
-    # the ``levy.jump_increments`` layer.
-    increments = traj.jump_increments()
+    chunks = [json.dumps(header, sort_keys=True) + "\n"]
+    text = _formatter(traj.signature, traj.n)
     # Each record is what json.dumps(..., sort_keys=True) gives: the
     # structure text needs no escaping and a finite float's JSON is its repr.
-    for t, cells in zip(islice(traj._times, 1, None), increments.cells()):
-        lines.append(f'{{"increment": "{text(cells)}", "t": {t!r}}}')
-    return "\n".join(lines) + "\n"
+    line = f'{{"increment": "{text.form}", "t": %r}}\n'
+    # Through ``jump_increments()``: bench/tracing.py reports that call as
+    # the ``levy.jump_increments`` layer.
+    for times, columns in traj.jump_increments().blocks(text.block):
+        chunks.append("".join(map(line.__mod__, zip(*text.bodies(columns), times))))
+    return "".join(chunks)
 
 
 def _text_field(record: dict, name: str) -> str:

@@ -12,9 +12,11 @@ so the increment is a plain XOR and an r-ary relation over [n] is an
 n^r-bit integer.  The text form is written and read at the level of sorted
 cell indices (``serialize_cells``/``parse_cells``), so a sparse increment
 can be formatted or parsed without building its n^r-bit integer.  The file
-readers parse many texts at once (``_Parser.batch``, of which ``parse`` is
-the batch of one) into one flat int64 cell column plus a count per text and
-relation, reading the file text in bounded pieces (``_line_batches``).
+writers format a block of structures at once (``_Formatter``, of which
+``serialize`` is the block of one).  The file readers parse many texts at
+once (``_Parser.batch``, of which ``parse`` is the batch of one) into one
+flat int64 cell column plus a count per text and relation, reading the file
+text in bounded pieces (``_line_batches``).
 
 Labels are 1-based throughout.
 """
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, chain, islice, pairwise
 from operator import lt
 from typing import Iterable, Sequence
@@ -102,12 +105,17 @@ def _cell_decode(idx: int, n: int, arity: int) -> tuple[int, ...]:
     return tuple(entries)
 
 
-def _set_bits(mask: int) -> list[int]:
+def _bit_array(mask: int) -> np.ndarray:
     """Ascending indices of the set bits of ``mask``, in time linear in its
     width: the little-endian bytes, unpacked to one byte per bit."""
     raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
     bits = np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little")
-    return np.flatnonzero(bits).tolist()
+    return bits.nonzero()[0]
+
+
+def _set_bits(mask: int) -> list[int]:
+    """:func:`_bit_array` as a list."""
+    return _bit_array(mask).tolist()
 
 
 def _validate_tuple(t: tuple[int, ...], arity: int, n: int) -> None:
@@ -343,52 +351,123 @@ def _structure_from_cells(signature: Signature, n: int, cells) -> Structure:
     return Structure(signature, n, tuple(payloads))
 
 
-class _TokenCache(dict):
-    """Cell index -> tuple text ``(a1,...,ar)`` over [n], built on first use."""
+class _Labels(dict):
+    """0-based label a -> ``form % (a + 1)``, built on first use."""
 
-    __slots__ = ("n", "arity")
+    __slots__ = ("form",)
 
-    def __init__(self, n: int, arity: int):
-        self.n = n
-        self.arity = arity
+    def __init__(self, form: str):
+        self.form = form
 
-    def __missing__(self, c: int) -> str:
-        # _cell_decode inlined, with the labels kept as text: a writer runs
-        # this once per distinct cell, e.g. ~37k times on a 28.8k-jump graph
-        # stream, where the call and the int round trip cost ~40% more
-        entries = []
-        rest = c
-        for _ in range(self.arity):
-            rest, a = divmod(rest, self.n)
-            entries.append(str(a + 1))
-        entries.reverse()
-        token = self[c] = "(" + ",".join(entries) + ")"
-        return token
+    def __missing__(self, a: int) -> str:
+        text = self[a] = self.form % (a + 1)
+        return text
 
 
 class _Formatter:
-    """Canonical text of structures of one signature and size, given as sorted
-    cell indices per relation (see :func:`serialize_cells`).
+    """Canonical text of structures of one signature and size, a block of
+    rows at a time (see :func:`serialize_cells` for the format).
 
-    Each cell's tuple text is built once and kept for the formatter's life,
-    so a writer that uses one formatter per file formats every distinct cell
-    once.
+    A block is given per relation, as the sorted cells of all its rows in
+    one flat int64 column plus how many each row holds.  :meth:`bodies`
+    decodes a relation's labels with one numpy divmod pass per tuple
+    position, maps them through the formatter's tables of label text and
+    joins each row's run of cells once, from those shared strings.  The
+    tables hold the labels met so far, never all n up front; ``_formatter``
+    keeps one formatter, and so its tables, per signature and size.
+    ``form`` is the structure text with a ``%s`` for each relation's body,
+    so a writer builds each record line with one ``%`` from its form.
     """
 
-    __slots__ = ("head", "fields")
+    __slots__ = ("n", "arities", "form", "single", "lead", "middle", "last")
+
+    # Rows a writer formats at a time.
+    block = 4096
 
     def __init__(self, signature: Signature, n: int):
-        self.head = f"L={signature}|n={n}"
-        self.fields = [
-            (f"R{j}={{", _TokenCache(n, arity))
-            for j, arity in enumerate(signature.arities, start=1)
-        ]
+        self.n = n
+        self.arities = signature.arities
+        self.form = f"L={signature}|n={n}" + "".join(
+            f"|R{j}={{%s}}" for j in range(1, signature.k + 1)
+        )
+        self.single, self.lead, self.middle, self.last = map(
+            _Labels, (";(%d)", ";(%d", ",%d", ",%d)")
+        )
 
-    def __call__(self, cells) -> str:
-        parts = [self.head]
-        for (prefix, tokens), rel_cells in zip(self.fields, cells):
-            parts.append(prefix + ";".join(map(tokens.__getitem__, rel_cells)) + "}")
-        return "|".join(parts)
+    def bodies(self, columns) -> list[list[str]]:
+        """Per relation j, the text between the braces of field Rj of each
+        row of a block; ``columns[j]`` is the relation's flat cell column
+        and its list of counts per row (see :func:`_relation_columns`)."""
+        bodies = []
+        for arity, (cells, counts) in zip(self.arities, columns):
+            pieces = self._pieces(cells, arity)
+            width = max(arity, 1)
+            ends = [end * width for end in accumulate(counts)]
+            # [1:]: a run drops the ";" that its first cell leads with
+            bodies.append(["".join(pieces[lo:hi])[1:] for lo, hi in zip([0, *ends], ends)])
+        return bodies
+
+    def _pieces(self, cells: np.ndarray, arity: int) -> list[str]:
+        """The text of ``cells``, ``max(arity, 1)`` pieces per cell: its
+        label texts, led by a ";" (``(1,2)`` is ``";(1", ",2)"``), so that
+        a run of cells is the join of its slice of pieces."""
+        if arity == 0:
+            return [";()"] * len(cells)
+        pieces = [""] * (arity * len(cells))
+        for pos in range(arity - 1, 0, -1):
+            cells, label = np.divmod(cells, self.n)
+            table = self.last if pos == arity - 1 else self.middle
+            pieces[pos::arity] = map(table.__getitem__, label.tolist())
+        table = self.lead if arity > 1 else self.single
+        pieces[::arity] = map(table.__getitem__, cells.tolist())
+        return pieces
+
+    def state_lines(self, line: str, values: Sequence, states):
+        """``line % (value, body of R1, ..., body of Rk)`` for each of the
+        Structures ``states`` and its item of ``values``, in one string per
+        block of states (see :func:`_state_blocks`)."""
+        lo = 0
+        for block in _state_blocks(states):
+            hi = lo + len(block)
+            bodies = self.bodies(_state_columns(block))
+            yield "".join(map(line.__mod__, zip(values[lo:hi], *bodies)))
+            lo = hi
+
+
+_formatter = lru_cache(maxsize=64)(_Formatter)
+
+
+def _relation_columns(cells: np.ndarray, counts: np.ndarray) -> list:
+    """Per relation j, the cells of relation j in a flat column of (rows x k)
+    ``counts`` (see :meth:`_Parser.batch`), and its count per row."""
+    k = counts.shape[1]
+    rels = np.repeat(np.tile(np.arange(k), len(counts)), counts.ravel())
+    return [(cells[rels == j], counts[:, j].tolist()) for j in range(k)]
+
+
+def _state_columns(states: Sequence[Structure]) -> list:
+    """Per relation, the sorted cells of each of ``states``, in one flat
+    column, and how many each holds."""
+    columns = []
+    for j in range(states[0].signature.k):
+        runs = [_bit_array(m.relations[j]) for m in states]
+        columns.append((np.concatenate(runs) if len(runs) > 1 else runs[0], list(map(len, runs))))
+    return columns
+
+
+def _state_blocks(states):
+    """``states`` in lists that a writer formats at a time: a list ends at
+    ``_Formatter.block`` states, or once it holds that many cells, so a
+    block of dense states stays small."""
+    block, size = [], 0
+    for m in states:
+        block.append(m)
+        size += sum(map(int.bit_count, m.relations))
+        if len(block) == _Formatter.block or size >= _Formatter.block:
+            yield block
+            block, size = [], 0
+    if block:
+        yield block
 
 
 def serialize_cells(signature: Signature, n: int, cells) -> str:
@@ -399,12 +478,18 @@ def serialize_cells(signature: Signature, n: int, cells) -> str:
     ``(a1,...,ai)`` in lexicographic order (which is cell-index order) and
     no whitespace.
     """
-    return _Formatter(signature, n)(cells)
+    return _text(signature, n, [(np.array(c, np.int64), [len(c)]) for c in cells])
 
 
 def serialize(m: Structure) -> str:
     """Canonical text form, bit-exact and sortable (see :func:`serialize_cells`)."""
-    return serialize_cells(m.signature, m.n, _cells(m))
+    return _text(m.signature, m.n, _state_columns([m]))
+
+
+def _text(signature: Signature, n: int, columns) -> str:
+    """The text of a block of one structure (see :meth:`_Formatter.bodies`)."""
+    text = _formatter(signature, n)
+    return text.form % tuple(body for body, in text.bodies(columns))
 
 
 def _head(text: str) -> tuple[Signature, int]:

@@ -23,6 +23,7 @@ from .structures import (
     _CellBits,
     _cells,
     _flat_cells,
+    _relation_columns,
     _structure_from_cells,
     increment,
 )
@@ -254,9 +255,20 @@ class _Increments(_LogView):
     def __len__(self) -> int:
         return len(self._traj._times) - 1
 
-    def cells(self):
-        """Sorted cell indices per relation of each increment, in order."""
-        return self._traj._iter_jump_cells()
+    def blocks(self, size: int):
+        """The increments ``size`` jumps at a time, sliced from the log: per
+        block, the jump times and, per relation, the flat column of the
+        jumps' sorted cells and how many each jump flips (see
+        ``structures._relation_columns``)."""
+        traj = self._traj
+        k = traj.signature.k
+        for lo in range(0, len(self), size):
+            hi = min(lo + size, len(self))
+            # sliced copies: a view of the log's arrays would pin their buffers
+            bounds = np.frombuffer(traj._bounds[lo * k: hi * k + 1], np.int64)
+            cells = np.frombuffer(traj._cells[bounds[0]: bounds[-1]], np.int64)
+            counts = np.diff(bounds).reshape(hi - lo, k)
+            yield traj._times[lo + 1: hi + 1].tolist(), _relation_columns(cells, counts)
 
     def _item(self, i: int) -> Structure:
         traj = self._traj

@@ -26,12 +26,12 @@ from .orbits import (
 from .structures import (
     Structure,
     _cell_lists,
+    _formatter,
     _line_batches,
     _Parser,
     _structure_from_cells,
     empty_structure,
     increment,
-    serialize,
 )
 
 __all__ = [
@@ -174,10 +174,11 @@ def orbit_kernel(
 
 
 def walk_to_csv(traj: WalkTrajectory) -> str:
-    lines = ["step,structure"]
-    for t, m in enumerate(traj.steps):
-        lines.append(f"{t},{serialize(m)}")
-    return "\n".join(lines) + "\n"
+    """One ``step,structure`` row per state, formatted a block of states at
+    a time."""
+    text = _formatter(traj.steps[0].signature, traj.steps[0].n)
+    steps = range(len(traj.steps))
+    return "".join(["step,structure\n", *text.state_lines(f"%d,{text.form}\n", steps, traj.steps)])
 
 
 def walk_from_csv(text: str) -> WalkTrajectory:

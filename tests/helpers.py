@@ -8,6 +8,7 @@ checked against an independent route.
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 import comblevy
-from comblevy.structures import Permutation, Signature, Structure
+from comblevy.structures import Permutation, Signature, Structure, _cells
 
 
 def run_python(args, cwd) -> subprocess.CompletedProcess:
@@ -153,3 +154,74 @@ def gillespie_levy(restricted, horizon: float, rng) -> tuple[list[float], list[S
         times.append(t)
         increments.append(restricted.sample(rng))
     return times, increments
+
+
+class _TokenCache(dict):
+    """Cell index -> tuple text ``(a1,...,ar)`` over [n], built on first use."""
+
+    __slots__ = ("n", "arity")
+
+    def __init__(self, n: int, arity: int):
+        self.n = n
+        self.arity = arity
+
+    def __missing__(self, c: int) -> str:
+        token = self[c] = "(" + ",".join(map(str, decode_cell(c, self.n, self.arity))) + ")"
+        return token
+
+
+class RecordFormatter:
+    """Reference structure text, one record at a time: each relation's
+    sorted cells through a per-formatter cache of tuple texts.
+
+    A test oracle for the writers' block formatter
+    (``structures._Formatter``): it shares none of its label decode, label
+    tables or run joins.
+    """
+
+    def __init__(self, signature: Signature, n: int):
+        self.head = f"L={signature}|n={n}"
+        self.fields = [
+            (f"R{j}={{", _TokenCache(n, arity))
+            for j, arity in enumerate(signature.arities, start=1)
+        ]
+
+    def __call__(self, cells) -> str:
+        parts = [self.head]
+        for (prefix, tokens), rel_cells in zip(self.fields, cells):
+            parts.append(prefix + ";".join(map(tokens.__getitem__, rel_cells)) + "}")
+        return "|".join(parts)
+
+
+def record_serialize(m: Structure) -> str:
+    return RecordFormatter(m.signature, m.n)(_cells(m))
+
+
+def record_events_to_jsonl(traj, seed=None) -> str:
+    """The event stream of ``traj``, one record at a time."""
+    header = {"signature": str(traj.signature), "n": traj.n, "T": traj.horizon, "seed": seed}
+    if not traj._start.is_empty():
+        header["init"] = record_serialize(traj._start)
+    lines = [json.dumps(header, sort_keys=True)]
+    text = RecordFormatter(traj.signature, traj.n)
+    for t, cells in zip(traj._times[1:], traj._iter_jump_cells()):
+        lines.append(json.dumps({"increment": text(cells), "t": t}, sort_keys=True))
+    return "\n".join(lines) + "\n"
+
+
+def record_trajectory_to_csv(traj) -> str:
+    """The full-state CSV of ``traj``, one record at a time."""
+    text = RecordFormatter(traj.signature, traj.n)
+    lines = ["time,structure"]
+    for t, s in traj.events:
+        lines.append(f"{t!r},{text(_cells(s))}")
+    return "\n".join(lines) + "\n"
+
+
+def record_walk_to_csv(walk) -> str:
+    """The walk CSV of ``walk``, one record at a time."""
+    text = RecordFormatter(walk.steps[0].signature, walk.steps[0].n)
+    lines = ["step,structure"]
+    for i, m in enumerate(walk.steps):
+        lines.append(f"{i},{text(_cells(m))}")
+    return "\n".join(lines) + "\n"

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from comblevy import cli
 from comblevy.cli import main
 from comblevy.levy import (
     LevyIntensity,
@@ -292,6 +293,38 @@ class TestErrorHandling:
         bad.write_text("a,b\n1,2\n")
         assert run_cli(["test-exchangeability", "--trajectory", bad,
                         "--out", tmp_path / "r.json"]) == 2
+
+    def test_failed_write_removes_temp_file(self, tmp_path, monkeypatch, intensity_file):
+        class FailingFile:
+            """Raises on the second slice it is asked to write."""
+
+            def __init__(self, file):
+                self.file = file
+                self.writes = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.file.close()
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes == 2:
+                    raise OSError(28, "No space left on device")
+                return self.file.write(text)
+
+        real_open = open
+        monkeypatch.setattr(cli, "open", lambda *a, **k: FailingFile(real_open(*a, **k)),
+                            raising=False)
+        monkeypatch.setattr(cli, "_WRITE_SLICE_CHARS", 16)  # several slices per output
+        for fmt in ("csv", "jsonl"):
+            out = tmp_path / f"t.{fmt}"
+            assert run_cli(["simulate-levy", "--intensity", intensity_file, "--n", 4,
+                            "--horizon", 2.0, "--seed", 1, "--format", fmt,
+                            "--out", out]) == 3
+            assert not out.exists()
+            assert not (tmp_path / f"t.{fmt}.tmp").exists()
 
     def test_nonpositive_replicates_exit_2(self, tmp_path, measure_file, intensity_file):
         commands = [

@@ -50,7 +50,15 @@ from comblevy.structures import (
 from comblevy.trajectory import _SNAPSHOT_EVERY
 from comblevy.walk import WalkTrajectory, walk_from_csv, walk_to_csv
 
-from helpers import gillespie_levy, random_permutation, random_structure
+from helpers import (
+    gillespie_levy,
+    random_permutation,
+    random_structure,
+    record_events_to_jsonl,
+    record_serialize,
+    record_trajectory_to_csv,
+    record_walk_to_csv,
+)
 
 SIG1 = Signature((1,))
 SIG2 = Signature((2,))
@@ -926,6 +934,46 @@ class TestClosedForms:
             expm_small(np.zeros((2, 3)), 1.0)
 
 
+@pytest.fixture(scope="module")
+def record_paths():
+    """Per n in 1..12, a path of signature (0,1,2,3) with a random start and
+    about 260 jumps, most of which leave the arity-0 relation empty, with
+    its walk of states and the oracle's text of both (see
+    tests/helpers.py)."""
+    rng = make_rng(910)
+    sig = Signature((0, 1, 2, 3))
+    intensity = LevyIntensity(sig, (MixtureAtom(weight=1.0, probs=(0.2, 0.1, 0.02, 0.001)),))
+    cases = []
+    for n in range(1, 13):
+        horizon = 260.0 / RestrictedIntensity(intensity, n).total_rate
+        path = simulate_levy(intensity, n, horizon, rng)
+        start = random_structure(rng, sig, n, density=0.3)
+        traj = LevyTrajectory(n, horizon, ((t, increment(s, start)) for t, s in path.events))
+        walk = WalkTrajectory(tuple(s for _, s in traj.events))
+        texts = (record_events_to_jsonl(traj), record_trajectory_to_csv(traj), record_walk_to_csv(walk))
+        cases.append((traj, walk, texts))
+    return cases
+
+
+class TestBlockWriters:
+    """The writers, which format a block of records at a time, against the
+    one-record-at-a-time oracle in tests/helpers.py."""
+
+    def test_matches_record_oracle(self, record_paths):
+        for traj, walk, texts in record_paths:
+            assert len(traj.events) > 129
+            assert any(not s.relations[0] for s in traj.jump_increments())
+            assert (events_to_jsonl(traj), trajectory_to_csv(traj), walk_to_csv(walk)) == texts
+            states = walk.steps
+            assert [serialize(s) for s in states] == [record_serialize(s) for s in states]
+
+    @pytest.mark.parametrize("block", [1, 2, 127, 128, 129])
+    def test_block_boundaries(self, monkeypatch, record_paths, block):
+        monkeypatch.setattr(structures._Formatter, "block", block)
+        for traj, walk, texts in record_paths:
+            assert (events_to_jsonl(traj), trajectory_to_csv(traj), walk_to_csv(walk)) == texts
+
+
 class TestFileFormats:
     def _intensity(self):
         mu = FiniteMeasure(SIG12, 2, {Structure.from_tuples(SIG12, 2, [{1}, set()]): 0.4})
@@ -972,6 +1020,51 @@ class TestFileFormats:
             payload = {"signature": signature, "components": [comp]}
             with pytest.raises(ValueError, match="must be a"):
                 intensity_from_json(json.dumps(payload))
+
+    # A hand-built path whose text pins the writers' format: a non-empty
+    # start, two-digit labels (n=12), an arity-0 relation, empty relation
+    # fields inside a jump and a time whose repr has an exponent.
+    GOLDEN_SIG = Signature((0, 1, 2))
+    GOLDEN_STATES = (
+        (0.0, [[()], [3], [(1, 12)]]),
+        (1e-05, [[()], [3, 10], [(1, 12)]]),
+        (0.5, [[], [3, 10], [(1, 12), (2, 11), (12, 1)]]),
+        (2.25, [[], [10, 12], [(2, 11), (12, 1)]]),
+    )
+    GOLDEN_TEXTS = (
+        "L=(0,1,2)|n=12|R1={()}|R2={(3)}|R3={(1,12)}",
+        "L=(0,1,2)|n=12|R1={()}|R2={(3);(10)}|R3={(1,12)}",
+        "L=(0,1,2)|n=12|R1={}|R2={(3);(10)}|R3={(1,12);(2,11);(12,1)}",
+        "L=(0,1,2)|n=12|R1={}|R2={(10);(12)}|R3={(2,11);(12,1)}",
+    )
+
+    def _golden_states(self):
+        return [S(self.GOLDEN_SIG, 12, *rels) for _, rels in self.GOLDEN_STATES]
+
+    def _golden_path(self):
+        times = [t for t, _ in self.GOLDEN_STATES]
+        return LevyTrajectory(12, 2.5, zip(times, self._golden_states()))
+
+    def test_events_jsonl_golden(self):
+        assert events_to_jsonl(self._golden_path(), seed=7) == (
+            '{"T": 2.5, "init": "L=(0,1,2)|n=12|R1={()}|R2={(3)}|R3={(1,12)}", '
+            '"n": 12, "seed": 7, "signature": "(0,1,2)"}\n'
+            '{"increment": "L=(0,1,2)|n=12|R1={}|R2={(10)}|R3={}", "t": 1e-05}\n'
+            '{"increment": "L=(0,1,2)|n=12|R1={()}|R2={}|R3={(2,11);(12,1)}", "t": 0.5}\n'
+            '{"increment": "L=(0,1,2)|n=12|R1={}|R2={(3);(12)}|R3={(1,12)}", "t": 2.25}\n'
+        )
+
+    def test_trajectory_csv_golden(self):
+        times = ("0.0", "1e-05", "0.5", "2.25")
+        assert trajectory_to_csv(self._golden_path()) == "time,structure\n" + "".join(
+            f"{t},{text}\n" for t, text in zip(times, self.GOLDEN_TEXTS)
+        )
+
+    def test_walk_csv_golden(self):
+        walk = WalkTrajectory(tuple(self._golden_states()))
+        assert walk_to_csv(walk) == "step,structure\n" + "".join(
+            f"{i},{text}\n" for i, text in enumerate(self.GOLDEN_TEXTS)
+        )
 
     def test_trajectory_csv_roundtrip(self):
         I = LevyIntensity(SIG1, (SetSingletonComponent(rate=1.0),))

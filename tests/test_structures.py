@@ -12,6 +12,7 @@ from comblevy.structures import (
     _cell_lists,
     _cells,
     _set_bits,
+    _state_columns,
     agreement_level,
     empty_structure,
     increment,
@@ -450,11 +451,15 @@ class TestLinearDecode:
         rng = make_rng(121)
         sig = Signature((0, 1, 2, 3))
         for n in (1, 2, 3, 4):
-            text = _Formatter(sig, n)  # one formatter: later states hit its cache
-            for _ in range(6):
-                m = random_structure(rng, sig, n, density=float(rng.random()))
+            states = [
+                random_structure(rng, sig, n, density=float(rng.random())) for _ in range(6)
+            ]
+            for m in states:
                 assert serialize(m) == _scan_text(m)
-                assert text(_cells(m)) == _scan_text(m)
+            # one formatter, one block: later states reuse its label tables
+            text = _Formatter(sig, n)
+            rows = zip(*text.bodies(_state_columns(states)))
+            assert [text.form % row for row in rows] == [_scan_text(m) for m in states]
         for m in (empty_structure(sig, 3), Structure(sig, 2, (1, 3, 15, 255))):
             assert serialize(m) == _scan_text(m)
 
