@@ -3,7 +3,7 @@
 Simulation of discrete-time random walks and continuous-time Poisson-driven
 jump processes on structure spaces (sets, graphs, networks with community
 structure, and general relational signatures), plus estimation of jump
-measures and a Pearson test of exchangeability from observed trajectories.
+measures and a Monte Carlo test of exchangeability from observed trajectories.
 """
 
 from .structures import (
@@ -85,7 +85,6 @@ from .inference import (
     TestReport,
     empirical_jump_measure,
     chi_square_exchangeability,
-    chi2_upper_tail,
     report_to_json,
 )
 

@@ -266,7 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="measure JSON path")
     p.set_defaults(func=cmd_estimate_jumps)
 
-    p = sub.add_parser("test-exchangeability", help="Pearson exchangeability test")
+    p = sub.add_parser(
+        "test-exchangeability", help="exchangeability test (Monte Carlo p-value)"
+    )
     p.add_argument("--trajectory", required=True)
     p.add_argument(
         "--alpha", type=float, action="append", help="test level (repeatable)"

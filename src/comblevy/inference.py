@@ -1,34 +1,32 @@
-"""Jump-measure estimation and the Pearson exchangeability test.
+"""Jump-measure estimation and the exchangeability test.
 
-The empirical jump measure of an observed walk is the frequency of each
-one-step increment; no-jump steps count as the empty increment.  Its orbit
-average is the fitted exchangeable model, and the two are compared cellwise
-by a Pearson chi-square statistic.
+The empirical jump measure of a walk is the frequency of each one-step
+increment, no-jump steps counting as the empty increment.  The Pearson
+statistic compares it with its orbit average, the fitted exchangeable model.
 
-Degrees of freedom and pooling are methodological choices of this package,
-not prescribed by the underlying theory: cells with expected count below 5
-are pooled within their orbit in ascending canonical-key order, an orbit
-whose entire pool stays below 5 is merged into the next orbit in canonical
-order, and df = final cells minus the number of orbits represented (fitting
-the exchangeable model consumes one constraint per orbit, because orbit
-totals of observed and expected counts agree by construction).
-
-Continuous-time trajectories are accepted by first extracting the sequence
-of jump increments, each jump counted once with no time weighting; that is
-an extension beyond the discrete-time definition.
+An exchangeable jump measure is constant on orbits, so given an orbit's total
+N_o the counts of its |o| members are Multinomial(N_o, uniform).  The p-value
+is the Monte Carlo one under that law (Davison & Hinkley 1997, section 4.2),
+(1 + #{replicates >= observed}) / (B + 1): exact at any sample size, with no
+pooling and no degrees of freedom.  Continuous-time trajectories are tested
+on their sequence of jump increments, each jump counted once with no time
+weighting; that is an extension beyond the discrete-time definition.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .trajectory import LevyTrajectory
 from .measures import FiniteMeasure, symmetrize
-from .orbits import DEFAULT_CANONICAL_CAP, OrbitId, orbit_of
-from .structures import serialize
+from .orbits import DEFAULT_CANONICAL_CAP, orbit_of
+from .rng import make_rng
 from .walk import WalkTrajectory
 
 __all__ = [
@@ -36,19 +34,25 @@ __all__ = [
     "empirical_jump_measure",
     "jump_increment_sequence",
     "chi_square_exchangeability",
-    "chi2_upper_tail",
     "report_to_json",
 ]
+
+# Monte Carlo replicates and the seed of their stream, fixed so that a
+# report is a deterministic function of the trajectory.
+REPLICATES = 999
+REPLICATE_SEED = 20160101
+# Counts per block of multinomial draws: an n=8 orbit of 40320 members would
+# take about 320 MB for all B rows at once.
+_BLOCK_COUNTS = 2**20
 
 
 @dataclass(frozen=True)
 class TestReport:
     """Outcome of the exchangeability test.
 
-    ``pooled_cells`` counts original cells eliminated by pooling.  When the
-    pooled table leaves fewer than two cells or no residual degrees of
-    freedom the test is undefined and reported as inconclusive with
-    p_value 1.
+    ``df`` (support cells minus orbits) is information only, and
+    ``pooled_cells`` is always 0.  With df < 1 every orbit is one cell, so
+    the statistic is 0 under any law: the test is inconclusive, p_value 1.
     """
 
     statistic: float
@@ -85,63 +89,22 @@ def jump_increment_sequence(traj) -> Sequence:
     raise TypeError(f"unsupported trajectory type: {type(traj).__name__}")
 
 
-def chi2_upper_tail(x: float, df: int) -> float:
-    """Upper tail of the chi-square distribution via the regularized
-    incomplete gamma ratio."""
-    # imported here, not at module level: no command but test-exchangeability
-    # needs scipy, and importing it slows every CLI process's start
-    from scipy.special import gammaincc
-
-    if x < 0:
-        raise ValueError(f"statistic must be >= 0, got {x}")
-    if df < 1:
-        raise ValueError(f"df must be >= 1, got {df}")
-    return float(gammaincc(df / 2.0, x / 2.0))
+def _check_alpha(a) -> float:
+    if isinstance(a, bool) or not isinstance(a, numbers.Real) or not 0.0 < a < 1.0:
+        raise ValueError(f"test level must be a number in (0, 1), got {a!r}")
+    return float(a)
 
 
-def _pool_cells(per_orbit: list[tuple[OrbitId, list[tuple[float, float]]]]):
-    """Greedy pooling of (observed, expected) cells.
-
-    Within an orbit, cells accumulate in canonical order until the pool's
-    expected count reaches 5; a trailing short pool merges into the previous
-    pool of the same orbit.  An orbit that collapses to a single short pool
-    is carried into the next orbit; a final leftover merges backwards.
-    Returns a list of [observed, expected, orbit_set] pools.
-    """
-    final: list[list] = []
-    pending: list | None = None
-    for oid, cells in per_orbit:
-        pools: list[list] = []
-        cur_o = cur_e = 0.0
-        for obs, exp in cells:
-            cur_o += obs
-            cur_e += exp
-            if cur_e >= 5.0:
-                pools.append([cur_o, cur_e, {oid}])
-                cur_o = cur_e = 0.0
-        if cur_e > 0.0 or cur_o > 0.0:
-            if pools:
-                pools[-1][0] += cur_o
-                pools[-1][1] += cur_e
-            else:
-                pools = [[cur_o, cur_e, {oid}]]
-        if pending is not None:
-            pools[0][0] += pending[0]
-            pools[0][1] += pending[1]
-            pools[0][2] |= pending[2]
-            pending = None
-        if len(pools) == 1 and pools[0][1] < 5.0:
-            pending = pools[0]
-        else:
-            final.extend(pools)
-    if pending is not None:
-        if final:
-            final[-1][0] += pending[0]
-            final[-1][1] += pending[1]
-            final[-1][2] |= pending[2]
-        else:
-            final = [pending]
-    return final
+def _replicate_sums(rng, size: int, total: int) -> np.ndarray:
+    """Sum of squared counts of REPLICATES Multinomial(total, uniform over
+    size) draws, a block of rows at a time."""
+    pvals = np.full(size, 1.0 / size)
+    rows = max(1, _BLOCK_COUNTS // size)
+    sums = np.empty(REPLICATES, dtype=np.int64)
+    for start in range(0, REPLICATES, rows):
+        draws = rng.multinomial(total, pvals, size=min(rows, REPLICATES - start))
+        sums[start:start + len(draws)] = np.square(draws).sum(axis=1)
+    return sums
 
 
 def chi_square_exchangeability(
@@ -149,59 +112,39 @@ def chi_square_exchangeability(
     alphas=(0.05,),
     cap: int = DEFAULT_CANONICAL_CAP,
 ) -> TestReport:
-    """Pearson test of the exchangeable fit against the raw jump measure."""
+    """Pearson statistic of the raw jump counts against their orbit average,
+    with a conditional Monte Carlo p-value."""
+    alphas = [_check_alpha(a) for a in alphas]
     # The observed counts enter the statistic, so the measure is built from
     # them here instead of through empirical_jump_measure.
     counts = Counter(jump_increment_sequence(traj))
-    total = counts.total()
     mu_ex = symmetrize(_frequency_measure(counts), cap)
 
-    # Cells are all structures in the union support; group them per orbit,
-    # orbits and cells both in ascending canonical order.
-    orbit_cells: dict[OrbitId, list[tuple[float, float]]] = {}
+    # The support of the orbit average is every member of each observed
+    # orbit; orbits in ascending canonical order fix the replicate stream.
+    orbit_counts: dict = {}
     for m in mu_ex.support():
-        oid = orbit_of(m, cap)
-        observed = float(counts.get(m, 0))
-        expected = total * mu_ex.mass(m)
-        orbit_cells.setdefault(oid, []).append((serialize(m), observed, expected))
-    per_orbit = []
-    for oid in sorted(orbit_cells, key=lambda o: o.canonical):
-        cells = [
-            (obs, exp)
-            for _, obs, exp in sorted(orbit_cells[oid], key=lambda c: c[0])
-        ]
-        per_orbit.append((oid, cells))
-    original_cells = sum(len(cells) for _, cells in per_orbit)
+        orbit_counts.setdefault(orbit_of(m, cap), []).append(counts.get(m, 0))
+    cells = len(mu_ex.weights)
+    df = cells - len(orbit_counts)
+    if df < 1:
+        return TestReport(0.0, 0, 1.0, cells, 0, {a: False for a in alphas}, True)
 
-    pools = _pool_cells(per_orbit)
-    cells_used = len(pools)
-    pooled_cells = original_cells - cells_used
-    statistic = sum((obs - exp) ** 2 / exp for obs, exp, _ in pools)
-    orbits_represented = len(set().union(*(orbset for _, _, orbset in pools)))
-    df = cells_used - orbits_represented
-
-    if cells_used < 2 or df < 1:
-        p_value = 1.0
-        decisions = {float(a): False for a in alphas}
-        return TestReport(
-            statistic=statistic,
-            df=max(df, 0),
-            p_value=p_value,
-            cells_used=cells_used,
-            pooled_cells=pooled_cells,
-            alphas=decisions,
-            inconclusive=True,
-        )
-    p_value = chi2_upper_tail(statistic, df)
-    decisions = {float(a): bool(p_value <= a) for a in alphas}
-    return TestReport(
-        statistic=statistic,
-        df=df,
-        p_value=p_value,
-        cells_used=cells_used,
-        pooled_cells=pooled_cells,
-        alphas=decisions,
-    )
+    # Orbit o adds (|o| * sum c^2 - N_o^2) / N_o, which is 0 for a one-cell
+    # orbit.  Row 0 is the observed statistic, rows 1..B the replicates; one
+    # array op per orbit keeps their float sums alike, so ties are exact.
+    rng = make_rng(REPLICATE_SEED)
+    stats = np.zeros(1 + REPLICATES)
+    for oid in sorted(orbit_counts):
+        observed = np.array(orbit_counts[oid])
+        size, total = len(observed), int(observed.sum())
+        if size > 1:
+            sums = np.append(observed @ observed, _replicate_sums(rng, size, total))
+            stats += (size * sums - total * total) / total
+    statistic = float(stats[0])
+    p_value = (1 + int(np.count_nonzero(stats[1:] >= statistic))) / (REPLICATES + 1)
+    decisions = {a: p_value <= a for a in alphas}
+    return TestReport(statistic, df, p_value, cells, 0, decisions)
 
 
 def report_to_json(report: TestReport) -> str:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -71,8 +72,8 @@ class FiniteMeasure:
                     f"measure shape {signature}/n={n}"
                 )
             w = float(w)
-            if w < 0:
-                raise ValueError(f"negative mass {w} on {serialize(m)}")
+            if not 0.0 <= w < math.inf:
+                raise ValueError(f"mass {w} on {serialize(m)} must be finite and >= 0")
             if w > 0:
                 clean[m] = clean.get(m, 0.0) + w
         self.weights = clean
@@ -270,18 +271,26 @@ def measure_to_payload(mu: FiniteMeasure) -> dict:
 
 
 def measure_from_payload(payload: dict) -> FiniteMeasure:
+    """Fields are type-checked rather than coerced: ``n`` a JSON integer,
+    each ``structure`` a string and each ``mass`` a number (not a bool or a
+    string)."""
     try:
         signature = Signature.parse(payload["signature"])
-        n = int(payload["n"])
-        entries = payload["entries"]
+        n = payload["n"]
+        entries = [(entry["structure"], entry["mass"]) for entry in payload["entries"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"measure JSON missing field: {exc}") from None
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"measure field 'n' must be an integer, got {n!r}")
     weights: dict[Structure, float] = {}
-    for entry in entries:
-        m = parse(entry["structure"])
-        mass = float(entry["mass"])
+    for text, mass in entries:
+        if not isinstance(text, str):
+            raise ValueError(f"measure field 'structure' must be a string, got {text!r}")
+        if isinstance(mass, bool) or not isinstance(mass, numbers.Real):
+            raise ValueError(f"measure field 'mass' must be a number, got {mass!r}")
+        m = parse(text)
         if m in weights:
-            raise ValueError(f"duplicate entry: {entry['structure']!r}")
+            raise ValueError(f"duplicate entry: {text!r}")
         weights[m] = mass
     return FiniteMeasure(signature, n, weights)
 

@@ -76,6 +76,8 @@ class Signature:
     @classmethod
     def parse(cls, text: str) -> "Signature":
         """Parse the parenthesized form, e.g. ``(1,2)``."""
+        if not isinstance(text, str):
+            raise ValueError(f"signature must be a string, got {text!r}")
         text = text.strip()
         if not (text.startswith("(") and text.endswith(")")):
             raise ValueError(f"malformed signature: {text!r}")

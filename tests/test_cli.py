@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -288,6 +289,42 @@ class TestErrorHandling:
         assert run_cli(["simulate-levy", "--intensity", bad, "--n", 5, "--horizon", 1,
                         "--seed", 1, "--out", tmp_path / "t.csv"]) == 2
 
+    @pytest.mark.parametrize("alpha", ["7", "nan", "-1", "0", "1", "inf"])
+    def test_test_level_outside_unit_interval_exit_2(self, tmp_path, measure_file, alpha):
+        walk_out = tmp_path / "walk.csv"
+        run_cli(["simulate-walk", "--measure", measure_file, "--steps", 40,
+                 "--seed", 10, "--out", walk_out])
+        out = tmp_path / "report.json"
+        assert run_cli(["test-exchangeability", "--trajectory", walk_out,
+                        "--alpha", alpha, "--out", out]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fields, masses",
+        [
+            ({}, [math.nan, 1.0]),
+            ({}, [math.inf, 0.0]),
+            ({}, ["1", 0.0]),
+            ({}, [True, 0.0]),
+            ({"n": "2"}, [0.5, 0.5]),
+            ({"n": True}, [0.5, 0.5]),
+            ({"signature": 5}, [0.5, 0.5]),
+            ({"entries": [{"structure": 5, "mass": 1.0}]}, []),
+        ],
+        ids=["nan-mass", "inf-mass", "string-mass", "bool-mass", "string-n",
+             "bool-n", "int-signature", "int-structure"],
+    )
+    def test_mistyped_measure_field_exit_2(self, tmp_path, fields, masses):
+        entries = [
+            {"structure": f"L=(1)|n=2|R1={{({i})}}", "mass": mass}
+            for i, mass in enumerate(masses, start=1)
+        ]
+        payload = {"signature": "(1)", "n": 2, "entries": entries, **fields}
+        bad = tmp_path / "measure.json"
+        bad.write_text(json.dumps(payload))
+        assert run_cli(["simulate-walk", "--measure", bad, "--steps", 2,
+                        "--seed", 1, "--out", tmp_path / "w.csv"]) == 2
+
     def test_unknown_trajectory_header_exit_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
@@ -385,10 +422,25 @@ class TestDeterminism:
         for fname in ("levy.csv", "levy.csv.limits.csv", "manifest.json"):
             assert (dirs[0] / fname).read_bytes() == (dirs[1] / fname).read_bytes()
 
+    def test_exchangeability_report_byte_identical(self, tmp_path, measure_file):
+        walk = tmp_path / "walk.csv"
+        run_cli(["simulate-walk", "--measure", measure_file, "--steps", 400,
+                 "--seed", 10, "--out", walk])
+        args = ["test-exchangeability", "--trajectory", walk, "--alpha", 0.05,
+                "--out", "report.json"]
+        dirs = []
+        for name in ("a", "b"):
+            d = tmp_path / name
+            d.mkdir()
+            self._run_in(d, args)
+            dirs.append(d)
+        for fname in ("report.json", "manifest.json"):
+            assert (dirs[0] / fname).read_bytes() == (dirs[1] / fname).read_bytes()
+
 
 class TestImportCost:
     def test_simulate_levy_leaves_scipy_unloaded(self, tmp_path, intensity_file):
-        # only test-exchangeability needs scipy; it costs a process ~0.15 s
+        # no command needs scipy; importing it costs a process ~0.15 s
         script = (
             "import sys\n"
             "import comblevy\n"
@@ -405,3 +457,21 @@ class TestImportCost:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", "False", "False"]
+
+    def test_test_exchangeability_leaves_scipy_unloaded(self, tmp_path, measure_file):
+        walk = tmp_path / "walk.csv"
+        assert run_cli(["simulate-walk", "--measure", measure_file, "--steps", 200,
+                        "--seed", 4, "--out", walk]) == 0
+        script = (
+            "import sys\n"
+            "import comblevy.cli\n"
+            "code = comblevy.cli.main(sys.argv[1:])\n"
+            "print(code, 'scipy' in sys.modules)\n"
+        )
+        proc = run_python(
+            ["-c", script, "test-exchangeability", "--trajectory", walk,
+             "--out", "report.json"],
+            tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False"]

@@ -2,16 +2,20 @@ import json
 import math
 
 import pytest
-from scipy.integrate import quad
 
+from comblevy import inference
 from comblevy.inference import (
-    chi2_upper_tail,
     chi_square_exchangeability,
     empirical_jump_measure,
     jump_increment_sequence,
     report_to_json,
 )
-from comblevy.levy import LevyIntensity, SetSingletonComponent, simulate_levy
+from comblevy.levy import (
+    LevyIntensity,
+    SetSingletonComponent,
+    intensity_from_json,
+    simulate_levy,
+)
 from comblevy.measures import FiniteMeasure, point_mass, urn_measure
 from comblevy.rng import make_rng
 from comblevy.structures import (
@@ -70,37 +74,6 @@ class TestEmpiricalJumpMeasure:
             empirical_jump_measure(WalkTrajectory((empty_structure(SIG1, 2),)))
 
 
-class TestChi2UpperTail:
-    def test_at_zero(self):
-        assert chi2_upper_tail(0.0, 3) == 1.0
-
-    def test_reference_quantile(self):
-        assert chi2_upper_tail(3.8415, 1) == pytest.approx(0.05, abs=1e-4)
-
-    def test_tail_limit(self):
-        assert chi2_upper_tail(500.0, 2) <= 1e-12
-
-    def test_against_quadrature_oracle(self):
-        # integrate the chi-square density directly, no gamma-ratio shortcut
-        def pdf(y, df):
-            return (
-                y ** (df / 2 - 1)
-                * math.exp(-y / 2)
-                / (2 ** (df / 2) * math.gamma(df / 2))
-            )
-
-        for df in (1, 2, 5, 10):
-            for x in (0.5, 3.0, 10.0):
-                oracle, _ = quad(pdf, x, math.inf, args=(df,))
-                assert abs(chi2_upper_tail(x, df) - oracle) <= 1e-6
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            chi2_upper_tail(-1.0, 1)
-        with pytest.raises(ValueError):
-            chi2_upper_tail(1.0, 0)
-
-
 class TestChiSquareTest:
     def test_balanced_orbit_counts_give_zero(self):
         e = empty_structure(SIG1, 2)
@@ -112,8 +85,9 @@ class TestChiSquareTest:
 
     def test_hand_computed_statistic(self):
         # 30 vs 10 observations on the two singleton cells; the exchangeable
-        # fit expects 20 each, so the statistic is 100/20 + 100/20 = 10 with
-        # one residual degree of freedom
+        # fit expects 20 each, so the statistic is 100/20 + 100/20 = 10.
+        # Given the orbit total 40 the first count is Bin(40, 1/2), and a
+        # statistic >= 10 means a count <= 10 or >= 30.
         e = empty_structure(SIG1, 2)
         incs = [S(SIG1, 2, {1})] * 30 + [S(SIG1, 2, {2})] * 10
         report = chi_square_exchangeability(
@@ -123,7 +97,9 @@ class TestChiSquareTest:
         assert report.df == 1
         assert report.cells_used == 2
         assert report.pooled_cells == 0
-        assert report.p_value == pytest.approx(chi2_upper_tail(10.0, 1))
+        exact = 2 * sum(math.comb(40, k) for k in range(11)) / 2**40
+        mc_error = math.sqrt(exact * (1 - exact) / inference.REPLICATES)
+        assert abs(report.p_value - exact) <= 3 * mc_error
         assert report.alphas[0.05] is True
         assert report.alphas[0.001] is False
 
@@ -134,25 +110,6 @@ class TestChiSquareTest:
         assert report.p_value == 1.0
         assert report.inconclusive
         assert report.cells_used == 1
-
-    def test_pooling_with_carryover(self):
-        # doubleton cells each have expected count 33 and stand alone; the
-        # singleton orbit (expected 1/3 per cell) collapses to one short pool.
-        # In canonical order the doubleton orbit comes first, so the leftover
-        # singleton pool merges backwards into the last doubleton pool.
-        e = empty_structure(SIG1, 3)
-        incs = (
-            [S(SIG1, 3, {1})] * 1
-            + [S(SIG1, 3, {1, 2})] * 50
-            + [S(SIG1, 3, {1, 3})] * 30
-            + [S(SIG1, 3, {2, 3})] * 19
-        )
-        report = chi_square_exchangeability(trajectory_from_increments(e, incs))
-        assert report.cells_used == 3
-        assert report.pooled_cells == 3
-        assert report.df == 1
-        expected = (50 - 33) ** 2 / 33 + (30 - 33) ** 2 / 33 + (20 - 34) ** 2 / 34
-        assert report.statistic == pytest.approx(expected, rel=1e-9)
 
     def test_orbit_totals_match_by_construction(self):
         rng = make_rng(801)
@@ -208,6 +165,45 @@ class TestChiSquareTest:
         report = chi_square_exchangeability(traj)
         assert report.df >= 1
         assert 0.0 <= report.p_value <= 1.0
+
+    # out-of-range numbers are checked through the CLI in test_cli.py
+    @pytest.mark.parametrize("alpha", [True, "0.05"])
+    def test_rejects_level_that_is_not_a_number(self, alpha):
+        e = empty_structure(SIG1, 2)
+        traj = trajectory_from_increments(e, [S(SIG1, 2, {1}), S(SIG1, 2, {2})])
+        with pytest.raises(ValueError):
+            chi_square_exchangeability(traj, alphas=(0.05, alpha))
+
+    def test_blocking_leaves_the_replicates_unchanged(self, monkeypatch):
+        mu = FiniteMeasure(
+            SIG1, 3, {S(SIG1, 3, {1}): 0.5, S(SIG1, 3, {2}): 0.3, S(SIG1, 3, {2, 3}): 0.2}
+        )
+        traj = simulate_walk(mu, empty_structure(SIG1, 3), 200, make_rng(805))
+        whole = chi_square_exchangeability(traj)
+        # one replicate row per block
+        monkeypatch.setattr(inference, "_BLOCK_COUNTS", 1)
+        assert chi_square_exchangeability(traj) == whole
+
+    def test_community_null_calibration(self):
+        # The exchangeable community intensity of the benchmark, (1,2) at
+        # n=4, T=150: a valid 5% test rejects more than 6 of 40 seeds with
+        # probability 0.34%.
+        components = [
+            {"type": "mixture_atom", "weight": 0.5, "probs": [0.2, 0.1]},
+            {"type": "vertex", "rate": 1.0, "rho": 0.3, "member_prob": 0.5},
+            {"type": "pair", "rate": 1.0},
+            {"type": "loop", "rate": 1.0, "pattern": [0.3, 0.4, 0.3]},
+        ]
+        intensity = intensity_from_json(
+            json.dumps({"signature": "(1,2)", "components": components})
+        )
+        rejections = sum(
+            chi_square_exchangeability(
+                simulate_levy(intensity, 4, 150.0, make_rng(seed))
+            ).alphas[0.05]
+            for seed in range(100, 140)
+        )
+        assert rejections <= 6
 
     def test_rejects_unknown_type(self):
         with pytest.raises(TypeError):

@@ -37,6 +37,11 @@ class TestFiniteMeasure:
         with pytest.raises(ValueError):
             FiniteMeasure(SIG1, 2, {S(SIG1, 2, {1}): -0.1})
 
+    @pytest.mark.parametrize("mass", [math.nan, math.inf])
+    def test_rejects_non_finite(self, mass):
+        with pytest.raises(ValueError):
+            FiniteMeasure(SIG1, 2, {S(SIG1, 2, {1}): mass, S(SIG1, 2, {2}): 1.0})
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             FiniteMeasure(SIG1, 3, {S(SIG1, 2, {1}): 0.5})
