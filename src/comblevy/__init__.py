@@ -45,7 +45,6 @@ from .measures import (
 from .rng import make_rng, ALGORITHM
 from .walk import (
     WalkTrajectory,
-    sample_increment,
     simulate_walk,
     walk_distribution_exact,
     project_orbit_chain,

@@ -27,7 +27,6 @@ from .trajectory import LevyTrajectory
 from .measures import FiniteMeasure, symmetrize
 from .orbits import DEFAULT_CANONICAL_CAP, orbit_of
 from .rng import make_rng
-from .walk import WalkTrajectory
 
 __all__ = [
     "TestReport",
@@ -81,12 +80,11 @@ def _frequency_measure(counts: Counter) -> FiniteMeasure:
 
 
 def jump_increment_sequence(traj) -> Sequence:
-    """Increment sequence of a walk or of a continuous-time trajectory."""
-    if isinstance(traj, WalkTrajectory):
-        return traj.increments()
-    if isinstance(traj, LevyTrajectory):
-        return traj.jump_increments()
-    raise TypeError(f"unsupported trajectory type: {type(traj).__name__}")
+    """The jump increments of a trajectory: a walk's one-step increments,
+    empty ones included, or a continuous-time trajectory's jumps."""
+    if not isinstance(traj, LevyTrajectory):
+        raise TypeError(f"unsupported trajectory type: {type(traj).__name__}")
+    return traj.jump_increments()
 
 
 def _check_alpha(a) -> float:

@@ -30,7 +30,6 @@ import math
 import numbers
 import re
 from dataclasses import dataclass, fields
-from functools import cached_property
 from itertools import accumulate, chain, islice
 
 import numpy as np
@@ -47,10 +46,7 @@ from .structures import (
     _line_batches,
     _formatter,
     _Parser,
-    _cell_lists,
-    _cells,
     _flat_cells,
-    _row_increments,
     _restrict_cells,
     _structure_from_cells,
     empty_structure,
@@ -616,17 +612,8 @@ class _RestrictedExplicit(_LevelSampler):
         self.level_measure = FiniteMeasure(signature, n, weights)
         self.rate = self.level_measure.total_mass
 
-    @cached_property
-    def _inverse_cdf(self) -> tuple[list, np.ndarray]:
-        """Each atom's cells and the cumulative masses, in the measure's
-        sampling order; built on the first draw."""
-        atoms, cum = self.level_measure.sampling_arrays()
-        return [_cells(m) for m in atoms], np.array(cum)
-
     def sample_cells_batch(self, rng, k: int) -> list[list[list[int]]]:
-        atoms, cum = self._inverse_cdf
-        picked = np.searchsorted(cum, rng.random(k) * self.rate, side="right")
-        return [atoms[i] for i in np.minimum(picked, len(atoms) - 1).tolist()]
+        return self.level_measure.sample_cells_batch(rng, k)
 
 
 class RestrictedIntensity(_LevelSampler):
@@ -794,52 +781,23 @@ def intensity_from_json(text: str) -> LevyIntensity:
 
 
 def trajectory_to_csv(traj: LevyTrajectory) -> str:
-    """Full-state CSV: one ``time,structure`` row per event, formatted a
-    block of states at a time."""
-    text = _formatter(traj.signature, traj.n)
-    states = (s for _, s in traj.events)
-    return "".join(["time,structure\n", *text.state_lines(f"%r,{text.form}\n", traj._times, states)])
+    """Full-state CSV: one ``time,structure`` row per event (see
+    ``LevyTrajectory._to_csv``)."""
+    return traj._to_csv("time", "%r")
 
 
-def _csv_rows(lines: list[str]) -> tuple[list[float], list[str]]:
-    """The times and structure texts of full-state CSV rows."""
-    rows = [ln.partition(",") for ln in lines]
-    return [_csv_time(t) for t, _, _ in rows], [s for _, _, s in rows]
-
-
-def _csv_time(time_text: str) -> float:
+def _csv_times(keys, first: int) -> list[float]:
     try:
-        return float(time_text)
-    except ValueError:
-        raise ValueError(f"malformed time: {time_text!r}") from None
+        return list(map(float, keys))
+    except ValueError as exc:
+        raise ValueError(f"malformed time: {exc}") from None
 
 
 def trajectory_from_csv(text: str, horizon: float | None = None) -> LevyTrajectory:
-    """Read a full-state CSV.  The format does not record the horizon, so it
-    is the last event time unless ``horizon`` is given.
-
-    Rows are parsed a batch at a time (see ``structures._line_batches``)
-    with one parser, bound to the first row's signature and n, and logged
-    as the sorted symmetric differences of consecutive rows.
-    """
-    batches = _line_batches(text)
-    header, *rest = next(batches, [""])
-    if header != "time,structure":
-        raise ValueError("trajectory CSV must start with header 'time,structure'")
-    batches = (_csv_rows(lines) for lines in chain([rest], batches) if lines)
-    times, texts = next(batches, (None, None))
-    if times is None:
-        raise ValueError("trajectory CSV has no events")
-    if times[0] != 0.0:
-        raise ValueError(f"first event must be at time 0, got {times[0]}")
-    parser = _Parser.of(texts[0])
-    rows = _cell_lists(*parser.batch(texts[:1]))
-    traj = LevyTrajectory._started(_structure_from_cells(parser.signature, parser.n, rows[0]))
-    for times, texts in chain([(times[1:], texts[1:])], batches):
-        rows = rows[-1:] + _cell_lists(*parser.batch(texts))
-        traj._extend(times, *_flat_cells(_row_increments(rows), parser.signature.k))
-    traj._close(traj._times[-1] if horizon is None else horizon)
-    return traj
+    """Read a full-state CSV (see ``LevyTrajectory._from_csv``).  The format
+    does not record the horizon, so it is the last event time unless
+    ``horizon`` is given."""
+    return LevyTrajectory._from_csv(text, "time", _csv_times, horizon)
 
 
 def events_to_jsonl(traj: LevyTrajectory, seed: int | None = None) -> str:

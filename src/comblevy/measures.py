@@ -20,6 +20,9 @@ import math
 import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .orbits import (
     DEFAULT_CANONICAL_CAP,
@@ -27,7 +30,7 @@ from .orbits import (
     orbit_members,
     orbit_of,
 )
-from .structures import Signature, Structure, empty_structure, parse, serialize
+from .structures import Signature, Structure, _cells, empty_structure, parse, serialize
 
 __all__ = [
     "FiniteMeasure",
@@ -46,7 +49,6 @@ __all__ = [
     "point_mass",
     "point_mass_at_empty",
     "orbit_weights_to_json",
-    "orbit_weights_from_json",
 ]
 
 MASS_TOL = 1e-12
@@ -78,7 +80,6 @@ class FiniteMeasure:
                 clean[m] = clean.get(m, 0.0) + w
         self.weights = clean
         self.total_mass = math.fsum(clean.values())
-        self._sampling: tuple[list[Structure], list[float]] | None = None
 
     @property
     def is_probability(self) -> bool:
@@ -94,23 +95,29 @@ class FiniteMeasure:
     def items_sorted(self) -> list[tuple[Structure, float]]:
         return [(m, self.weights[m]) for m in self.support()]
 
-    def sampling_arrays(self) -> tuple[list[Structure], list[float]]:
-        """Support plus cumulative weights, cached for inverse-CDF draws."""
-        if self._sampling is None:
-            structures = self.support()
-            cum = list(itertools.accumulate(self.weights[m] for m in structures))
-            self._sampling = (structures, cum)
-        return self._sampling
-
-    def sample(self, rng) -> Structure:
-        structures, cum = self.sampling_arrays()
+    @cached_property
+    def _inverse_cdf(self) -> tuple[list[Structure], list[float], np.ndarray, list]:
+        """The support in sampling order, its cumulative masses (as a list
+        for one draw, an array for a batch) and each member's cells; built
+        on the first draw."""
+        structures = self.support()
         if not structures:
             raise ValueError("cannot sample from a zero measure")
-        u = rng.random() * self.total_mass
-        idx = bisect_right(cum, u)
-        if idx >= len(structures):
-            idx = len(structures) - 1
-        return structures[idx]
+        cum = list(itertools.accumulate(self.weights[m] for m in structures))
+        return structures, cum, np.array(cum), [_cells(m) for m in structures]
+
+    def sample(self, rng) -> Structure:
+        """One draw by inverse CDF over the sorted support."""
+        structures, cum, _, _ = self._inverse_cdf
+        idx = bisect_right(cum, rng.random() * self.total_mass)
+        return structures[idx] if idx < len(structures) else structures[-1]
+
+    def sample_cells_batch(self, rng, k: int) -> list[list[list[int]]]:
+        """k draws by inverse CDF, each as its sorted cells per relation:
+        the draws that k calls of :meth:`sample` make from the same stream."""
+        _, _, cum, cells = self._inverse_cdf
+        picked = np.searchsorted(cum, rng.random(k) * self.total_mass, side="right")
+        return [cells[i] for i in np.minimum(picked, len(cells) - 1).tolist()]
 
     def approx_equal(self, other: "FiniteMeasure", tol: float = MASS_TOL) -> bool:
         if self.signature != other.signature or self.n != other.n:
@@ -315,19 +322,6 @@ def orbit_weights_to_json(p: OrbitWeights) -> str:
         "entries": [{"orbit": oid.canonical, "p": mass} for oid, mass in entries],
     }
     return json.dumps(payload, indent=2)
-
-
-def orbit_weights_from_json(text: str) -> OrbitWeights:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed orbit weights JSON: {exc}") from None
-    signature = Signature.parse(payload["signature"])
-    n = int(payload["n"])
-    p = {
-        OrbitId(entry["orbit"]): float(entry["p"]) for entry in payload["entries"]
-    }
-    return OrbitWeights(signature, n, p)
 
 
 def point_mass(m: Structure) -> FiniteMeasure:

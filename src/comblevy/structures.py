@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, islice, pairwise
+from itertools import accumulate, chain, islice
 from operator import lt
 from typing import Iterable, Sequence
 
@@ -331,8 +331,7 @@ class _CellBits:
     def flip_runs(self, cells: np.ndarray, counts: np.ndarray) -> "_CellBits":
         """XOR in a flat cell column of (rows x k) ``counts`` (see
         :meth:`_Parser.batch`); a cell listed twice flips back."""
-        rels = np.repeat(np.tile(np.arange(len(self.bufs)), len(counts)), counts.ravel())
-        return self.flip([cells[rels == j].tolist() for j in range(len(self.bufs))])
+        return self.flip([run.tolist() for run, _ in _relation_columns(cells, counts)])
 
     def freeze(self) -> Structure:
         return Structure(
@@ -383,7 +382,8 @@ class _Formatter:
 
     __slots__ = ("n", "arities", "form", "single", "lead", "middle", "last")
 
-    # Rows a writer formats at a time.
+    # Rows a writer formats at a time; a full-state writer takes only as
+    # many states as fill this many bytes of relation bits.
     block = 4096
 
     def __init__(self, signature: Signature, n: int):
@@ -424,17 +424,6 @@ class _Formatter:
         pieces[::arity] = map(table.__getitem__, cells.tolist())
         return pieces
 
-    def state_lines(self, line: str, values: Sequence, states):
-        """``line % (value, body of R1, ..., body of Rk)`` for each of the
-        Structures ``states`` and its item of ``values``, in one string per
-        block of states (see :func:`_state_blocks`)."""
-        lo = 0
-        for block in _state_blocks(states):
-            hi = lo + len(block)
-            bodies = self.bodies(_state_columns(block))
-            yield "".join(map(line.__mod__, zip(values[lo:hi], *bodies)))
-            lo = hi
-
 
 _formatter = lru_cache(maxsize=64)(_Formatter)
 
@@ -447,29 +436,12 @@ def _relation_columns(cells: np.ndarray, counts: np.ndarray) -> list:
     return [(cells[rels == j], counts[:, j].tolist()) for j in range(k)]
 
 
-def _state_columns(states: Sequence[Structure]) -> list:
-    """Per relation, the sorted cells of each of ``states``, in one flat
-    column, and how many each holds."""
-    columns = []
-    for j in range(states[0].signature.k):
-        runs = [_bit_array(m.relations[j]) for m in states]
-        columns.append((np.concatenate(runs) if len(runs) > 1 else runs[0], list(map(len, runs))))
-    return columns
-
-
-def _state_blocks(states):
-    """``states`` in lists that a writer formats at a time: a list ends at
-    ``_Formatter.block`` states, or once it holds that many cells, so a
-    block of dense states stays small."""
-    block, size = [], 0
-    for m in states:
-        block.append(m)
-        size += sum(map(int.bit_count, m.relations))
-        if len(block) == _Formatter.block or size >= _Formatter.block:
-            yield block
-            block, size = [], 0
-    if block:
-        yield block
+def _bit_columns(raws) -> tuple[np.ndarray, list[int]]:
+    """The ascending set bits of each of the equal-length little-endian
+    byte strings ``raws`` in one flat column, and how many each holds."""
+    flat = np.frombuffer(b"".join(raws), np.uint8).reshape(len(raws), -1)
+    rows, cells = np.unpackbits(flat, axis=1, bitorder="little").nonzero()
+    return cells, np.bincount(rows, minlength=len(raws)).tolist()
 
 
 def serialize_cells(signature: Signature, n: int, cells) -> str:
@@ -485,7 +457,7 @@ def serialize_cells(signature: Signature, n: int, cells) -> str:
 
 def serialize(m: Structure) -> str:
     """Canonical text form, bit-exact and sortable (see :func:`serialize_cells`)."""
-    return _text(m.signature, m.n, _state_columns([m]))
+    return serialize_cells(m.signature, m.n, map(_bit_array, m.relations))
 
 
 def _text(signature: Signature, n: int, columns) -> str:
@@ -674,13 +646,21 @@ def _flat_cells(rows, k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.fromiter(chain.from_iterable(runs), np.int64), counts
 
 
-def _row_increments(rows) -> list[list[list[int]]]:
-    """The increments between consecutive ``rows``, each a list of k sorted
-    cell lists: per relation, the sorted symmetric difference."""
-    return [
-        [sorted(set(a).symmetric_difference(b)) for a, b in zip(prev, row)]
-        for prev, row in pairwise(rows)
-    ]
+def _row_increments(cells: np.ndarray, counts: np.ndarray, size: int) -> tuple:
+    """The increments between consecutive rows of a flat cell column of
+    (rows x k) ``counts`` (see :meth:`_Parser.batch`), in the same form:
+    per relation, the sorted symmetric difference.  Every cell is < ``size``."""
+    rows, k = counts.shape
+    # a cell of row r, relation j enters increments r - 1 and r, keyed by
+    # (increment, relation, cell): two sorted runs of keys, merged
+    key = np.repeat(np.arange(rows * k), counts.ravel()) * size + cells
+    shift = k * size
+    runs = key[key >= shift] - shift, key[key < (rows - 1) * shift]
+    key = np.sort(np.concatenate(runs), kind="stable")
+    twice = np.zeros(len(key) + 1, bool)  # twice[i]: key i - 1 equals key i
+    twice[1:-1] = key[1:] == key[:-1]
+    slot, cell = np.divmod(key[~(twice[:-1] | twice[1:])], size)
+    return cell, np.bincount(slot, minlength=(rows - 1) * k).reshape(rows - 1, k)
 
 
 # Characters of file text that a reader parses at a time (see _line_batches).

@@ -1,10 +1,12 @@
-"""The Lévy path type: a start state plus a log of jump increments.
+"""The path type: a start state plus a log of jump increments.
 
 A ``LevyTrajectory`` keeps the path as the paper defines it, a start state
 and the jumps of a Poisson point process of increments: the event times and
 each jump's sorted cells per relation, in flat columns.  ``_extend`` grows
-the log a block of jumps at a time; the samplers and readers in
-:mod:`comblevy.levy` feed it.
+the log a block of jumps at a time; the samplers in :mod:`comblevy.levy`
+and :mod:`comblevy.walk` feed it.  A walk is the same log at the times
+1..T (see :class:`comblevy.walk.WalkTrajectory`).  Both full-state CSV
+formats are written and read here, by ``_to_csv`` and ``_from_csv``.
 """
 
 from __future__ import annotations
@@ -13,17 +15,23 @@ import math
 from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
 from .structures import (
     Signature,
     Structure,
+    _bit_columns,
     _CellBits,
+    _cell_lists,
     _cells,
     _flat_cells,
+    _formatter,
+    _line_batches,
+    _Parser,
     _relation_columns,
+    _row_increments,
     _structure_from_cells,
     increment,
 )
@@ -37,7 +45,8 @@ _SNAPSHOT_EVERY = 128
 class LevyTrajectory:
     """Right-continuous step path: state_at(t) is the state after the last
     event with time <= t.  Event times are strictly increasing, every jump
-    changes the state, and event 0 is the time-0 start state.
+    changes the state (unless ``_empty_jumps``), and event 0 is the time-0
+    start state.
 
     The path is stored as its start state plus a log of jump increments:
     the event times and each jump's sorted cell indices per relation, in
@@ -50,6 +59,9 @@ class LevyTrajectory:
     ``LevyTrajectory(n, horizon, events)`` builds the log from full-state
     events ``(t, Structure)``; ``events`` rebuilds them on demand.
     """
+
+    # Whether a jump may leave the state unchanged (a walk's empty step).
+    _empty_jumps = False
 
     def __init__(self, n: int, horizon: float, events) -> None:
         events = iter(events)
@@ -104,7 +116,7 @@ class LevyTrajectory:
             raise ValueError(f"event times must be strictly increasing: t={t} after {prev}")
         sizes = counts.sum(axis=1)
         empty = np.flatnonzero(sizes == 0)
-        if empty.size:
+        if empty.size and not self._empty_jumps:
             raise ValueError(
                 f"consecutive events must change the state: empty jump at t={times[empty[0]]}"
             )
@@ -158,6 +170,12 @@ class LevyTrajectory:
         per_rel = (self._cells[lo:hi] for lo, hi in zip(b, islice(b, 1, None)))
         return zip(*[per_rel] * self.signature.k)
 
+    def _replay(self):
+        """The running state after each event in turn, as one ``_CellBits``
+        flipped in place."""
+        bits = _CellBits(self._start)
+        return chain([bits], map(bits.flip, self._iter_jump_cells()))
+
     def _state(self, i: int) -> Structure:
         """State after event ``i``: the nearest snapshot at or before it plus
         the jumps in between."""
@@ -185,7 +203,7 @@ class LevyTrajectory:
         return self.n, self.horizon, self._start, self._times, self._bounds, self._cells
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, LevyTrajectory):
+        if type(other) is not type(self):
             return NotImplemented
         return self._log() == other._log()
 
@@ -193,9 +211,60 @@ class LevyTrajectory:
 
     def __repr__(self) -> str:
         return (
-            f"LevyTrajectory(n={self.n}, horizon={self.horizon}, "
+            f"{type(self).__name__}(n={self.n}, horizon={self.horizon}, "
             f"signature={self.signature}, {len(self._times) - 1} jumps)"
         )
+
+    def _to_csv(self, key: str, form: str) -> str:
+        """Full-state CSV: the header ``key,structure``, then per event its
+        time as ``form`` formats it and its state's text, a block of states
+        at a time: each state's cells are read from a copy of the running
+        bits, and a block holds ``_Formatter.block`` bytes of them."""
+        text = _formatter(self.signature, self.n)
+        line = f"{form},{text.form}\n"
+        states = self._replay()
+        size = max(1, text.block // sum((self.n**a + 7) // 8 for a in self.signature.arities))
+        chunks, lo = [f"{key},structure\n"], 0
+        while block := [list(map(bytes, bits.bufs)) for bits in islice(states, size)]:
+            bodies = text.bodies([_bit_columns(raws) for raws in zip(*block)])
+            chunks.append("".join(map(line.__mod__, zip(self._times[lo:lo + len(block)], *bodies))))
+            lo += len(block)
+        return "".join(chunks)
+
+    @classmethod
+    def _from_csv(cls, text: str, key: str, times, horizon: float | None = None):
+        """Read a full-state CSV with the header ``key,structure``; the
+        event times of the key fields of rows ``first``, ``first + 1``, ...
+        are ``times(keys, first)``.  The horizon is the last event time
+        unless ``horizon`` is given.  Rows are parsed a batch at a time with
+        one parser, bound to the first row's signature and n, and logged as
+        the sorted symmetric differences of consecutive rows."""
+        batches = _line_batches(text)
+        header, *rest = next(batches, [""])
+        if header != f"{key},structure":
+            raise ValueError(f"full-state CSV must start with header '{key},structure'")
+        traj = None
+        for lines in filter(None, chain([rest], batches)):
+            keys, _, texts = zip(*[line.partition(",") for line in lines])
+            if traj is None:
+                event_times = times(keys, 0)
+                if event_times[0] != 0.0:
+                    raise ValueError(f"first event must be at time 0, got {event_times[0]}")
+                parser = _Parser.of(texts[0])
+                size = parser.n ** parser.signature.max_arity  # bounds every cell
+                cells, counts = parser.batch(texts)
+                start = _cell_lists(cells[:counts[0].sum()], counts[:1])[0]
+                traj = cls._started(_structure_from_cells(parser.signature, parser.n, start))
+                event_times = event_times[1:]
+            else:
+                event_times = times(keys, len(traj._times))
+                cells, counts = map(np.concatenate, zip(last, parser.batch(texts)))
+            traj._extend(event_times, *_row_increments(cells, counts, size))
+            last = cells[len(cells) - counts[-1].sum():], counts[-1:]
+        if traj is None:
+            raise ValueError("full-state CSV has no rows")
+        traj._close(traj._times[-1] if horizon is None else horizon)
+        return traj
 
 
 class _LogView(Sequence):
@@ -226,25 +295,33 @@ class _LogView(Sequence):
         return f"<{type(self).__name__[1:]} of {self._traj!r}>"
 
 
-class _Events(_LogView):
-    """``(time, state)`` per event.  Iteration streams the states by a
-    running XOR; an index rebuilds one state from the nearest snapshot;
-    ``[-1]`` is the kept final state."""
+class _States(_LogView):
+    """The state after each event.  Iteration streams them by a running
+    XOR; an index rebuilds one from the nearest snapshot; ``[-1]`` is the
+    kept final state."""
 
     __slots__ = ()
 
     def __len__(self) -> int:
         return len(self._traj._times)
 
+    def _item(self, i: int) -> Structure:
+        return self._traj._state(i)
+
+    def __iter__(self):
+        return (bits.freeze() for bits in self._traj._replay())
+
+
+class _Events(_States):
+    """``(time, state)`` per event, the states as in :class:`_States`."""
+
+    __slots__ = ()
+
     def _item(self, i: int) -> tuple[float, Structure]:
         return self._traj._times[i], self._traj._state(i)
 
     def __iter__(self):
-        traj = self._traj
-        yield traj._times[0], traj._start
-        bits = _CellBits(traj._start)
-        for t, cells in zip(islice(traj._times, 1, None), traj._iter_jump_cells()):
-            yield t, bits.flip(cells).freeze()
+        return zip(self._traj._times, _States(self._traj))
 
 
 class _Increments(_LogView):
@@ -273,3 +350,8 @@ class _Increments(_LogView):
     def _item(self, i: int) -> Structure:
         traj = self._traj
         return _structure_from_cells(traj.signature, traj.n, traj._jump_cells(i))
+
+    def __iter__(self):
+        traj = self._traj
+        for cells in traj._iter_jump_cells():
+            yield _structure_from_cells(traj.signature, traj.n, cells)

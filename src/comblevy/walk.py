@@ -2,16 +2,16 @@
 
 A walk starts at some structure (the empty structure by default) and at each
 step applies an independent increment drawn from a fixed probability measure:
-X_m = increment(X_{m-1}, D_m).  The exact T-step distribution is available
-as a brute-force convolution oracle, and walks with exchangeable increments
-project to a Markov chain on orbits.
+X_m = increment(X_{m-1}, D_m).  It is stored as a trajectory log with one
+jump, possibly empty, at each of the times 1..T.  The exact T-step
+distribution is available as a brute-force convolution oracle, and walks
+with exchangeable increments project to a Markov chain on orbits.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from itertools import chain
+from collections.abc import Sequence
 
 from .measures import FiniteMeasure, is_exchangeable
 from .orbits import (
@@ -23,20 +23,11 @@ from .orbits import (
     orbit_of,
     space_size,
 )
-from .structures import (
-    Structure,
-    _cell_lists,
-    _formatter,
-    _line_batches,
-    _Parser,
-    _structure_from_cells,
-    empty_structure,
-    increment,
-)
+from .structures import Structure, _flat_cells, empty_structure, increment
+from .trajectory import LevyTrajectory, _States
 
 __all__ = [
     "WalkTrajectory",
-    "sample_increment",
     "simulate_walk",
     "walk_distribution_exact",
     "project_orbit_chain",
@@ -46,29 +37,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WalkTrajectory:
-    """States X_0, ..., X_T of one walk; increments are derivable pairwise."""
+# Steps drawn at a time by simulate_walk.
+_BLOCK_STEPS = 2**12
 
-    steps: tuple[Structure, ...]
 
-    def __post_init__(self) -> None:
-        if not self.steps:
+class WalkTrajectory(LevyTrajectory):
+    """A walk X_0, ..., X_T as a log: step m is the jump D_m at time m,
+    which may be empty, and the horizon is T.
+
+    ``WalkTrajectory(states)`` builds the log from the states X_0, ..., X_T;
+    ``steps`` rebuilds them on demand and ``jump_increments()`` gives the
+    D_m.
+    """
+
+    _empty_jumps = True
+
+    def __init__(self, states: Sequence[Structure]) -> None:
+        if not states:
             raise ValueError("trajectory needs at least the initial state")
-        first = self.steps[0]
-        for m in self.steps[1:]:
-            if m.signature != first.signature or m.n != first.n:
-                raise ValueError("all states must share signature and n")
+        super().__init__(states[0].n, float(len(states) - 1), enumerate(states))
 
     @property
     def T(self) -> int:
-        return len(self.steps) - 1
+        return len(self._times) - 1
 
-    def increments(self) -> list[Structure]:
-        return [
-            increment(self.steps[t], self.steps[t - 1])
-            for t in range(1, len(self.steps))
-        ]
+    @property
+    def steps(self) -> _States:
+        """The states X_0, ..., X_T, a lazy read-only sequence."""
+        return _States(self)
 
 
 def _require_probability(mu: FiniteMeasure) -> None:
@@ -76,40 +72,30 @@ def _require_probability(mu: FiniteMeasure) -> None:
         raise ValueError(f"measure is not normalized (total {mu.total_mass})")
 
 
-def _require_process_signature(mu: FiniteMeasure) -> None:
-    if mu.signature.max_arity < 1:
-        raise ValueError(
-            f"process requires a signature with top arity >= 1, got {mu.signature}"
-        )
-
-
-def sample_increment(mu: FiniteMeasure, rng) -> Structure:
-    """One draw from a probability measure, by inverse CDF over the sorted support."""
-    _require_probability(mu)
-    return mu.sample(rng)
-
-
 def simulate_walk(
     mu: FiniteMeasure, x0: Structure | None, steps: int, rng
 ) -> WalkTrajectory:
-    """Walk of the given length started at ``x0`` with increment law ``mu``.
+    """Walk of the given length started at ``x0`` with increment law ``mu``,
+    its steps drawn ``_BLOCK_STEPS`` at a time by ``mu.sample_cells_batch``.
 
     ``x0=None`` starts at the empty structure, the canonical initial state.
     """
     _require_probability(mu)
-    _require_process_signature(mu)
+    if mu.signature.max_arity < 1:
+        raise ValueError(f"process requires a signature with top arity >= 1, got {mu.signature}")
     if x0 is None:
         x0 = empty_structure(mu.signature, mu.n)
     if mu.signature != x0.signature or mu.n != x0.n:
         raise ValueError("initial state does not match the increment measure shape")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    states = [x0]
-    state = x0
-    for _ in range(steps):
-        state = increment(state, mu.sample(rng))
-        states.append(state)
-    return WalkTrajectory(tuple(states))
+    traj = WalkTrajectory._started(x0)
+    for lo in range(0, steps, _BLOCK_STEPS):
+        hi = min(lo + _BLOCK_STEPS, steps)
+        rows = mu.sample_cells_batch(rng, hi - lo)
+        traj._extend(range(lo + 1, hi + 1), *_flat_cells(rows, mu.signature.k))
+    traj._close(float(steps))
+    return traj
 
 
 def walk_distribution_exact(
@@ -174,37 +160,20 @@ def orbit_kernel(
 
 
 def walk_to_csv(traj: WalkTrajectory) -> str:
-    """One ``step,structure`` row per state, formatted a block of states at
-    a time."""
-    text = _formatter(traj.steps[0].signature, traj.steps[0].n)
-    steps = range(len(traj.steps))
-    return "".join(["step,structure\n", *text.state_lines(f"%d,{text.form}\n", steps, traj.steps)])
+    """One ``step,structure`` row per state (see ``LevyTrajectory._to_csv``)."""
+    return traj._to_csv("step", "%d")
+
+
+def _step_times(keys, first: int) -> range:
+    """The steps ``first``, ``first + 1``, ... that the step fields ``keys``
+    must give in canonical form."""
+    for step, key in enumerate(keys, first):
+        if key != str(step):
+            raise ValueError(f"expected step index {step}, got {key!r}")
+    return range(first, first + len(keys))
 
 
 def walk_from_csv(text: str) -> WalkTrajectory:
-    """Read a walk CSV, a batch of rows at a time, with one parser bound to
-    the first row's signature and n."""
-    batches = _line_batches(text)
-    header, *rest = next(batches, [""])
-    if header != "step,structure":
-        raise ValueError("walk CSV must start with header 'step,structure'")
-    states = []
-    for lines in chain([rest], batches):
-        texts = []
-        for line in lines:
-            step_text, _, struct_text = line.partition(",")
-            try:
-                step = int(step_text)
-            except ValueError:
-                raise ValueError(f"malformed step index: {step_text!r}") from None
-            expected = len(states) + len(texts)
-            if step != expected:
-                raise ValueError(f"non-contiguous step index {step}, expected {expected}")
-            texts.append(struct_text)
-        if not texts:
-            continue
-        if not states:
-            parser = _Parser.of(texts[0])
-        for cells in _cell_lists(*parser.batch(texts)):
-            states.append(_structure_from_cells(parser.signature, parser.n, cells))
-    return WalkTrajectory(tuple(states))
+    """Read a walk CSV (see ``LevyTrajectory._from_csv``); step i must be
+    written ``str(i)``."""
+    return WalkTrajectory._from_csv(text, "step", _step_times)

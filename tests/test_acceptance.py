@@ -242,7 +242,7 @@ def test_criterion_07_restriction_compatibility():
         total = sum(support.values())
         mu = FiniteMeasure(SIG1, n, {m: w / total for m, w in support.items()})
         traj = simulate_walk(mu, empty_structure(SIG1, n), 15, rng)
-        incs = traj.increments()
+        incs = traj.jump_increments()
         for m in range(n + 1):
             folded = empty_structure(SIG1, m)
             for k, d in enumerate(incs, start=1):

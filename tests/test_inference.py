@@ -118,7 +118,7 @@ class TestChiSquareTest:
             total = sum(support.values())
             mu = FiniteMeasure(SIG1, 3, {m: w / total for m, w in support.items()})
             traj = simulate_walk(mu, empty_structure(SIG1, 3), 300, rng)
-            increments = traj.increments()
+            increments = traj.jump_increments()
             from collections import Counter
 
             from comblevy.measures import symmetrize

@@ -34,7 +34,7 @@ from comblevy.levy import (
     trajectory_from_csv,
     trajectory_to_csv,
 )
-from comblevy.measures import FiniteMeasure
+from comblevy.measures import FiniteMeasure, urn_measure
 from comblevy.orbits import orbit_of
 from comblevy.rng import make_rng
 from comblevy.structures import (
@@ -48,7 +48,7 @@ from comblevy.structures import (
     serialize,
 )
 from comblevy.trajectory import _SNAPSHOT_EVERY
-from comblevy.walk import WalkTrajectory, walk_from_csv, walk_to_csv
+from comblevy.walk import WalkTrajectory, simulate_walk, walk_from_csv, walk_to_csv
 
 from helpers import (
     gillespie_levy,
@@ -802,6 +802,20 @@ class TestMemory:
         assert back == traj
         assert write_peak < self.BUDGET
         assert read_peak < self.BUDGET
+
+    def test_walk_memory_does_not_grow_with_state_size(self):
+        # one 1000-bit state per step would hold about 6 MB here; a small
+        # walk first makes the imports the first walk makes
+        simulate_walk(urn_measure(1, 2), None, 1, make_rng(0))
+        mu, rng = urn_measure(1, 1000), make_rng(85)
+        tracemalloc.start()
+        try:
+            walk = simulate_walk(mu, None, 20_000, rng)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert walk.T == 20_000
+        assert held < 2 * 2**20
 
 
 class TestRestrictionInLaw:

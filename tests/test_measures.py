@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -10,7 +11,6 @@ from comblevy.measures import (
     is_exchangeable,
     measure_from_json,
     measure_to_json,
-    orbit_weights_from_json,
     orbit_weights_to_json,
     point_mass,
     recompose,
@@ -285,5 +285,7 @@ class TestJsonFormats:
 
     def test_orbit_weights_roundtrip(self):
         p = decompose_exchangeable(urn_measure(1, 3))
-        back = orbit_weights_from_json(orbit_weights_to_json(p))
-        assert back.approx_equal(p, tol=0.0)
+        payload = json.loads(orbit_weights_to_json(p))
+        assert payload["signature"] == "(1)" and payload["n"] == 3
+        back = {OrbitId(entry["orbit"]): entry["p"] for entry in payload["entries"]}
+        assert OrbitWeights(SIG1, 3, back).approx_equal(p, tol=0.0)

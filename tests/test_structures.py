@@ -12,7 +12,9 @@ from comblevy.structures import (
     _cell_lists,
     _cells,
     _set_bits,
-    _state_columns,
+    _flat_cells,
+    _relation_columns,
+    _row_increments,
     agreement_level,
     empty_structure,
     increment,
@@ -458,10 +460,28 @@ class TestLinearDecode:
                 assert serialize(m) == _scan_text(m)
             # one formatter, one block: later states reuse its label tables
             text = _Formatter(sig, n)
-            rows = zip(*text.bodies(_state_columns(states)))
+            columns = _relation_columns(*_flat_cells([_cells(m) for m in states], sig.k))
+            rows = zip(*text.bodies(columns))
             assert [text.form % row for row in rows] == [_scan_text(m) for m in states]
         for m in (empty_structure(sig, 3), Structure(sig, 2, (1, 3, 15, 255))):
             assert serialize(m) == _scan_text(m)
+
+    def test_row_increments_match_set_differences(self):
+        # consecutive rows, some equal or empty, against per-relation set
+        # symmetric differences
+        rng = make_rng(123)
+        sig = Signature((0, 1, 2))
+        for n in (1, 2, 4):
+            states = [random_structure(rng, sig, n, density=float(rng.random())) for _ in range(30)]
+            states[5] = states[4]
+            states[9] = states[10] = empty_structure(sig, n)
+            rows = [_cells(m) for m in states]
+            expected = [
+                [sorted(set(a) ^ set(b)) for a, b in zip(prev, row)]
+                for prev, row in itertools.pairwise(rows)
+            ]
+            increments = _row_increments(*_flat_cells(rows, sig.k), n**2)
+            assert _cell_lists(*increments) == expected
 
     def test_dense_graph_n300(self):
         rng = make_rng(122)

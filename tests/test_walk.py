@@ -3,6 +3,8 @@ from collections import Counter
 
 import pytest
 
+from comblevy import walk
+from comblevy.inference import empirical_jump_measure
 from comblevy.measures import (
     FiniteMeasure,
     OrbitWeights,
@@ -15,6 +17,7 @@ from comblevy.rng import make_rng
 from comblevy.structures import (
     Signature,
     Structure,
+    _structure_from_cells,
     empty_structure,
     increment,
     restrict,
@@ -23,7 +26,6 @@ from comblevy.walk import (
     WalkTrajectory,
     orbit_kernel,
     project_orbit_chain,
-    sample_increment,
     simulate_walk,
     walk_distribution_exact,
     walk_from_csv,
@@ -51,26 +53,30 @@ def mix(measures_and_weights):
     return FiniteMeasure(sig, n, out)
 
 
+def sample_batch(mu, rng, k):
+    """k draws of the inverse-CDF batch sampler, as Structures."""
+    return [_structure_from_cells(mu.signature, mu.n, c) for c in mu.sample_cells_batch(rng, k)]
+
+
 class TestSampleIncrement:
+    """The inverse-CDF batch sampler that a walk draws its steps with."""
+
     def test_point_mass(self):
         m = S(SIG1, 2, {1})
-        rng = make_rng(1)
-        assert all(sample_increment(point_mass(m), rng) == m for _ in range(20))
+        assert sample_batch(point_mass(m), make_rng(1), 20) == [m] * 20
 
     def test_uniform_single_element(self):
         mu = mix([(point_mass(empty_structure(SIG1, 1)), 0.5),
                   (point_mass(S(SIG1, 1, {1})), 0.5)])
-        rng = make_rng(2)
         draws = 100_000
-        hits = sum(sample_increment(mu, rng) == S(SIG1, 1, {1}) for _ in range(draws))
+        hits = sample_batch(mu, make_rng(2), draws).count(S(SIG1, 1, {1}))
         # binomial 3 sigma around 0.5 is under the 0.005 band
         assert abs(hits / draws - 0.5) <= 0.005
 
     def test_urn_frequencies(self):
         mu = urn_measure(1, 3)
-        rng = make_rng(3)
         draws = 100_000
-        counts = Counter(sample_increment(mu, rng) for _ in range(draws))
+        counts = Counter(sample_batch(mu, make_rng(3), draws))
         sigma = math.sqrt((1 / 3) * (2 / 3) / draws)
         for m in mu.support():
             assert abs(counts[m] / draws - 1 / 3) <= 3 * sigma
@@ -78,7 +84,21 @@ class TestSampleIncrement:
     def test_rejects_unnormalized(self):
         mu = FiniteMeasure(SIG1, 2, {S(SIG1, 2, {1}): 0.7})
         with pytest.raises(ValueError):
-            sample_increment(mu, make_rng(4))
+            simulate_walk(mu, None, 1, make_rng(4))
+
+    def test_batch_draws_what_single_draws_draw(self, monkeypatch):
+        # k batch draws are the k draws of ``sample`` from the same seed, and
+        # leave the stream where they do; a walk drawn in blocks of 7 steps
+        # takes the same draws across its block boundaries
+        mu = mix([(point_mass(empty_structure(SIG1, 4)), 0.3), (urn_measure(2, 4), 0.7)])
+        rng = make_rng(5)
+        singles = [mu.sample(rng) for _ in range(1000)]
+        batch_rng = make_rng(5)
+        assert sample_batch(mu, batch_rng, 1000) == singles
+        assert batch_rng.random() == rng.random()
+        monkeypatch.setattr(walk, "_BLOCK_STEPS", 7)
+        traj = simulate_walk(mu, None, 100, make_rng(5))
+        assert list(traj.jump_increments()) == singles[:100]
 
 
 class TestSimulateWalk:
@@ -236,7 +256,7 @@ class TestRestrictionCompatibility:
             total = sum(support.values())
             mu = FiniteMeasure(SIG1, n, {m: w / total for m, w in support.items()})
             traj = simulate_walk(mu, empty_structure(SIG1, n), 12, make_rng(402))
-            increments = traj.increments()
+            increments = traj.jump_increments()
             for m in range(n + 1):
                 folded = empty_structure(SIG1, m)
                 for k, d in enumerate(increments, start=1):
@@ -276,3 +296,24 @@ class TestCsv:
         text = "step,structure\n0,L=(1)|n=1|R1={}\n2,L=(1)|n=1|R1={(1)}\n"
         with pytest.raises(ValueError):
             walk_from_csv(text)
+
+    @pytest.mark.parametrize("first, second", [
+        ("0_0", "1"), ("0", "+1"), ("0", " 1"), ("0", "1 "), ("0", "01"), ("0", "1.0"),
+    ])
+    def test_rejects_non_canonical_step_index(self, first, second):
+        text = f"step,structure\n{first},L=(1)|n=1|R1={{}}\n{second},L=(1)|n=1|R1={{(1)}}\n"
+        with pytest.raises(ValueError, match="step index"):
+            walk_from_csv(text)
+
+    def test_keeps_empty_steps(self):
+        e = empty_structure(SIG1, 3)
+        mu = mix([(point_mass(e), 0.5), (urn_measure(1, 3), 0.5)])
+        traj = simulate_walk(mu, None, 200, make_rng(601))
+        increments = traj.jump_increments()
+        empties = list(increments).count(e)
+        assert len(increments) == traj.T == 200
+        assert 0 < empties < 200
+        back = walk_from_csv(walk_to_csv(traj))
+        assert back == traj
+        assert back.jump_increments() == increments
+        assert empirical_jump_measure(back).mass(e) == empties / 200
