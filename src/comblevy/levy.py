@@ -43,11 +43,14 @@ from .structures import (
     Signature,
     Structure,
     _BatchError,
-    _line_batches,
+    _lines,
+    _text_batches,
     _formatter,
     _Parser,
+    _cell_lists,
     _flat_cells,
     _restrict_cells,
+    _row_major,
     _structure_from_cells,
     empty_structure,
     parse,
@@ -376,7 +379,7 @@ class _BernoulliBlocks:
             if k == 0:
                 flips.append([])
             else:
-                flips.append(sorted(int(x) for x in rng.choice(c, size=k, replace=False)))
+                flips.append(sorted(rng.choice(c, size=k, replace=False).tolist()))
         return flips
 
     def _first_flip(self, rng) -> list[list[int]]:
@@ -402,17 +405,12 @@ class _BernoulliBlocks:
         if remaining > 0 and p > 0.0:
             k = int(rng.binomial(remaining, p))
             if k:
-                flips[bi].extend(
-                    first + 1 + int(x)
-                    for x in rng.choice(remaining, size=k, replace=False)
-                )
+                flips[bi].extend((first + 1 + rng.choice(remaining, size=k, replace=False)).tolist())
         for j in range(bi + 1, len(self.blocks)):
             cj, pj = self.blocks[j]
             k = int(rng.binomial(cj, pj))
             if k:
-                flips[j].extend(
-                    int(x) for x in rng.choice(cj, size=k, replace=False)
-                )
+                flips[j].extend(rng.choice(cj, size=k, replace=False).tolist())
         return [sorted(f) for f in flips]
 
     @staticmethod
@@ -427,24 +425,26 @@ class _BernoulliBlocks:
 
 class _LevelSampler:
     """A level-n increment sampler.  ``sample_cells_batch(rng, k)`` draws k
-    independent nonempty increments, each as sorted cell indices per
-    relation; ``sample_cells`` is the batch of one and ``sample`` the same
-    draw as a Structure."""
+    independent nonempty increments as columns: one flat int64 column of
+    their sorted cells, increment by increment and relation by relation
+    within one, and the (k x relations) array of how many each holds (the
+    layout of ``structures._Parser.batch``, which the log takes).
+    ``sample_cells`` is the batch of one as a list of sorted cells per
+    relation, and ``sample`` the same draw as a Structure."""
 
     signature: Signature
     n: int
 
     def sample_cells(self, rng) -> list[list[int]]:
-        return self.sample_cells_batch(rng, 1)[0]
+        return _cell_lists(*self.sample_cells_batch(rng, 1))[0]
 
     def sample(self, rng) -> Structure:
         return _structure_from_cells(self.signature, self.n, self.sample_cells(rng))
 
 
-def _pattern_choice(rng, pattern_cum: np.ndarray, k: int) -> list[int]:
+def _pattern_choice(rng, pattern_cum: np.ndarray, k: int) -> np.ndarray:
     """k draws of a pattern index 0, 1 or 2 from its cumulative weights."""
-    picked = np.searchsorted(pattern_cum, rng.random(k), side="right")
-    return np.minimum(picked, 2).tolist()
+    return np.minimum(np.searchsorted(pattern_cum, rng.random(k), side="right"), 2)
 
 
 class _RestrictedMixture(_LevelSampler):
@@ -461,14 +461,14 @@ class _RestrictedMixture(_LevelSampler):
         ]
         self.rate = comp.weight * self.blocks.hit_prob
 
-    def sample_cells_batch(self, rng, k: int) -> list[list[list[int]]]:
+    def sample_cells_batch(self, rng, k: int) -> tuple[np.ndarray, np.ndarray]:
         rows = []
         for _ in range(k):
             cells = [[] for _ in range(self.signature.k)]
             for pos, block_flips in zip(self.block_to_rel, self.blocks.sample(rng)):
                 cells[pos] = block_flips
             rows.append(cells)
-        return rows
+        return _flat_cells(rows, self.signature.k)
 
 
 class _RestrictedSetSingleton(_LevelSampler):
@@ -477,21 +477,25 @@ class _RestrictedSetSingleton(_LevelSampler):
         self.n = n
         self.rate = comp.rate * n
 
-    def sample_cells_batch(self, rng, k: int) -> list[list[list[int]]]:
-        return [[[i]] for i in rng.integers(0, self.n, k).tolist()]
+    def sample_cells_batch(self, rng, k: int) -> tuple[np.ndarray, np.ndarray]:
+        return rng.integers(0, self.n, k), np.ones((k, 1), np.int64)
 
 
 class _GraphSampler(_LevelSampler):
     """A component on signature (2) or (1,2): membership cells (relation 0
     of (1,2)) and edge cells (the last relation)."""
 
-    def _rows(self, edges, members=None) -> list[list[list[int]]]:
-        """Increments from per-row edge cells and, for (1,2), member cells."""
+    def _columns(self, edges, members=None) -> tuple[np.ndarray, np.ndarray]:
+        """A batch's columns from its edge column and, for (1,2), its
+        membership column, each a pair (cells, count per row); no
+        membership column means no membership flips."""
+        cells, counts = edges
+        counts = np.asarray(counts, np.int64)
         if self.signature.k == 1:
-            return [[e] for e in edges]
+            return cells, counts.reshape(-1, 1)
         if members is None:
-            return [[[], e] for e in edges]
-        return [[m, e] for m, e in zip(members, edges)]
+            return cells, np.column_stack([np.zeros_like(counts), counts])
+        return _row_major([members, (cells, counts)], len(counts))
 
 
 class _RestrictedVertex(_GraphSampler):
@@ -517,31 +521,31 @@ class _RestrictedVertex(_GraphSampler):
             self.edge_pos = pos
         self.rate = comp.rate * n * self.blocks.hit_prob
 
-    def _edge_cell_index(self, v: int, x: int) -> int:
-        """Cell of the x-th edge slot of the 0-based vertex v: slots 2p and
-        2p + 1 are the out- and in-edge to the p-th other vertex, and the
-        last slot is the loop when it is included."""
+    def _edge_cells(self, v: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Cells of the x-th edge slots of the 0-based vertices v: slots 2p
+        and 2p + 1 are the out- and in-edge to the p-th other vertex, and
+        the last slot is the loop when it is included."""
         n = self.n
-        if self.comp.include_loop and x == self.edge_cells - 1:
-            return v * n + v
-        pair_idx, direction = divmod(x, 2)
-        other = pair_idx if pair_idx < v else pair_idx + 1
-        if direction == 0:
-            return v * n + other
-        return other * n + v
+        other, inward = np.divmod(x, 2)
+        other += other >= v
+        cells = np.where(inward == 1, other * n + v, v * n + other)
+        if self.comp.include_loop:
+            cells = np.where(x == self.edge_cells - 1, v * (n + 1), cells)
+        return cells
 
-    def sample_cells_batch(self, rng, k: int) -> list[list[list[int]]]:
-        members, edges = [], []
-        for v in rng.integers(0, self.n, k).tolist():
-            flips = self.blocks.sample(rng)
-            has_member = self.member_pos is not None and flips[self.member_pos]
-            members.append([v] if has_member else [])
-            edges.append(
-                sorted(self._edge_cell_index(v, x) for x in flips[self.edge_pos])
-                if self.edge_pos is not None
-                else []
-            )
-        return self._rows(edges, members)
+    def sample_cells_batch(self, rng, k: int) -> tuple[np.ndarray, np.ndarray]:
+        # one vertex per row, then the rows' flips one row at a time
+        vertices = rng.integers(0, self.n, k)
+        flips = [self.blocks.sample(rng) for _ in range(k)]
+        slots = [f[self.edge_pos] for f in flips] if self.edge_pos is not None else [[]] * k
+        sizes = np.fromiter(map(len, slots), np.int64, k)
+        row = np.repeat(np.arange(k), sizes)
+        cells = self._edge_cells(vertices[row], np.fromiter(chain.from_iterable(slots), np.int64))
+        edges = cells[np.lexsort((cells, row))], sizes
+        if self.member_pos is None:
+            return self._columns(edges)
+        member = np.array([bool(f[self.member_pos]) for f in flips], bool)
+        return self._columns(edges, (vertices[member], member))
 
 
 class _RestrictedPair(_GraphSampler):
@@ -551,7 +555,7 @@ class _RestrictedPair(_GraphSampler):
         self.pattern_cum = np.array(list(accumulate(comp.pattern)))
         self.rate = comp.rate * n * (n - 1) / 2.0
 
-    def sample_cells_batch(self, rng, k: int) -> list[list[list[int]]]:
+    def sample_cells_batch(self, rng, k: int) -> tuple[np.ndarray, np.ndarray]:
         # an ordered pair uniform over i != j, by rejecting i == j, gives the
         # unordered pair {i, j} uniform over all pairs
         n = self.n
@@ -562,14 +566,15 @@ class _RestrictedPair(_GraphSampler):
             b[tied] = rng.integers(0, n, tied.size)
             tied = tied[a[tied] == b[tied]]
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-        fwd = (lo * n + hi).tolist()
-        bwd = (hi * n + lo).tolist()
+        fwd, bwd = lo * n + hi, hi * n + lo
         which = _pattern_choice(rng, self.pattern_cum, k)
-        edges = [
-            [f] if w == 0 else [r] if w == 1 else [f, r]
-            for f, r, w in zip(fwd, bwd, which)
-        ]
-        return self._rows(edges)
+        # pattern 0 flips (lo, hi), 1 flips (hi, lo), 2 both, in that order
+        pairs = np.empty((k, 2), np.int64)
+        pairs[:, 0] = np.where(which == 1, bwd, fwd)
+        pairs[:, 1] = bwd
+        both = np.ones((k, 2), bool)
+        both[:, 1] = which == 2
+        return self._columns((pairs[both], both.sum(axis=1)))
 
 
 class _RestrictedLoop(_GraphSampler):
@@ -579,14 +584,14 @@ class _RestrictedLoop(_GraphSampler):
         self.pattern_cum = np.array(list(accumulate(comp.pattern)))
         self.rate = comp.rate * n
 
-    def sample_cells_batch(self, rng, k: int) -> list[list[list[int]]]:
+    def sample_cells_batch(self, rng, k: int) -> tuple[np.ndarray, np.ndarray]:
         # pattern: 0 flips the membership only, 1 the loop only, 2 both
-        vertices = rng.integers(0, self.n, k).tolist()
+        vertices = rng.integers(0, self.n, k)
         which = _pattern_choice(rng, self.pattern_cum, k)
-        loop = self.n + 1
-        members = [[v] if w != 1 else [] for v, w in zip(vertices, which)]
-        edges = [[v * loop] if w != 0 else [] for v, w in zip(vertices, which)]
-        return self._rows(edges, members)
+        loop, member = which != 0, which != 1
+        return self._columns(
+            (vertices[loop] * (self.n + 1), loop), (vertices[member], member)
+        )
 
 
 def _embed(m: Structure, n: int) -> Structure:
@@ -612,7 +617,7 @@ class _RestrictedExplicit(_LevelSampler):
         self.level_measure = FiniteMeasure(signature, n, weights)
         self.rate = self.level_measure.total_mass
 
-    def sample_cells_batch(self, rng, k: int) -> list[list[list[int]]]:
+    def sample_cells_batch(self, rng, k: int) -> tuple[np.ndarray, np.ndarray]:
         return self.level_measure.sample_cells_batch(rng, k)
 
 
@@ -633,26 +638,35 @@ class RestrictedIntensity(_LevelSampler):
         self.total_rate = math.fsum(self.component_rates)
         self._cum = np.array(list(accumulate(self.component_rates)))
 
-    def sample_cells_batch(self, rng, k: int) -> list[list[list[int]]]:
+    def sample_cells_batch(self, rng, k: int) -> tuple[np.ndarray, np.ndarray]:
         """k increments: every component label from one uniform draw each,
-        then one batch draw per component, in the labels' order."""
+        then one batch draw per component, in the labels' order; the
+        components' columns are merged into row order by one stable sort
+        on each cell's row."""
         if self.total_rate <= 0.0:
             raise ValueError("cannot sample from a zero-rate intensity")
         labels = np.searchsorted(self._cum, rng.random(k) * self.total_rate, side="right")
         labels = np.minimum(labels, len(self.components) - 1)
-        rows = [None] * k
+        draws = []
         for label, comp in enumerate(self.components):
             picked = np.flatnonzero(labels == label)
             if picked.size:
-                draws = comp.sample_cells_batch(rng, picked.size)
-                for i, cells in zip(picked.tolist(), draws):
-                    rows[i] = cells
-        return rows
+                draws.append((picked, *comp.sample_cells_batch(rng, picked.size)))
+        if len(draws) == 1:  # one component drew every row, in row order
+            return draws[0][1:]
+        counts = np.zeros((k, self.signature.k), np.int64)
+        cells, rows = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+        for picked, comp_cells, comp_counts in draws:
+            counts[picked] = comp_counts
+            cells.append(comp_cells)
+            rows.append(np.repeat(picked, comp_counts.sum(axis=1)))
+        return np.concatenate(cells)[np.argsort(np.concatenate(rows), kind="stable")], counts
 
 
 def _jump_chain(restricted: RestrictedIntensity, horizon: float, rng):
     """The jumps of the level-n chain on [0, horizon] in time order, one
-    block at a time: the block's sorted times and each jump's cells.
+    block at a time: the block's sorted times and the jumps' cell columns
+    (see ``_LevelSampler``).
 
     The chain is a compound Poisson process, so it is drawn exactly in time
     blocks of about ``_BLOCK_EVENTS`` expected jumps: per block, a Poisson
@@ -683,8 +697,8 @@ def simulate_levy(
         raise ValueError(f"horizon must be finite and > 0, got {horizon}")
     restricted = RestrictedIntensity(intensity, n)
     traj = LevyTrajectory._started(empty_structure(intensity.signature, n))
-    for times, rows in _jump_chain(restricted, horizon, rng):
-        traj._extend(times, *_flat_cells(rows, intensity.signature.k))
+    for times, columns in _jump_chain(restricted, horizon, rng):
+        traj._extend(times, *columns)
     traj._close(float(horizon))
     return traj
 
@@ -865,14 +879,15 @@ def _header(text: str) -> tuple[Structure, float]:
     return state, horizon
 
 
-# An event record as events_to_jsonl writes it: JSON reads such a line as
-# this increment string (no quote, backslash or control character in it)
-# and, for a time of at most 17 integer digits and no sign, as the float
-# its text gives.
-_RECORD = re.compile(
-    r'\{"increment": "([^"\\\x00-\x1f]*)", '
+# An event record as events_to_jsonl writes it, with %s for the increment:
+# JSON reads such a line as this increment string (no quote, backslash or
+# control character in it) and, for a time of at most 17 integer digits and
+# no sign, as the float its text gives.
+_RECORD_FORM = (
+    r'\{"increment": "%s", '
     r'"t": ((?:0|[1-9][0-9]{0,16})(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)\}'
 )
+_RECORD = re.compile(_RECORD_FORM % r'([^"\\\x00-\x1f]*)')
 
 
 def _records(lines: list[str]) -> tuple[list[float], list[str]]:
@@ -898,11 +913,31 @@ def _records(lines: list[str]) -> tuple[list[float], list[str]]:
     return times, texts
 
 
+def _record_columns(parser: _Parser, records: re.Pattern, piece: str):
+    """The times and cell columns of the event records in the text
+    ``piece``.  One ``findall`` of ``records`` splits it into lines, each
+    either a record in the writer's form with a canonical increment, whose
+    relation bodies and time it captures, or any other line.  If every line
+    is such a record, its labels are decoded and checked at once; otherwise
+    the piece is read line by line (``_records``, ``_Parser.batch``), so
+    every rejection names its defect."""
+    *bodies, times = list(zip(*records.findall(piece))) or [()] * (parser.signature.k + 1)
+    if all(times):
+        columns = parser.columns(bodies, len(times))
+        if columns is not None:
+            return list(map(float, times)), *columns
+    times, texts = _records(_lines(piece))
+    try:
+        return times, *parser.batch(texts)
+    except _BatchError as exc:
+        raise ValueError(f"increment at t={times[exc.index]}: {exc}") from None
+
+
 def events_from_jsonl(text: str) -> LevyTrajectory:
-    """Read an event stream, a batch of records at a time (see
-    ``structures._line_batches``)."""
-    batches = _line_batches(text)
-    header, *rest = next(batches, [""])
+    """Read an event stream, a piece of text at a time (see
+    ``structures._text_batches`` and ``_record_columns``)."""
+    pieces = _text_batches(text)
+    header, *rest = next(filter(None, map(_lines, pieces)), [""])
     if not header:
         raise ValueError("empty event stream")
     try:
@@ -910,13 +945,10 @@ def events_from_jsonl(text: str) -> LevyTrajectory:
     except (json.JSONDecodeError, KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed event-stream header: {exc}") from None
     parser = _Parser(state.signature, state.n)
+    # a record line, its relation bodies and time captured, or any line
+    records = re.compile(_RECORD_FORM % parser.grammar.pattern + r"(?:\n|\Z)|[^\n]*\n|[^\n]+")
     traj = LevyTrajectory._started(state)
-    for lines in chain([rest], batches):
-        times, texts = _records(lines)
-        try:
-            cells, counts = parser.batch(texts)
-        except _BatchError as exc:
-            raise ValueError(f"increment at t={times[exc.index]}: {exc}") from None
-        traj._extend(times, cells, counts)
+    for piece in chain(["\n".join(rest)], pieces):
+        traj._extend(*_record_columns(parser, records, piece))
     traj._close(horizon)
     return traj

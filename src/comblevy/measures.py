@@ -30,7 +30,16 @@ from .orbits import (
     orbit_members,
     orbit_of,
 )
-from .structures import Signature, Structure, _cells, empty_structure, parse, serialize
+from .structures import (
+    Signature,
+    Structure,
+    _cells,
+    _flat_cells,
+    _take_rows,
+    empty_structure,
+    parse,
+    serialize,
+)
 
 __all__ = [
     "FiniteMeasure",
@@ -96,15 +105,16 @@ class FiniteMeasure:
         return [(m, self.weights[m]) for m in self.support()]
 
     @cached_property
-    def _inverse_cdf(self) -> tuple[list[Structure], list[float], np.ndarray, list]:
+    def _inverse_cdf(self) -> tuple[list[Structure], list[float], np.ndarray, tuple]:
         """The support in sampling order, its cumulative masses (as a list
-        for one draw, an array for a batch) and each member's cells; built
-        on the first draw."""
+        for one draw, an array for a batch) and the members' cells as one
+        flat column with their counts; built on the first draw."""
         structures = self.support()
         if not structures:
             raise ValueError("cannot sample from a zero measure")
         cum = list(itertools.accumulate(self.weights[m] for m in structures))
-        return structures, cum, np.array(cum), [_cells(m) for m in structures]
+        columns = _flat_cells([_cells(m) for m in structures], self.signature.k)
+        return structures, cum, np.array(cum), columns
 
     def sample(self, rng) -> Structure:
         """One draw by inverse CDF over the sorted support."""
@@ -112,12 +122,13 @@ class FiniteMeasure:
         idx = bisect_right(cum, rng.random() * self.total_mass)
         return structures[idx] if idx < len(structures) else structures[-1]
 
-    def sample_cells_batch(self, rng, k: int) -> list[list[list[int]]]:
-        """k draws by inverse CDF, each as its sorted cells per relation:
-        the draws that k calls of :meth:`sample` make from the same stream."""
-        _, _, cum, cells = self._inverse_cdf
+    def sample_cells_batch(self, rng, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """k draws by inverse CDF, the draws that k calls of :meth:`sample`
+        make from the same stream, as one flat column of their sorted cells
+        and the (k x relations) counts (see ``structures._Parser.batch``)."""
+        _, _, cum, (cells, counts) = self._inverse_cdf
         picked = np.searchsorted(cum, rng.random(k) * self.total_mass, side="right")
-        return [cells[i] for i in np.minimum(picked, len(cells) - 1).tolist()]
+        return _take_rows(cells, counts, np.minimum(picked, len(cum) - 1))
 
     def approx_equal(self, other: "FiniteMeasure", tol: float = MASS_TOL) -> bool:
         if self.signature != other.signature or self.n != other.n:

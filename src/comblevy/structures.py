@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, islice, repeat
 from operator import lt
 from typing import Iterable, Sequence
 
@@ -330,8 +330,14 @@ class _CellBits:
 
     def flip_runs(self, cells: np.ndarray, counts: np.ndarray) -> "_CellBits":
         """XOR in a flat cell column of (rows x k) ``counts`` (see
-        :meth:`_Parser.batch`); a cell listed twice flips back."""
-        return self.flip([run.tolist() for run, _ in _relation_columns(cells, counts)])
+        :meth:`_Parser.batch`); a cell listed twice flips back.  One
+        unbuffered numpy XOR per relation flips all of its cells."""
+        rels = np.repeat(np.arange(counts.size) % len(self.bufs), counts.ravel())
+        for j, buf in enumerate(self.bufs):
+            rel_cells = cells[rels == j]
+            bits = np.left_shift(1, rel_cells & 7).astype(np.uint8)
+            np.bitwise_xor.at(np.frombuffer(buf, np.uint8), rel_cells >> 3, bits)
+        return self
 
     def freeze(self) -> Structure:
         return Structure(
@@ -342,13 +348,21 @@ class _CellBits:
 
 
 def _structure_from_cells(signature: Signature, n: int, cells) -> Structure:
-    """The structure whose relation j holds the distinct in-range cells ``cells[j]``."""
+    """The structure whose relation j holds the distinct in-range cells
+    ``cells[j]``: each relation's bits are set in one little-endian
+    bytearray spanning the bytes from its smallest to its largest cell,
+    read as one int and shifted into place, so the build is linear in the
+    cells plus that span."""
     payloads = []
     for rel_cells in cells:
-        mask = 0
+        if not len(rel_cells):
+            payloads.append(0)
+            continue
+        low = min(rel_cells) >> 3
+        bits = bytearray((max(rel_cells) >> 3) - low + 1)
         for c in rel_cells:
-            mask |= 1 << c
-        payloads.append(mask)
+            bits[(c >> 3) - low] |= 1 << (c & 7)
+        payloads.append(int.from_bytes(bits, "little") << 8 * low)
     return Structure(signature, n, tuple(payloads))
 
 
@@ -541,26 +555,24 @@ class _Parser:
             if match is None:
                 self._reject(texts)
             bodies.append(match.groups())
-        per_rel = [
-            self._decode([b[j] for b in bodies], arity)
-            for j, arity in enumerate(self.signature.arities)
-        ]
-        if None in per_rel:
+        columns = self.columns(list(zip(*bodies)) or [()] * self.signature.k, len(texts))
+        if columns is None:
             self._reject(texts)
-        counts = np.array([c for _, c in per_rel], np.int64).reshape(len(per_rel), len(texts)).T
-        cells = np.concatenate([np.zeros(0, np.int64), *(cells for cells, _ in per_rel)])
-        if len(texts) > 1 and len(per_rel) > 1:
-            # relation-major to text-major: a stable sort by text keeps each
-            # text's relations in order
-            text = np.concatenate([np.repeat(np.arange(len(texts)), c) for _, c in per_rel])
-            cells = cells[np.argsort(text, kind="stable")]
-        return cells, counts
+        return columns
 
-    def _decode(self, bodies: list[str], arity: int):
+    def columns(self, bodies: Sequence[Sequence[str]], texts: int):
+        """:meth:`batch`'s cells of ``texts`` texts whose relation bodies
+        the grammar matched, given per relation: ``bodies[j]`` is relation
+        j's body of every text.  None if a label exceeds n or a body's
+        cells are not strictly increasing."""
+        per_rel = list(map(self._decode, bodies, self.signature.arities))
+        return None if None in per_rel else _row_major(per_rel, texts)
+
+    def _decode(self, bodies: Sequence[str], arity: int):
         """The cells of relation bodies ``(a,b);(c,d)...`` that the grammar
         matched, in order, and how many each body holds; None if a label
         exceeds n or a body's cells are not strictly increasing."""
-        counts = np.array([body.count("(") for body in bodies], np.int64)
+        counts = np.fromiter(map(str.count, bodies, repeat("(")), np.int64, len(bodies))
         if arity == 0:
             cells = np.zeros(int(counts.sum()), np.int64)
         else:
@@ -638,6 +650,31 @@ def _cell_lists(cells: np.ndarray, counts: np.ndarray) -> list[list[list[int]]]:
     return [runs[i:i + k] for i in range(0, len(runs), k)] if k else [[] for _ in counts]
 
 
+def _row_major(per_rel, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat cell column and (rows x k) counts (see :meth:`_Parser.batch`)
+    of per-relation columns: ``per_rel[j]`` is relation j's cells of every
+    row, row by row, and how many each row holds."""
+    counts = np.array([c for _, c in per_rel], np.int64).reshape(len(per_rel), rows).T
+    cells = np.concatenate([np.zeros(0, np.int64), *(cells for cells, _ in per_rel)])
+    if rows > 1 and len(per_rel) > 1:
+        # relation-major to row-major: a stable sort by row keeps each row's
+        # relations in order
+        row = np.repeat(np.tile(np.arange(rows), len(per_rel)), counts.T.ravel())
+        cells = cells[np.argsort(row, kind="stable")]
+    return cells, counts
+
+
+def _take_rows(cells: np.ndarray, counts: np.ndarray, picked: np.ndarray) -> tuple:
+    """The rows ``picked`` (in that order, repeats allowed) of a flat cell
+    column of (rows x k) ``counts``, in the same form."""
+    sizes = counts.sum(axis=1)
+    taken = sizes[picked]
+    ends = np.cumsum(taken)
+    # each taken row's cells move by its end in ``cells`` less its end here
+    shift = np.repeat(np.cumsum(sizes)[picked] - ends, taken)
+    return cells[np.arange(len(shift)) + shift], counts[picked]
+
+
 def _flat_cells(rows, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The flat cell column and (rows x k) counts of ``rows``, each a list
     of k sorted cell lists; the inverse of :func:`_cell_lists`."""
@@ -663,22 +700,31 @@ def _row_increments(cells: np.ndarray, counts: np.ndarray, size: int) -> tuple:
     return cell, np.bincount(slot, minlength=(rows - 1) * k).reshape(rows - 1, k)
 
 
-# Characters of file text that a reader parses at a time (see _line_batches).
+# Characters of file text that a reader parses at a time (see _text_batches).
 _READ_BATCH_CHARS = 2**16
 
 
-def _line_batches(text: str):
-    """The non-empty lines of ``text`` (as ``str.splitlines`` splits them),
-    in lists of about ``_READ_BATCH_CHARS`` characters, so a reader holds
-    one list's records at a time."""
+def _text_batches(text: str):
+    """``text`` in pieces of about ``_READ_BATCH_CHARS`` characters, each
+    ending at a "\\n" or at the end of ``text``, so a reader holds one
+    piece's records at a time."""
     start = 0
     while start < len(text):
         stop = text.find("\n", start + _READ_BATCH_CHARS - 1)
         stop = len(text) if stop < 0 else stop + 1
-        lines = [ln for ln in text[start:stop].splitlines() if ln]
-        if lines:
-            yield lines
+        yield text[start:stop]
         start = stop
+
+
+def _lines(piece: str) -> list[str]:
+    """The non-empty lines of ``piece``, as ``str.splitlines`` splits them."""
+    return [ln for ln in piece.splitlines() if ln]
+
+
+def _line_batches(text: str):
+    """The non-empty lines of each of ``text``'s :func:`_text_batches`
+    that has any."""
+    return filter(None, map(_lines, _text_batches(text)))
 
 
 def parse_cells(text: str) -> tuple[Signature, int, list[list[int]]]:

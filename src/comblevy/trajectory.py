@@ -3,8 +3,9 @@
 A ``LevyTrajectory`` keeps the path as the paper defines it, a start state
 and the jumps of a Poisson point process of increments: the event times and
 each jump's sorted cells per relation, in flat columns.  ``_extend`` grows
-the log a block of jumps at a time; the samplers in :mod:`comblevy.levy`
-and :mod:`comblevy.walk` feed it.  A walk is the same log at the times
+the log a block of jumps at a time, straight from the cell columns that the
+samplers in :mod:`comblevy.levy` and :mod:`comblevy.walk` and the file
+readers emit.  A walk is the same log at the times
 1..T (see :class:`comblevy.walk.WalkTrajectory`).  Both full-state CSV
 formats are written and read here, by ``_to_csv`` and ``_from_csv``.
 """
@@ -15,6 +16,7 @@ import math
 from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
+from functools import cached_property
 from itertools import chain, islice
 
 import numpy as np
@@ -50,11 +52,15 @@ class LevyTrajectory:
 
     The path is stored as its start state plus a log of jump increments:
     the event times and each jump's sorted cell indices per relation, in
-    flat columns, with a full state kept only every ``_SNAPSHOT_EVERY``
-    events and at the end.  Memory is O(sum of increment sizes + states /
-    _SNAPSHOT_EVERY), and ``state_at`` replays at most ``_SNAPSHOT_EVERY - 1``
-    increments onto a snapshot.  The log grows only by ``_extend``, a block
-    of jumps at a time.
+    flat columns, and the final state.  The log grows only by ``_extend``,
+    a block of jumps at a time, which checks the block and appends it;
+    ``_close`` XORs the whole cell column into the start state once to get
+    the final state.  A full state every ``_SNAPSHOT_EVERY`` events is
+    built by one replay of the log the first time an index or ``state_at``
+    needs one; ``state_at`` then replays at most ``_SNAPSHOT_EVERY - 1``
+    increments onto a snapshot.  Writing, reading, iterating the events
+    and ``[-1]`` never build the snapshots, so memory is O(sum of increment
+    sizes) until then, and O(states / _SNAPSHOT_EVERY) more after.
 
     ``LevyTrajectory(n, horizon, events)`` builds the log from full-state
     events ``(t, Structure)``; ``events`` rebuilds them on demand.
@@ -98,39 +104,27 @@ class LevyTrajectory:
         # cells of jump i, relation j: _cells[_bounds[i*k + j] : _bounds[i*k + j + 1]]
         self._cells = array("q")
         self._bounds = array("q", [0])
-        self._snapshots = [start]  # state after event i * _SNAPSHOT_EVERY
-        self._running = _CellBits(start)
 
     def _extend(self, times, cells, counts) -> None:
         """Log jumps at the increasing ``times``: jump i flips, in each
         relation j in turn, the next ``counts[i][j]`` sorted cells of the
-        flat ``cells`` column.  The running state is advanced one stretch
-        of jumps between snapshots at a time."""
+        flat ``cells`` column."""
         times = np.asarray(times, np.float64)
         cells = np.asarray(cells, np.int64)
         counts = np.asarray(counts, np.int64).reshape(len(times), self.signature.k)
         before = np.concatenate(([self._times[-1]], times[:-1]))
-        late = np.flatnonzero(~(times > before))  # NaN is never later
-        if late.size:
-            t, prev = times[late[0]], before[late[0]]
+        late = ~(times > before)  # NaN is never later
+        if late.any():
+            t, prev = times[late.argmax()], before[late.argmax()]
             raise ValueError(f"event times must be strictly increasing: t={t} after {prev}")
-        sizes = counts.sum(axis=1)
-        empty = np.flatnonzero(sizes == 0)
-        if empty.size and not self._empty_jumps:
-            raise ValueError(
-                f"consecutive events must change the state: empty jump at t={times[empty[0]]}"
-            )
-        first = len(self._times)  # event index of jump 0
+        if not self._empty_jumps:
+            empty = ~counts.any(axis=1)
+            if empty.any():
+                t = times[empty.argmax()]
+                raise ValueError(f"consecutive events must change the state: empty jump at t={t}")
         self._times.frombytes(times.tobytes())
         self._bounds.frombytes((len(self._cells) + np.cumsum(counts)).tobytes())
         self._cells.frombytes(cells.tobytes())
-        starts = np.concatenate(([0], np.cumsum(sizes)))  # jump i's first cell
-        done = 0
-        for i in range(-first % _SNAPSHOT_EVERY, len(times), _SNAPSHOT_EVERY):
-            self._running.flip_runs(cells[starts[done]:starts[i + 1]], counts[done:i + 1])
-            self._snapshots.append(self._running.freeze())
-            done = i + 1
-        self._running.flip_runs(cells[starts[done]:], counts[done:])
 
     def _extend_rows(self, jumps) -> None:
         """Log the jumps ``(t, sorted cells per relation)``, a block of
@@ -146,8 +140,14 @@ class LevyTrajectory:
         if self._times[-1] > horizon:
             raise ValueError("event beyond the horizon")
         self.horizon = horizon
-        self._final = self._running.freeze()
-        del self._running
+        self._final = _CellBits(self._start).flip_runs(*self._columns()).freeze()
+
+    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The whole log as a flat cell column and its (jumps x k) counts,
+        views of the log's arrays that pin them while they live."""
+        counts = np.diff(np.frombuffer(self._bounds, np.int64))
+        counts = counts.reshape(len(self._times) - 1, self.signature.k)
+        return np.frombuffer(self._cells, np.int64), counts
 
     @property
     def signature(self) -> Signature:
@@ -176,15 +176,28 @@ class LevyTrajectory:
         bits = _CellBits(self._start)
         return chain([bits], map(bits.flip, self._iter_jump_cells()))
 
+    @cached_property
+    def _snapshots(self) -> list[Structure]:
+        """The state after every ``_SNAPSHOT_EVERY``-th event, from one
+        replay of the log that XORs in a stretch of jumps at a time."""
+        cells, counts = self._columns()
+        first = np.frombuffer(self._bounds, np.int64)[::self.signature.k]  # jump i's first cell
+        bits, snapshots = _CellBits(self._start), [self._start]
+        for lo in range(0, len(counts) - _SNAPSHOT_EVERY + 1, _SNAPSHOT_EVERY):
+            hi = lo + _SNAPSHOT_EVERY
+            snapshots.append(bits.flip_runs(cells[first[lo]:first[hi]], counts[lo:hi]).freeze())
+        return snapshots
+
     def _state(self, i: int) -> Structure:
         """State after event ``i``: the nearest snapshot at or before it plus
         the jumps in between."""
         if i == len(self._times) - 1:
             return self._final
         snap, extra = divmod(i, _SNAPSHOT_EVERY)
+        base = self._snapshots[snap] if snap else self._start
         if extra == 0:
-            return self._snapshots[snap]
-        bits = _CellBits(self._snapshots[snap])
+            return base
+        bits = _CellBits(base)
         for jump in range(i - extra, i):
             bits.flip(self._jump_cells(jump))
         return bits.freeze()

@@ -23,7 +23,7 @@ from .orbits import (
     orbit_of,
     space_size,
 )
-from .structures import Structure, _flat_cells, empty_structure, increment
+from .structures import Structure, empty_structure, increment
 from .trajectory import LevyTrajectory, _States
 
 __all__ = [
@@ -92,8 +92,7 @@ def simulate_walk(
     traj = WalkTrajectory._started(x0)
     for lo in range(0, steps, _BLOCK_STEPS):
         hi = min(lo + _BLOCK_STEPS, steps)
-        rows = mu.sample_cells_batch(rng, hi - lo)
-        traj._extend(range(lo + 1, hi + 1), *_flat_cells(rows, mu.signature.k))
+        traj._extend(range(lo + 1, hi + 1), *mu.sample_cells_batch(rng, hi - lo))
     traj._close(float(steps))
     return traj
 

@@ -17,6 +17,16 @@ from pathlib import Path
 import numpy as np
 
 import comblevy
+from comblevy.levy import (
+    RestrictedIntensity,
+    _RestrictedExplicit,
+    _RestrictedLoop,
+    _RestrictedMixture,
+    _RestrictedPair,
+    _RestrictedSetSingleton,
+    _RestrictedVertex,
+)
+from comblevy.measures import FiniteMeasure
 from comblevy.structures import Permutation, Signature, Structure, _cells
 
 
@@ -154,6 +164,101 @@ def gillespie_levy(restricted, horizon: float, rng) -> tuple[list[float], list[S
         times.append(t)
         increments.append(restricted.sample(rng))
     return times, increments
+
+
+def _graph_rows(sampler, edges, members=None) -> list:
+    if sampler.signature.k == 1:
+        return [[e] for e in edges]
+    if members is None:
+        return [[[], e] for e in edges]
+    return [[m, e] for m, e in zip(members, edges)]
+
+
+def _vertex_edge_cell(sampler, v: int, x: int) -> int:
+    n = sampler.n
+    if sampler.comp.include_loop and x == sampler.edge_cells - 1:
+        return v * n + v
+    pair_idx, direction = divmod(x, 2)
+    other = pair_idx if pair_idx < v else pair_idx + 1
+    return v * n + other if direction == 0 else other * n + v
+
+
+def _pattern_rows(rng, pattern_cum, k: int) -> list[int]:
+    picked = np.searchsorted(pattern_cum, rng.random(k), side="right")
+    return np.minimum(picked, 2).tolist()
+
+
+def sample_rows(sampler, rng, k: int) -> list:
+    """Reference level-n sampler, one increment at a time as a list of
+    sorted cell lists per relation: the draws ``sampler.sample_cells_batch``
+    makes, from the same stream in the same order.
+
+    A test oracle for the column samplers in ``comblevy.levy`` and
+    ``FiniteMeasure``: it builds every row as nested lists, with no cell
+    column, no vectorized cell map and no merge of component columns.
+    """
+    if isinstance(sampler, FiniteMeasure):
+        structures = sampler.support()
+        cum = np.array(list(itertools.accumulate(sampler.weights[m] for m in structures)))
+        picked = np.searchsorted(cum, rng.random(k) * sampler.total_mass, side="right")
+        return [_cells(structures[i]) for i in np.minimum(picked, len(cum) - 1).tolist()]
+    if isinstance(sampler, _RestrictedExplicit):
+        return sample_rows(sampler.level_measure, rng, k)
+    if isinstance(sampler, _RestrictedSetSingleton):
+        return [[[i]] for i in rng.integers(0, sampler.n, k).tolist()]
+    if isinstance(sampler, _RestrictedMixture):
+        rows = []
+        for _ in range(k):
+            cells = [[] for _ in range(sampler.signature.k)]
+            for pos, flips in zip(sampler.block_to_rel, sampler.blocks.sample(rng)):
+                cells[pos] = flips
+            rows.append(cells)
+        return rows
+    if isinstance(sampler, _RestrictedVertex):
+        members, edges = [], []
+        for v in rng.integers(0, sampler.n, k).tolist():
+            flips = sampler.blocks.sample(rng)
+            member = sampler.member_pos is not None and flips[sampler.member_pos]
+            members.append([v] if member else [])
+            edges.append(
+                sorted(_vertex_edge_cell(sampler, v, x) for x in flips[sampler.edge_pos])
+                if sampler.edge_pos is not None
+                else []
+            )
+        return _graph_rows(sampler, edges, members)
+    if isinstance(sampler, _RestrictedPair):
+        n = sampler.n
+        a = rng.integers(0, n, k)
+        b = rng.integers(0, n, k)
+        tied = np.flatnonzero(a == b)
+        while tied.size:
+            b[tied] = rng.integers(0, n, tied.size)
+            tied = tied[a[tied] == b[tied]]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        which = _pattern_rows(rng, sampler.pattern_cum, k)
+        edges = [
+            [f] if w == 0 else [r] if w == 1 else [f, r]
+            for f, r, w in zip((lo * n + hi).tolist(), (hi * n + lo).tolist(), which)
+        ]
+        return _graph_rows(sampler, edges)
+    if isinstance(sampler, _RestrictedLoop):
+        vertices = rng.integers(0, sampler.n, k).tolist()
+        which = _pattern_rows(rng, sampler.pattern_cum, k)
+        loop = sampler.n + 1
+        members = [[v] if w != 1 else [] for v, w in zip(vertices, which)]
+        edges = [[v * loop] if w != 0 else [] for v, w in zip(vertices, which)]
+        return _graph_rows(sampler, edges, members)
+    if isinstance(sampler, RestrictedIntensity):
+        labels = np.searchsorted(sampler._cum, rng.random(k) * sampler.total_rate, side="right")
+        labels = np.minimum(labels, len(sampler.components) - 1)
+        rows = [None] * k
+        for label, comp in enumerate(sampler.components):
+            picked = np.flatnonzero(labels == label)
+            if picked.size:
+                for i, cells in zip(picked.tolist(), sample_rows(comp, rng, picked.size)):
+                    rows[i] = cells
+        return rows
+    raise TypeError(f"no reference sampler for {type(sampler).__name__}")
 
 
 class _TokenCache(dict):

@@ -4,10 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from comblevy import cli
+from comblevy import cli, levy
 from comblevy.cli import main
 from comblevy.levy import (
     LevyIntensity,
+    LevyTrajectory,
     SetSingletonComponent,
     intensity_to_json,
     trajectory_from_csv,
@@ -475,3 +476,45 @@ class TestImportCost:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", "False"]
+
+
+class TestTracerContract:
+    """What the benchmark's tracer (``bench/tracing.py``) needs for its
+    per-layer metrics: it wraps every ``comblevy.<layer>`` function that
+    ``comblevy.cli`` binds, named by its ``__module__``, re-binds
+    ``LevyTrajectory.jump_increments`` for ``levy.jump_increments_s`` and
+    takes ``len()`` of each writer's result for ``levy.write_bytes``."""
+
+    WRAPPED = ("simulate_levy", "events_to_jsonl", "events_from_jsonl", "trajectory_to_csv")
+
+    def test_cli_binds_the_levy_functions(self):
+        for name in self.WRAPPED:
+            assert getattr(cli, name) is getattr(levy, name)
+            assert getattr(cli, name).__module__ == "comblevy.levy"
+
+    def test_writers_return_text_and_jsonl_reads_jump_increments(
+        self, tmp_path, intensity_file, monkeypatch
+    ):
+        calls, results = [], {}
+        jump_increments = LevyTrajectory.jump_increments
+
+        def counted(traj):
+            calls.append(traj)
+            return jump_increments(traj)
+
+        def recorded(name):
+            writer = getattr(cli, name)
+            return lambda *args, **kwargs: results.setdefault(name, writer(*args, **kwargs))
+
+        monkeypatch.setattr(LevyTrajectory, "jump_increments", counted)
+        for name in ("events_to_jsonl", "trajectory_to_csv"):
+            monkeypatch.setattr(cli, name, recorded(name))
+        for fmt in ("jsonl", "csv"):
+            out = tmp_path / f"levy.{fmt}"
+            assert run_cli(["simulate-levy", "--intensity", intensity_file, "--n", 4,
+                            "--horizon", 2.0, "--seed", 6, "--format", fmt, "--out", out]) == 0
+            if fmt == "jsonl":
+                assert len(calls) == 1
+        for name, text in results.items():
+            assert type(text) is str
+            assert text == (tmp_path / ("levy.jsonl" if "jsonl" in name else "levy.csv")).read_text()

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -40,6 +41,8 @@ from comblevy.rng import make_rng
 from comblevy.structures import (
     Signature,
     Structure,
+    _cell_lists,
+    _flat_cells,
     _structure_from_cells,
     empty_structure,
     increment,
@@ -58,6 +61,7 @@ from helpers import (
     record_serialize,
     record_trajectory_to_csv,
     record_walk_to_csv,
+    sample_rows,
 )
 
 SIG1 = Signature((1,))
@@ -473,8 +477,8 @@ def _replay_full_states(intensity, n, horizon, rng):
     restricted = RestrictedIntensity(intensity, n)
     state = empty_structure(intensity.signature, n)
     events = [(0.0, state)]
-    for times, rows in _jump_chain(restricted, horizon, rng):
-        for t, cells in zip(times.tolist(), rows):
+    for times, columns in _jump_chain(restricted, horizon, rng):
+        for t, cells in zip(times.tolist(), _cell_lists(*columns)):
             state = increment(state, _structure_from_cells(intensity.signature, n, cells))
             events.append((t, state))
     return events
@@ -816,6 +820,133 @@ class TestMemory:
             tracemalloc.stop()
         assert walk.T == 20_000
         assert held < 2 * 2**20
+
+    def test_graph_stream_log_keeps_no_snapshots(self):
+        # the bench's graph-stream path (n=300, T=3, ~28.6k jumps): the
+        # samplers hand the log cell columns, and neither simulating, writing
+        # nor reading back builds the 90,000-bit snapshots (about 2.5 MB)
+        intensity = intensity_from_json(json.dumps(self.GRAPH_STREAM))
+        simulate_levy(intensity, 300, 0.01, make_rng(0))
+        tracemalloc.start()
+        try:
+            traj = simulate_levy(intensity, 300, 3.0, make_rng(1))
+            simulate_held, simulate_peak = tracemalloc.get_traced_memory()
+            text = events_to_jsonl(traj, seed=1)
+            before = tracemalloc.get_traced_memory()[0]
+            back = events_from_jsonl(text)
+            read_held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(traj.events) > 28_000
+        assert simulate_peak <= 6 * 2**20
+        assert simulate_held <= 1.5 * 2**20
+        assert read_held <= 1.5 * 2**20
+        assert back == traj and back.events[-1] == traj.events[-1]
+        assert "_snapshots" not in vars(traj) and "_snapshots" not in vars(back)
+        assert traj.state_at(1.5) == back.state_at(1.5)
+        assert len(traj._snapshots) == (len(traj.events) - 1) // _SNAPSHOT_EVERY + 1
+
+
+class TestColumnSamplers:
+    """Every level sampler's cell columns against the reference row
+    sampler ``helpers.sample_rows``: the same draws, in the same order."""
+
+    @staticmethod
+    def _explicit():
+        mu = FiniteMeasure(
+            SIG12, 3, {S(SIG12, 3, {2}, {(1, 3), (3, 3)}): 2.0, S(SIG12, 3, set(), {(2, 1)}): 0.5}
+        )
+        return ExplicitFinite(mu)
+
+    SAMPLERS = {
+        "set_singleton": (SIG1, 7, lambda: SetSingletonComponent(rate=1.0)),
+        "mixture": (SIG12, 4, lambda: MixtureAtom(weight=1.0, probs=(0.2, 0.1))),
+        "mixture_first_flip": (SIG13, 5, lambda: MixtureAtom(weight=1.0, probs=(1e-4, 1e-5))),
+        "vertex_loop": (SIG2, 6, lambda: VertexComponent(rate=1.0, rho=0.3, include_loop=True)),
+        "vertex_member": (SIG12, 6, lambda: VertexComponent(rate=1.0, rho=0.3, member_prob=0.5)),
+        "vertex_first_flip": (SIG2, 60, lambda: VertexComponent(rate=1.0, rho=1e-5)),
+        "vertex_n1": (SIG12, 1, lambda: VertexComponent(rate=1.0, rho=0.3, member_prob=0.5)),
+        "pair": (SIG2, 5, lambda: PairComponent(rate=1.0)),
+        "pair_community": (SIG12, 5, lambda: PairComponent(rate=1.0, pattern=(0.5, 0.2, 0.3))),
+        "loop": (SIG2, 5, lambda: LoopComponent(rate=1.0)),
+        "loop_community": (SIG12, 5, lambda: LoopComponent(rate=1.0, pattern=(0.3, 0.4, 0.3))),
+        "explicit": (SIG12, 4, _explicit),
+    }
+
+    @staticmethod
+    def _check(sampler, k_relations):
+        for seed in range(5):
+            for k in (0, 1, 2, 1000):
+                rng, oracle_rng = make_rng(seed), make_rng(seed)
+                cells, counts = sampler.sample_cells_batch(rng, k)
+                want_cells, want_counts = _flat_cells(sample_rows(sampler, oracle_rng, k), k_relations)
+                assert cells.dtype == np.int64 and counts.dtype == np.int64
+                assert counts.shape == (k, k_relations)
+                assert np.array_equal(counts, want_counts)
+                assert np.array_equal(cells, want_cells)
+                assert rng.random() == oracle_rng.random()  # the same draws were taken
+
+    @pytest.mark.parametrize("kind", sorted(SAMPLERS))
+    def test_component_columns_match_rows(self, kind):
+        sig, n, component = self.SAMPLERS[kind]
+        self._check(component().restrict(sig, n), sig.k)
+
+    @pytest.mark.parametrize("sig", [SIG2, SIG12], ids=["2", "1,2"])
+    def test_intensity_columns_match_rows(self, sig):
+        components = [
+            MixtureAtom(weight=0.5, probs=(0.2,) * sig.k),
+            VertexComponent(rate=1.0, rho=0.3, include_loop=sig == SIG2),
+            PairComponent(rate=1.0),
+            LoopComponent(rate=1.0),
+        ]
+        if sig == SIG12:
+            components.append(self._explicit())
+        self._check(RestrictedIntensity(LevyIntensity(sig, tuple(components)), 5), sig.k)
+
+    def test_measure_columns_match_rows(self):
+        sig = SIG12
+        weights = {empty_structure(sig, 3): 0.25, S(sig, 3, {1}, set()): 0.25,
+                   S(sig, 3, {2, 3}, {(3, 1), (2, 2)}): 0.5}
+        for mu in (FiniteMeasure(sig, 3, weights), urn_measure(2, 6)):
+            self._check(mu, mu.signature.k)
+
+    # sha256 of events_to_jsonl(simulate_levy(...), seed) as the list-of-rows
+    # samplers wrote them: the columns draw and write the same paths
+    PINNED = {
+        ("graph", 1): "01c2dc485ed8f560651c7fd4362123eebb79b6d554a7225aa8ffc00ccb4403d7",
+        ("graph", 2): "7a1320be236ba52b9c9f6f8853587091a7d00b21cd1b4aba730513b90e5aa8f9",
+        ("community", 1): "ac6b34ac98da2cb7dc7bffda2b40b0be3bea5652bdfc111d2f7df50de7aced23",
+        ("community", 2): "f088b891c12d54dd8740e971092451c170524b10f767cad7b51b8886038694b0",
+    }
+
+    @pytest.mark.parametrize("name,seed", sorted(PINNED))
+    def test_seeded_event_stream_pinned(self, name, seed):
+        intensity, n, horizon = {
+            "graph": (
+                LevyIntensity(
+                    SIG2,
+                    (PairComponent(0.2), VertexComponent(1.0, rho=0.1), LoopComponent(1.0)),
+                ),
+                30,
+                5.0,
+            ),
+            "community": (
+                LevyIntensity(
+                    SIG12,
+                    (
+                        MixtureAtom(0.5, (0.2, 0.1)),
+                        VertexComponent(1.0, rho=0.3, member_prob=0.5),
+                        PairComponent(1.0),
+                        LoopComponent(1.0, pattern=(0.3, 0.4, 0.3)),
+                    ),
+                ),
+                6,
+                20.0,
+            ),
+        }[name]
+        text = events_to_jsonl(simulate_levy(intensity, n, horizon, make_rng(seed)), seed=seed)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PINNED[name, seed]
+        assert events_to_jsonl(events_from_jsonl(text), seed=seed) == text
 
 
 class TestRestrictionInLaw:
@@ -1196,6 +1327,39 @@ class TestFileFormats:
                     assert back == traj
                     assert back._snapshots == traj._snapshots
                     assert back.events[-1] == traj.events[-1]
+
+    def test_events_jsonl_matches_writer_batches_at_once(self, monkeypatch):
+        # a batch of lines all in the writer's form is read by one regex
+        # findall, any other batch line by line (through _records); both
+        # give the same log, across batch boundaries
+        intensity = LevyIntensity(
+            SIG12,
+            (MixtureAtom(weight=0.5, probs=(0.2, 0.1)), PairComponent(rate=1.0)),
+        )
+        traj = simulate_levy(intensity, 4, 20.0, make_rng(74))
+        text = events_to_jsonl(traj)
+        lines = text.splitlines()
+        assert len(lines) > 100
+        reworded = json.dumps(json.loads(lines[50]), separators=(",", ":"))
+        variants = {
+            "writer": (text, False),
+            "no final newline": (text[:-1], False),
+            "crlf": (text.replace("\n", "\r\n"), True),
+            "blank line": ("\n".join(lines[:40] + [""] + lines[40:]), True),
+            "other json form": ("\n".join(lines[:50] + [reworded] + lines[51:]), True),
+        }
+        line_reads = []
+        records = levy._records
+        monkeypatch.setattr(levy, "_records", lambda lines: line_reads.append(lines) or records(lines))
+        for chars in (200, 2**16):
+            monkeypatch.setattr(structures, "_READ_BATCH_CHARS", chars)
+            for name, (variant, by_line) in variants.items():
+                line_reads.clear()
+                assert events_from_jsonl(variant) == traj, name
+                if chars == 200:  # the first piece's lines are re-joined by "\n"
+                    assert bool(line_reads) == by_line, name
+        # only the one or two pieces that hold the reworded line
+        assert 0 < len(line_reads) < 3
 
     def test_events_jsonl_reads_records_in_any_json_form(self):
         # records in another key order or spacing, or with an integer time,

@@ -13,6 +13,7 @@ from comblevy.structures import (
     _cells,
     _set_bits,
     _flat_cells,
+    _structure_from_cells,
     _relation_columns,
     _row_increments,
     agreement_level,
@@ -338,7 +339,7 @@ class TestParser:
 
     def test_matches_decode(self):
         rng = make_rng(123)
-        for sig in (Signature((0, 1)), SIG2, SIG12, SIG3, Signature((0, 1, 2, 3))):
+        for sig in (Signature(()), Signature((0, 1)), SIG2, SIG12, SIG3, Signature((0, 1, 2, 3))):
             for n in (0, 1, 3, 11):
                 if n**sig.max_arity > 1500:
                     continue
@@ -482,6 +483,28 @@ class TestLinearDecode:
             ]
             increments = _row_increments(*_flat_cells(rows, sig.k), n**2)
             assert _cell_lists(*increments) == expected
+
+    def test_structure_from_cells_matches_shift_build(self):
+        # each relation's bytearray build against OR-ing 1 << c per cell, on
+        # random cell sets of every density, empty relations, the first and
+        # last cell, and a vertex jump at n=1000 (~40 cells in 10^6 bits)
+        rng = make_rng(124)
+        sig = Signature((0, 1, 2, 3))
+        for n in (1, 2, 3, 5, 9):
+            widths = [n**a for a in sig.arities]
+            for density in (0.0, 0.01, 0.3, 1.0):
+                cells = [np.flatnonzero(rng.random(w) < density).tolist() for w in widths]
+                if density == 0.01:
+                    cells = [sorted({0, w - 1, *c}) for w, c in zip(widths, cells)]
+                shifted = tuple(sum(1 << c for c in rel) for rel in cells)
+                assert _structure_from_cells(sig, n, cells).relations == shifted
+        n = 1000
+        v = int(rng.integers(n))
+        edges = sorted({v * n + int(u) for u in rng.integers(0, n, 20)}
+                       | {int(u) * n + v for u in rng.integers(0, n, 20)})
+        m = _structure_from_cells(SIG2, n, [edges])
+        assert m.relations == (sum(1 << c for c in edges),)
+        assert m.tuples(0) == sorted((c // n + 1, c % n + 1) for c in edges)
 
     def test_dense_graph_n300(self):
         rng = make_rng(122)

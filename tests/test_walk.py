@@ -17,6 +17,7 @@ from comblevy.rng import make_rng
 from comblevy.structures import (
     Signature,
     Structure,
+    _cell_lists,
     _structure_from_cells,
     empty_structure,
     increment,
@@ -55,7 +56,8 @@ def mix(measures_and_weights):
 
 def sample_batch(mu, rng, k):
     """k draws of the inverse-CDF batch sampler, as Structures."""
-    return [_structure_from_cells(mu.signature, mu.n, c) for c in mu.sample_cells_batch(rng, k)]
+    rows = _cell_lists(*mu.sample_cells_batch(rng, k))
+    return [_structure_from_cells(mu.signature, mu.n, c) for c in rows]
 
 
 class TestSampleIncrement:
