@@ -652,8 +652,6 @@ class RestrictedIntensity(_LevelSampler):
             picked = np.flatnonzero(labels == label)
             if picked.size:
                 draws.append((picked, *comp.sample_cells_batch(rng, picked.size)))
-        if len(draws) == 1:  # one component drew every row, in row order
-            return draws[0][1:]
         counts = np.zeros((k, self.signature.k), np.int64)
         cells, rows = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
         for picked, comp_cells, comp_counts in draws:
@@ -880,36 +878,28 @@ def _header(text: str) -> tuple[Structure, float]:
 
 
 # An event record as events_to_jsonl writes it, with %s for the increment:
-# JSON reads such a line as this increment string (no quote, backslash or
-# control character in it) and, for a time of at most 17 integer digits and
-# no sign, as the float its text gives.
+# JSON reads such a line, for an increment with no quote, backslash or
+# control character in it, as this increment string and, for a time of at
+# most 17 integer digits and no sign, as the float its text gives.
 _RECORD_FORM = (
     r'\{"increment": "%s", '
     r'"t": ((?:0|[1-9][0-9]{0,16})(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)\}'
 )
-_RECORD = re.compile(_RECORD_FORM % r'([^"\\\x00-\x1f]*)')
 
 
 def _records(lines: list[str]) -> tuple[list[float], list[str]]:
-    """The times and increment texts of event records; a line in the
-    writer's form skips the JSON parse."""
+    """The times and increment texts of event records, one JSON line each."""
     times, texts = [], []
     for line in lines:
-        match = _RECORD.fullmatch(line)
-        if match:
-            inc_text, t = match.group(1), float(match.group(2))
-        else:
-            try:
-                record = json.loads(line)
-                t = record["t"]
-                if isinstance(t, bool) or not isinstance(t, numbers.Real):
-                    raise ValueError(f"event-stream field 't' must be a number, got {t!r}")
-                t = float(t)
-                inc_text = _text_field(record, "increment")
-            except (json.JSONDecodeError, KeyError, TypeError, OverflowError) as exc:
-                raise ValueError(f"malformed event record: {exc}") from None
-        times.append(t)
-        texts.append(inc_text)
+        try:
+            record = json.loads(line)
+            t = record["t"]
+            if isinstance(t, bool) or not isinstance(t, numbers.Real):
+                raise ValueError(f"event-stream field 't' must be a number, got {t!r}")
+            times.append(float(t))
+            texts.append(_text_field(record, "increment"))
+        except (json.JSONDecodeError, KeyError, TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed event record: {exc}") from None
     return times, texts
 
 
@@ -917,11 +907,11 @@ def _record_columns(parser: _Parser, records: re.Pattern, piece: str):
     """The times and cell columns of the event records in the text
     ``piece``.  One ``findall`` of ``records`` splits it into lines, each
     either a record in the writer's form with a canonical increment, whose
-    relation bodies and time it captures, or any other line.  If every line
-    is such a record, its labels are decoded and checked at once; otherwise
-    the piece is read line by line (``_records``, ``_Parser.batch``), so
-    every rejection names its defect."""
-    *bodies, times = list(zip(*records.findall(piece))) or [()] * (parser.signature.k + 1)
+    relation bodies, time and line end it captures, or any other line.  If
+    every line is such a record, its labels are decoded and checked at
+    once; otherwise the piece is read line by line (``_records``,
+    ``_Parser.batch``), so every rejection names its defect."""
+    *bodies, times, _ = list(zip(*records.findall(piece))) or [()] * (parser.signature.k + 2)
     if all(times):
         columns = parser.columns(bodies, len(times))
         if columns is not None:
@@ -945,8 +935,9 @@ def events_from_jsonl(text: str) -> LevyTrajectory:
     except (json.JSONDecodeError, KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed event-stream header: {exc}") from None
     parser = _Parser(state.signature, state.n)
-    # a record line, its relation bodies and time captured, or any line
-    records = re.compile(_RECORD_FORM % parser.grammar.pattern + r"(?:\n|\Z)|[^\n]*\n|[^\n]+")
+    # a record line, its relation bodies, time and line end captured (so
+    # findall gives a tuple per line, also for k = 0), or any line
+    records = re.compile(_RECORD_FORM % parser.grammar.pattern + r"(\r?\n|\Z)|[^\n]*\n|[^\n]+")
     traj = LevyTrajectory._started(state)
     for piece in chain(["\n".join(rest)], pieces):
         traj._extend(*_record_columns(parser, records, piece))

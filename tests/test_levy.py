@@ -1280,6 +1280,12 @@ class TestFileFormats:
             record = json.dumps({"t": 0.5, "increment": increment})
             with pytest.raises(ValueError, match=problem):
                 events_from_jsonl(json.dumps(header) + "\n" + record)
+        # the empty signature: a record's only capture is its time
+        empty_sig = json.dumps({**header, "signature": "()"})
+        for times in ([0.5], [0.5, 0.7]):
+            records = [json.dumps({"increment": "L=()|n=3", "t": t}) for t in times]
+            with pytest.raises(ValueError, match="empty jump at t=0.5"):
+                events_from_jsonl("\n".join([empty_sig, *records]))
 
         # one bad increment in the first, a middle or the last of many
         # batches of about two records is named by its record's time
@@ -1329,9 +1335,9 @@ class TestFileFormats:
                     assert back.events[-1] == traj.events[-1]
 
     def test_events_jsonl_matches_writer_batches_at_once(self, monkeypatch):
-        # a batch of lines all in the writer's form is read by one regex
-        # findall, any other batch line by line (through _records); both
-        # give the same log, across batch boundaries
+        # a batch of lines all in the writer's form, with "\n" or "\r\n" line
+        # ends, is read by one regex findall, any other batch line by line
+        # (through _records); both give the same log, across batch boundaries
         intensity = LevyIntensity(
             SIG12,
             (MixtureAtom(weight=0.5, probs=(0.2, 0.1)), PairComponent(rate=1.0)),
@@ -1344,7 +1350,7 @@ class TestFileFormats:
         variants = {
             "writer": (text, False),
             "no final newline": (text[:-1], False),
-            "crlf": (text.replace("\n", "\r\n"), True),
+            "crlf": (text.replace("\n", "\r\n"), False),
             "blank line": ("\n".join(lines[:40] + [""] + lines[40:]), True),
             "other json form": ("\n".join(lines[:50] + [reworded] + lines[51:]), True),
         }
