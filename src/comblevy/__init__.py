@@ -65,7 +65,6 @@ from .levy import (
     simulate_levy,
     restrict_trajectory,
     marginal_flip_probability,
-    expm_small,
     intensity_to_json,
     intensity_from_json,
     trajectory_to_csv,

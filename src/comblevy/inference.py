@@ -25,7 +25,7 @@ import numpy as np
 
 from .trajectory import LevyTrajectory
 from .measures import FiniteMeasure, symmetrize
-from .orbits import DEFAULT_CANONICAL_CAP, orbit_of
+from .orbits import orbit_of
 from .rng import make_rng
 
 __all__ = [
@@ -105,24 +105,20 @@ def _replicate_sums(rng, size: int, total: int) -> np.ndarray:
     return sums
 
 
-def chi_square_exchangeability(
-    traj,
-    alphas=(0.05,),
-    cap: int = DEFAULT_CANONICAL_CAP,
-) -> TestReport:
+def chi_square_exchangeability(traj, alphas=(0.05,)) -> TestReport:
     """Pearson statistic of the raw jump counts against their orbit average,
     with a conditional Monte Carlo p-value."""
     alphas = [_check_alpha(a) for a in alphas]
     # The observed counts enter the statistic, so the measure is built from
     # them here instead of through empirical_jump_measure.
     counts = Counter(jump_increment_sequence(traj))
-    mu_ex = symmetrize(_frequency_measure(counts), cap)
+    mu_ex = symmetrize(_frequency_measure(counts))
 
     # The support of the orbit average is every member of each observed
     # orbit; orbits in ascending canonical order fix the replicate stream.
     orbit_counts: dict = {}
     for m in mu_ex.support():
-        orbit_counts.setdefault(orbit_of(m, cap), []).append(counts.get(m, 0))
+        orbit_counts.setdefault(orbit_of(m), []).append(counts.get(m, 0))
     cells = len(mu_ex.weights)
     df = cells - len(orbit_counts)
     if df < 1:

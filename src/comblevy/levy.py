@@ -48,6 +48,7 @@ from .structures import (
     _formatter,
     _Parser,
     _cell_lists,
+    _check_cell_range,
     _flat_cells,
     _restrict_cells,
     _row_major,
@@ -72,7 +73,6 @@ __all__ = [
     "simulate_levy",
     "restrict_trajectory",
     "marginal_flip_probability",
-    "expm_small",
     "intensity_to_json",
     "intensity_from_json",
     "trajectory_to_csv",
@@ -628,6 +628,7 @@ class RestrictedIntensity(_LevelSampler):
     def __init__(self, intensity: LevyIntensity, n: int):
         if n < 1:
             raise ValueError(f"resolution must be >= 1, got {n}")
+        _check_cell_range(intensity.signature, n)
         self.signature = intensity.signature
         self.n = n
         restricted = [
@@ -722,40 +723,6 @@ def marginal_flip_probability(c: float, t: float) -> float:
     if c < 0 or t < 0:
         raise ValueError("rate and time must be >= 0")
     return 0.5 * (1.0 - math.exp(-2.0 * c * t))
-
-
-def expm_small(Q, t: float, dim_cap: int = 1024) -> np.ndarray:
-    """exp(tQ) for a small conservative rate matrix, by scaling and squaring
-    of the truncated series.  Rows of the result sum to 1 within 1e-10;
-    round-off negatives above -1e-12 are clamped to zero."""
-    Q = np.asarray(Q, dtype=float)
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-        raise ValueError("Q must be a square matrix")
-    d = Q.shape[0]
-    if d > dim_cap:
-        raise ValueError(f"dimension {d} exceeds cap {dim_cap}")
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    off = Q - np.diag(np.diag(Q))
-    if off.min() < -1e-12:
-        raise ValueError("off-diagonal rates must be nonnegative")
-    if np.abs(Q.sum(axis=1)).max() > 1e-9:
-        raise ValueError("rows of a rate matrix must sum to zero")
-    A = Q * t
-    norm = float(np.abs(A).sum(axis=1).max()) if d else 0.0
-    squarings = max(0, int(math.ceil(math.log2(norm / 0.5)))) if norm > 0.5 else 0
-    B = A / (2.0**squarings)
-    E = np.eye(d)
-    term = np.eye(d)
-    for k in range(1, 40):
-        term = term @ B / k
-        E = E + term
-        if float(np.abs(term).max()) < 1e-20:
-            break
-    for _ in range(squarings):
-        E = E @ E
-    E[(E < 0) & (E >= -1e-12)] = 0.0
-    return E
 
 
 # --- file formats ---------------------------------------------------------

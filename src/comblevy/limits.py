@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .trajectory import LevyTrajectory
-from .orbits import DEFAULT_SPACE_CAP, iter_space
+from .orbits import iter_space
 from .structures import Signature, Structure, _cell_index, serialize
 
 __all__ = [
@@ -33,10 +33,12 @@ __all__ = [
     "density_l1",
     "density_to_csv",
     "limit_path_to_csv",
-    "DEFAULT_INJECTION_CAP",
+    "INJECTION_CAP",
 ]
 
-DEFAULT_INJECTION_CAP = 10**7
+INJECTION_CAP = 10**7
+# Injections hom_density_mc draws at a time.
+MC_CHUNK = 100_000
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,14 @@ def falling_factorial(n: int, m: int) -> int:
     for i in range(m):
         out *= n - i
     return out
+
+
+def _injections(n: int, level: int) -> int:
+    """The number of injections of [level] into [n], checked against the cap."""
+    total = falling_factorial(n, level)
+    if total > INJECTION_CAP:
+        raise ValueError(f"injection count {total} exceeds cap {INJECTION_CAP}")
+    return total
 
 
 def _contains(m: Structure, j: int, t: tuple[int, ...]) -> bool:
@@ -93,16 +103,12 @@ def _check_arguments(a: Structure, m: Structure) -> None:
         raise ValueError(f"pattern level {a.n} exceeds structure size {m.n}")
 
 
-def hom_density_exact(
-    a: Structure, m: Structure, cap: int = DEFAULT_INJECTION_CAP
-) -> float:
+def hom_density_exact(a: Structure, m: Structure) -> float:
     """Exact density of pattern ``a`` in ``m`` over all injections."""
     _check_arguments(a, m)
     level = a.n
     n = m.n
-    total = falling_factorial(n, level)
-    if total > cap:
-        raise ValueError(f"injection count {total} exceeds cap {cap}")
+    total = _injections(n, level)
     if total == 0:
         return 0.0
     by_level = _cells_by_level(a.signature, level)
@@ -140,12 +146,7 @@ def hom_density_exact(
     return count / total
 
 
-def density_vector(
-    m: Structure,
-    level: int,
-    injection_cap: int = DEFAULT_INJECTION_CAP,
-    space_cap: int = DEFAULT_SPACE_CAP,
-) -> DensityVector:
+def density_vector(m: Structure, level: int) -> DensityVector:
     """Complete density vector over every pattern at the given level.
 
     One pass over all injections; each injection contributes to exactly one
@@ -155,9 +156,7 @@ def density_vector(
 
     if level < 0 or level > m.n:
         raise ValueError(f"level {level} outside 0..{m.n}")
-    total = falling_factorial(m.n, level)
-    if total > injection_cap:
-        raise ValueError(f"injection count {total} exceeds cap {injection_cap}")
+    total = _injections(m.n, level)
     sig = m.signature
     pattern_cells = _pattern_cells(sig, level)
     counts: dict[tuple, int] = {}
@@ -174,19 +173,13 @@ def density_vector(
         key = tuple(payloads)
         counts[key] = counts.get(key, 0) + 1
     values: dict[Structure, float] = {}
-    for pattern in iter_space(sig, level, space_cap):
+    for pattern in iter_space(sig, level):
         key = pattern.relations
         values[pattern] = counts.get(key, 0) / total
     return DensityVector(m=level, values=values)
 
 
-def hom_density_mc(
-    a: Structure,
-    m: Structure,
-    samples: int,
-    rng,
-    chunk: int = 100_000,
-) -> tuple[float, float]:
+def hom_density_mc(a: Structure, m: Structure, samples: int, rng) -> tuple[float, float]:
     """Monte Carlo density estimate over uniform random injections.
 
     Returns (estimate, standard error).
@@ -204,7 +197,7 @@ def hom_density_mc(
     hits = 0
     done = 0
     while done < samples:
-        batch = min(chunk, samples - done)
+        batch = min(MC_CHUNK, samples - done)
         # argsort of i.i.d. uniforms yields a uniform random permutation
         u = rng.random((batch, n))
         injections = np.argsort(u, axis=1)[:, :level] + 1
@@ -231,9 +224,7 @@ def set_frequency(m: Structure) -> float:
     return m.tuple_count(0) / m.n
 
 
-def _limit_grid(
-    grid, level: int, n: int, horizon: float, injection_cap: int = DEFAULT_INJECTION_CAP
-) -> list[float]:
+def _limit_grid(grid, level: int, n: int, horizon: float) -> list[float]:
     """``grid`` as floats, once checked: a level-``level`` limit path of a
     level-n trajectory on [0, horizon] can be taken at its times."""
     grid = [float(t) for t in grid]
@@ -242,23 +233,14 @@ def _limit_grid(
             raise ValueError(f"grid time {t} outside [0, {horizon}]")
     if not 0 <= level <= n:
         raise ValueError(f"level {level} outside 0..{n}")
-    total = falling_factorial(n, level)
-    if total > injection_cap:
-        raise ValueError(f"injection count {total} exceeds cap {injection_cap}")
+    _injections(n, level)
     return grid
 
 
-def limit_path(
-    traj: LevyTrajectory,
-    level: int,
-    grid,
-    injection_cap: int = DEFAULT_INJECTION_CAP,
-) -> list[DensityVector]:
+def limit_path(traj: LevyTrajectory, level: int, grid) -> list[DensityVector]:
     """Density vectors of the trajectory state sampled on a time grid."""
-    grid = _limit_grid(grid, level, traj.n, traj.horizon, injection_cap)
-    return [
-        density_vector(traj.state_at(t), level, injection_cap) for t in grid
-    ]
+    grid = _limit_grid(grid, level, traj.n, traj.horizon)
+    return [density_vector(traj.state_at(t), level) for t in grid]
 
 
 def density_l1(v1: DensityVector, v2: DensityVector) -> float:

@@ -24,12 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .orbits import (
-    DEFAULT_CANONICAL_CAP,
-    OrbitId,
-    orbit_members,
-    orbit_of,
-)
+from .orbits import OrbitId, orbit_members, orbit_of
 from .structures import (
     Signature,
     Structure,
@@ -61,6 +56,11 @@ __all__ = [
 ]
 
 MASS_TOL = 1e-12
+# Largest per-member deviation from its orbit's mean mass that
+# is_exchangeable accepts.
+EXCHANGEABLE_TOL = 1e-9
+# Largest n whose 2^n subsets bernoulli_set_measure enumerates.
+BERNOULLI_SET_CAP = 24
 
 SIG_SET = Signature((1,))
 
@@ -175,12 +175,12 @@ class OrbitWeights:
         return all(abs(self.mass(y) - other.mass(y)) <= tol for y in keys)
 
 
-def uniform_on_orbit(oid: OrbitId, cap: int = DEFAULT_CANONICAL_CAP) -> FiniteMeasure:
+def uniform_on_orbit(oid: OrbitId) -> FiniteMeasure:
     """Uniform distribution over one isomorphism class."""
     rep = oid.structure()
-    if orbit_of(rep, cap) != oid:
+    if orbit_of(rep) != oid:
         raise ValueError(f"not a canonical orbit id: {oid.canonical!r}")
-    members = orbit_members(rep, cap)
+    members = orbit_members(rep)
     mass = 1.0 / len(members)
     return FiniteMeasure(rep.signature, rep.n, {m: mass for m in members})
 
@@ -197,12 +197,12 @@ def urn_measure(k: int, n: int) -> FiniteMeasure:
     return FiniteMeasure(SIG_SET, n, weights)
 
 
-def bernoulli_set_measure(prob: float, n: int, n_cap: int = 24) -> FiniteMeasure:
+def bernoulli_set_measure(prob: float, n: int) -> FiniteMeasure:
     """Product-Bernoulli measure on subsets of [n]: each element kept w.p. prob."""
     if not 0.0 <= prob <= 1.0:
         raise ValueError(f"prob={prob} outside [0, 1]")
-    if n > n_cap:
-        raise ValueError(f"n={n} exceeds enumeration cap {n_cap}")
+    if n > BERNOULLI_SET_CAP:
+        raise ValueError(f"n={n} exceeds enumeration cap {BERNOULLI_SET_CAP}")
     weights = {}
     for size in range(n + 1):
         mass = prob**size * (1.0 - prob) ** (n - size)
@@ -213,57 +213,53 @@ def bernoulli_set_measure(prob: float, n: int, n_cap: int = 24) -> FiniteMeasure
     return FiniteMeasure(SIG_SET, n, weights)
 
 
-def _orbit_groups(mu: FiniteMeasure, cap: int) -> list[list[Structure]]:
+def _orbit_groups(mu: FiniteMeasure) -> list[list[Structure]]:
     """Members of every orbit touching the support, grouped per orbit."""
     seen: set[Structure] = set()
     groups = []
     for m in mu.support():
         if m in seen:
             continue
-        members = orbit_members(m, cap)
+        members = orbit_members(m)
         seen.update(members)
         groups.append(members)
     return groups
 
 
-def is_exchangeable(
-    mu: FiniteMeasure, tol: float = 1e-9, cap: int = DEFAULT_CANONICAL_CAP
-) -> bool:
+def is_exchangeable(mu: FiniteMeasure) -> bool:
     """Whether the mass is constant across each isomorphism class."""
-    for members in _orbit_groups(mu, cap):
+    for members in _orbit_groups(mu):
         mean = math.fsum(mu.mass(m) for m in members) / len(members)
-        if any(abs(mu.mass(m) - mean) > tol for m in members):
+        if any(abs(mu.mass(m) - mean) > EXCHANGEABLE_TOL for m in members):
             return False
     return True
 
 
-def symmetrize(mu: FiniteMeasure, cap: int = DEFAULT_CANONICAL_CAP) -> FiniteMeasure:
+def symmetrize(mu: FiniteMeasure) -> FiniteMeasure:
     """Average the mass over each orbit; orbit totals are preserved."""
     weights: dict[Structure, float] = {}
-    for members in _orbit_groups(mu, cap):
+    for members in _orbit_groups(mu):
         mean = math.fsum(mu.mass(m) for m in members) / len(members)
         for m in members:
             weights[m] = mean
     return FiniteMeasure(mu.signature, mu.n, weights)
 
 
-def decompose_exchangeable(
-    mu: FiniteMeasure, tol: float = 1e-9, cap: int = DEFAULT_CANONICAL_CAP
-) -> OrbitWeights:
+def decompose_exchangeable(mu: FiniteMeasure) -> OrbitWeights:
     """Unique orbit weights with mu = sum of p_Y * (uniform on Y)."""
     if not mu.is_probability:
         raise ValueError(f"not a probability measure (total {mu.total_mass})")
-    if not is_exchangeable(mu, tol, cap):
+    if not is_exchangeable(mu):
         raise ValueError("measure is not exchangeable within tolerance")
     p: dict[OrbitId, float] = {}
-    for members in _orbit_groups(mu, cap):
+    for members in _orbit_groups(mu):
         total = math.fsum(mu.mass(m) for m in members)
         if total > 0:
-            p[orbit_of(members[0], cap)] = total
+            p[orbit_of(members[0])] = total
     return OrbitWeights(mu.signature, mu.n, p)
 
 
-def recompose(p: OrbitWeights, cap: int = DEFAULT_CANONICAL_CAP) -> FiniteMeasure:
+def recompose(p: OrbitWeights) -> FiniteMeasure:
     """Mixture of orbit-uniform measures with the given weights."""
     weights: dict[Structure, float] = {}
     for oid, mass in p.p.items():
@@ -271,7 +267,7 @@ def recompose(p: OrbitWeights, cap: int = DEFAULT_CANONICAL_CAP) -> FiniteMeasur
             raise ValueError(f"negative orbit weight {mass} on {oid.canonical!r}")
         if mass == 0:
             continue
-        members = orbit_members(oid.structure(), cap)
+        members = orbit_members(oid.structure())
         share = mass / len(members)
         for m in members:
             weights[m] = weights.get(m, 0.0) + share

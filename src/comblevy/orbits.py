@@ -4,7 +4,7 @@ Two structures are isomorphic when some permutation of the labels maps one
 onto the other.  The canonical form of a structure is the relabeling with
 the lexicographically minimal serialization; the orbit id wraps that text.
 Canonicalization minimizes over all n! permutations, so everything here is
-gated by an enumeration cap (default n <= 8).
+gated by an enumeration cap (n <= CANONICAL_CAP).
 
 With the cap in place all labels are single decimal digits, so comparing
 per-relation sorted tuple sequences is identical to comparing serialized
@@ -42,12 +42,12 @@ __all__ = [
     "orbit_lookup",
     "iter_space",
     "space_size",
-    "DEFAULT_CANONICAL_CAP",
-    "DEFAULT_SPACE_CAP",
+    "CANONICAL_CAP",
+    "SPACE_CAP",
 ]
 
-DEFAULT_CANONICAL_CAP = 8
-DEFAULT_SPACE_CAP = 1_000_000
+CANONICAL_CAP = 8
+SPACE_CAP = 1_000_000
 
 
 @dataclass(frozen=True, order=True)
@@ -104,32 +104,32 @@ def _relabelings(m: Structure) -> set[tuple]:
     }
 
 
-def _check_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise ValueError(f"n={n} exceeds canonicalization cap {cap}")
+def _check_cap(n: int) -> None:
+    if n > CANONICAL_CAP:
+        raise ValueError(f"n={n} exceeds canonicalization cap {CANONICAL_CAP}")
 
 
-def canonical_form(m: Structure, cap: int = DEFAULT_CANONICAL_CAP) -> Structure:
+def canonical_form(m: Structure) -> Structure:
     """Relabeling of ``m`` with lexicographically minimal serialization."""
-    _check_cap(m.n, cap)
+    _check_cap(m.n)
     return _structure_from_cells(m.signature, m.n, min(_relabelings(m)))
 
 
-def orbit_members(m: Structure, cap: int = DEFAULT_CANONICAL_CAP) -> list[Structure]:
+def orbit_members(m: Structure) -> list[Structure]:
     """All distinct relabelings of ``m``, sorted by canonical key."""
-    _check_cap(m.n, cap)
+    _check_cap(m.n)
     return [
         _structure_from_cells(m.signature, m.n, key)
         for key in sorted(_relabelings(m))
     ]
 
 
-def orbit_of(m: Structure, cap: int = DEFAULT_CANONICAL_CAP) -> OrbitId:
-    return OrbitId(serialize(canonical_form(m, cap)))
+def orbit_of(m: Structure) -> OrbitId:
+    return OrbitId(serialize(canonical_form(m)))
 
 
-def orbit_size(m: Structure, cap: int = DEFAULT_CANONICAL_CAP) -> int:
-    return len(orbit_members(m, cap))
+def orbit_size(m: Structure) -> int:
+    return len(orbit_members(m))
 
 
 def space_size(signature: Signature, n: int) -> int:
@@ -140,11 +140,11 @@ def space_size(signature: Signature, n: int) -> int:
     return total
 
 
-def iter_space(signature: Signature, n: int, cap: int = DEFAULT_SPACE_CAP):
+def iter_space(signature: Signature, n: int):
     """Yield every structure over [n], in canonical key order per relation."""
-    if space_size(signature, n) > cap:
+    if space_size(signature, n) > SPACE_CAP:
         raise ValueError(
-            f"structure space of size {space_size(signature, n)} exceeds cap {cap}"
+            f"structure space of size {space_size(signature, n)} exceeds cap {SPACE_CAP}"
         )
     ranges = [range(1 << (n**a)) for a in signature.arities]
     for masks in itertools.product(*ranges):
@@ -152,16 +152,14 @@ def iter_space(signature: Signature, n: int, cap: int = DEFAULT_SPACE_CAP):
 
 
 @lru_cache(maxsize=64)
-def _orbit_data(
-    signature: Signature, n: int, space_cap: int, canonical_cap: int
-) -> tuple[OrbitTable, dict]:
-    _check_cap(n, canonical_cap)
+def _orbit_data(signature: Signature, n: int) -> tuple[OrbitTable, dict]:
+    _check_cap(n)
     lookup: dict[Structure, OrbitId] = {}
     entries = []
-    for m in iter_space(signature, n, space_cap):
+    for m in iter_space(signature, n):
         if m in lookup:
             continue
-        members = orbit_members(m, canonical_cap)
+        members = orbit_members(m)
         oid = OrbitId(serialize(members[0]))
         for member in members:
             lookup[member] = oid
@@ -171,21 +169,11 @@ def _orbit_data(
     return table, lookup
 
 
-def enumerate_orbits(
-    signature: Signature,
-    n: int,
-    space_cap: int = DEFAULT_SPACE_CAP,
-    canonical_cap: int = DEFAULT_CANONICAL_CAP,
-) -> OrbitTable:
+def enumerate_orbits(signature: Signature, n: int) -> OrbitTable:
     """Partition the whole structure space over [n] into orbits."""
-    return _orbit_data(signature, n, space_cap, canonical_cap)[0]
+    return _orbit_data(signature, n)[0]
 
 
-def orbit_lookup(
-    signature: Signature,
-    n: int,
-    space_cap: int = DEFAULT_SPACE_CAP,
-    canonical_cap: int = DEFAULT_CANONICAL_CAP,
-) -> dict:
+def orbit_lookup(signature: Signature, n: int) -> dict:
     """Map from every structure over [n] to its OrbitId (cached)."""
-    return _orbit_data(signature, n, space_cap, canonical_cap)[1]
+    return _orbit_data(signature, n)[1]

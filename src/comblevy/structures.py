@@ -498,11 +498,16 @@ def _head(text: str) -> tuple[Signature, int]:
     return signature, n
 
 
-# A parsed relation's cell indices, 0 .. n^arity - 1, are decoded in int64,
-# so a parser decodes cells only when n^arity stays below this.
+# Cell indices, 0 .. n^arity - 1, are held in int64, so a parser or a
+# sampler handles only sizes whose n^max_arity stays below this.
 _MAX_CELLS = 10**18
 _LABEL = re.compile("[1-9][0-9]*")
 _GAPS = str.maketrans("(),;", "    ")  # tuple punctuation, as label separators
+
+
+def _check_cell_range(signature: Signature, n: int) -> None:
+    if n**signature.max_arity >= _MAX_CELLS:
+        raise ValueError(f"n={n} is too large to index cells of arity {signature.max_arity}")
 
 
 class _BatchError(ValueError):
@@ -528,6 +533,7 @@ class _Parser:
     __slots__ = ("signature", "n", "head", "grammar")
 
     def __init__(self, signature: Signature, n: int):
+        _check_cell_range(signature, n)
         self.signature = signature
         self.n = n
         self.head = [f"L={signature}", f"n={n}"]
@@ -583,8 +589,6 @@ class _Parser:
                 return labels, counts
             if labels.max() > self.n:
                 return None
-            if self.n**arity >= _MAX_CELLS:
-                raise ValueError(f"n={self.n} is too large to index cells of arity {arity}")
             cells = labels[::arity] - 1
             for i in range(1, arity):
                 cells = cells * self.n + labels[i::arity] - 1

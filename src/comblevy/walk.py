@@ -15,8 +15,7 @@ from collections.abc import Sequence
 
 from .measures import FiniteMeasure, is_exchangeable
 from .orbits import (
-    DEFAULT_CANONICAL_CAP,
-    DEFAULT_SPACE_CAP,
+    SPACE_CAP,
     OrbitId,
     enumerate_orbits,
     orbit_lookup,
@@ -97,12 +96,7 @@ def simulate_walk(
     return traj
 
 
-def walk_distribution_exact(
-    mu: FiniteMeasure,
-    x0: Structure,
-    steps: int,
-    space_cap: int = DEFAULT_SPACE_CAP,
-) -> FiniteMeasure:
+def walk_distribution_exact(mu: FiniteMeasure, x0: Structure, steps: int) -> FiniteMeasure:
     """Exact T-step state distribution by repeated convolution.
 
     Brute force over the reachable state space; intended as an oracle for
@@ -111,7 +105,7 @@ def walk_distribution_exact(
     _require_probability(mu)
     if mu.signature != x0.signature or mu.n != x0.n:
         raise ValueError("initial state does not match the increment measure shape")
-    if space_size(mu.signature, mu.n) > space_cap:
+    if space_size(mu.signature, mu.n) > SPACE_CAP:
         raise ValueError("state space too large for exact convolution")
     support = mu.items_sorted()
     dist: dict[Structure, float] = {x0: 1.0}
@@ -124,19 +118,12 @@ def walk_distribution_exact(
     return FiniteMeasure(mu.signature, mu.n, dist)
 
 
-def project_orbit_chain(
-    traj: WalkTrajectory, cap: int = DEFAULT_CANONICAL_CAP
-) -> list[OrbitId]:
+def project_orbit_chain(traj: WalkTrajectory) -> list[OrbitId]:
     """Elementwise orbit projection of the state sequence."""
-    return [orbit_of(m, cap) for m in traj.steps]
+    return [orbit_of(m) for m in traj.steps]
 
 
-def orbit_kernel(
-    mu: FiniteMeasure,
-    tol: float = 1e-9,
-    space_cap: int = DEFAULT_SPACE_CAP,
-    cap: int = DEFAULT_CANONICAL_CAP,
-) -> dict[tuple[OrbitId, OrbitId], float]:
+def orbit_kernel(mu: FiniteMeasure) -> dict[tuple[OrbitId, OrbitId], float]:
     """Transition kernel of the orbit chain for an exchangeable increment law.
 
     K(Y, Y') aggregates the one-step transition mass from any representative
@@ -145,10 +132,10 @@ def orbit_kernel(
     rejected here.
     """
     _require_probability(mu)
-    if not is_exchangeable(mu, tol, cap):
+    if not is_exchangeable(mu):
         raise ValueError("orbit kernel requires an exchangeable increment measure")
-    table = enumerate_orbits(mu.signature, mu.n, space_cap, cap)
-    lookup = orbit_lookup(mu.signature, mu.n, space_cap, cap)
+    table = enumerate_orbits(mu.signature, mu.n)
+    lookup = orbit_lookup(mu.signature, mu.n)
     kernel: dict[tuple[OrbitId, OrbitId], float] = defaultdict(float)
     support = mu.items_sorted()
     for oid, _ in table.entries:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -142,6 +143,44 @@ def naive_hom_density(a: Structure, m: Structure) -> float:
                 break
         hits += ok
     return hits / total if total else 0.0
+
+
+# Largest rate matrix dimension expm_small accepts.
+EXPM_DIM_CAP = 1024
+
+
+def expm_small(Q, t: float) -> np.ndarray:
+    """exp(tQ) for a small conservative rate matrix, by scaling and squaring
+    of the truncated series.  Rows of the result sum to 1 within 1e-10;
+    round-off negatives above -1e-12 are clamped to zero."""
+    Q = np.asarray(Q, dtype=float)
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+        raise ValueError("Q must be a square matrix")
+    d = Q.shape[0]
+    if d > EXPM_DIM_CAP:
+        raise ValueError(f"dimension {d} exceeds cap {EXPM_DIM_CAP}")
+    if t < 0:
+        raise ValueError(f"time must be >= 0, got {t}")
+    off = Q - np.diag(np.diag(Q))
+    if off.min() < -1e-12:
+        raise ValueError("off-diagonal rates must be nonnegative")
+    if np.abs(Q.sum(axis=1)).max() > 1e-9:
+        raise ValueError("rows of a rate matrix must sum to zero")
+    A = Q * t
+    norm = float(np.abs(A).sum(axis=1).max()) if d else 0.0
+    squarings = max(0, int(math.ceil(math.log2(norm / 0.5)))) if norm > 0.5 else 0
+    B = A / (2.0**squarings)
+    E = np.eye(d)
+    term = np.eye(d)
+    for k in range(1, 40):
+        term = term @ B / k
+        E = E + term
+        if float(np.abs(term).max()) < 1e-20:
+            break
+    for _ in range(squarings):
+        E = E @ E
+    E[(E < 0) & (E >= -1e-12)] = 0.0
+    return E
 
 
 def gillespie_levy(restricted, horizon: float, rng) -> tuple[list[float], list[Structure]]:

@@ -18,7 +18,6 @@ from comblevy.levy import (
     LevyIntensity,
     RestrictedIntensity,
     SetSingletonComponent,
-    expm_small,
     intensity_to_json,
     marginal_flip_probability,
     restrict_trajectory,
@@ -46,7 +45,7 @@ from comblevy.structures import (
 )
 from comblevy.walk import simulate_walk, walk_distribution_exact
 
-from helpers import random_permutation, random_structure, run_comblevy
+from helpers import expm_small, random_permutation, random_structure, run_comblevy
 
 SIG1 = Signature((1,))
 SIG2 = Signature((2,))

@@ -11,7 +11,9 @@ from comblevy.levy import (
     LevyTrajectory,
     SetSingletonComponent,
     intensity_to_json,
+    simulate_levy,
     trajectory_from_csv,
+    trajectory_to_csv,
 )
 from comblevy.measures import (
     decompose_exchangeable,
@@ -19,6 +21,7 @@ from comblevy.measures import (
     measure_to_json,
     urn_measure,
 )
+from comblevy.rng import make_rng
 from comblevy.structures import Signature, empty_structure, serialize
 from comblevy.walk import walk_from_csv
 
@@ -385,6 +388,36 @@ class TestErrorHandling:
                             "--grid", grid, "--out", out])
             assert code == 2
             assert not out.exists() and not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, cap",
+        [
+            (["orbits", "--signature", "(1)", "--n", 9], "canonicalization cap 8"),
+            (["orbits", "--signature", "(2)", "--n", 5], "cap 1000000"),
+            (["density", "--structure", "L=(1)|n=60|R1={}", "--level", 4], "cap 10000000"),
+            (["simulate-levy", "--intensity", "INTENSITY", "--n", 60, "--horizon", 1.0,
+              "--seed", 1, "--limit-level", 4, "--grid", 0.5], "cap 10000000"),
+            (["test-exchangeability", "--trajectory", "PATH"], "canonicalization cap 8"),
+        ],
+        ids=["canonical", "space", "density-injections", "limit-injections", "test-canonical"],
+    )
+    def test_resource_caps_exit_2(self, tmp_path, capsys, intensity_file, command, cap):
+        path = tmp_path / "path.csv"  # an n=9 path with jumps
+        I = LevyIntensity(SIG1, (SetSingletonComponent(rate=1.0),))
+        path.write_text(trajectory_to_csv(simulate_levy(I, 9, 1.0, make_rng(1))))
+        out = tmp_path / "out" / "result"
+        files = {"INTENSITY": intensity_file, "PATH": path}
+        assert run_cli([files.get(a, a) for a in command] + ["--out", out]) == 2
+        assert f"exceeds {cap}" in capsys.readouterr().err
+        assert not out.exists() and not (out.parent / "manifest.json").exists()
+
+    def test_cell_codes_past_int64_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "huge.jsonl"
+        path.write_text('{"n": 10000000000, "signature": "(2)", "T": 1.0}\n')
+        out = tmp_path / "out" / "measure.json"
+        assert run_cli(["estimate-jumps", "--trajectory", path, "--out", out]) == 2
+        assert "too large to index cells" in capsys.readouterr().err
+        assert not out.exists() and not (out.parent / "manifest.json").exists()
 
     def test_missing_required_args(self):
         with pytest.raises(SystemExit) as exc:

@@ -26,7 +26,6 @@ from comblevy.levy import (
     _jump_chain,
     events_from_jsonl,
     events_to_jsonl,
-    expm_small,
     intensity_from_json,
     intensity_to_json,
     marginal_flip_probability,
@@ -54,6 +53,7 @@ from comblevy.trajectory import _SNAPSHOT_EVERY
 from comblevy.walk import WalkTrajectory, simulate_walk, walk_from_csv, walk_to_csv
 
 from helpers import (
+    expm_small,
     gillespie_levy,
     random_permutation,
     random_structure,
@@ -164,6 +164,15 @@ class TestRestrictedRates:
         mu = FiniteMeasure(SIG1, 2, {S(SIG1, 2, {1}): 0.7, S(SIG1, 2, {1, 2}): 0.8})
         I = LevyIntensity(SIG1, (ExplicitFinite(mu),))
         assert RestrictedIntensity(I, 2).total_rate == pytest.approx(1.5)
+
+    def test_cell_codes_must_fit_int64(self):
+        # pair cells run up to n^2 - 1; past 10^18 they would wrap in int64
+        I = LevyIntensity(SIG2, (PairComponent(rate=1.0),))
+        with pytest.raises(ValueError, match="n=5000000000 is too large"):
+            RestrictedIntensity(I, 5_000_000_000)
+        n = 999_999_999
+        cells, _ = RestrictedIntensity(I, n).sample_cells_batch(make_rng(1), 64)
+        assert cells.min() >= 0 and cells.max() < n * n
 
 
 def _conditional_bernoulli_law(n, p):
@@ -1257,6 +1266,15 @@ class TestFileFormats:
         lines[20] = "19," + serialize(empty_structure(SIG12, 4))
         with pytest.raises(ValueError, match="n=4"):
             walk_from_csv("\n".join(lines))
+
+    def test_readers_reject_cell_codes_past_int64(self):
+        for read, text in [
+            (events_from_jsonl, '{"n": 10000000000, "signature": "(2)", "T": 1.0}\n'),
+            (trajectory_from_csv, "time,structure\n0.0,L=(2)|n=10000000000|R1={}\n"),
+            (walk_from_csv, "step,structure\n0,L=(1,2)|n=10000000000|R1={}|R2={}\n"),
+        ]:
+            with pytest.raises(ValueError, match="n=10000000000 is too large"):
+                read(text)
 
     def test_events_jsonl_rejects_malformed_records(self, monkeypatch):
         header = {"signature": "(1)", "n": 3, "T": 1.0, "seed": None}

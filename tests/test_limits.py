@@ -66,10 +66,11 @@ class TestExactDensity:
                 )
 
     def test_injection_cap(self):
-        A = empty_structure(SIG1, 3)
-        M = empty_structure(SIG1, 8)
-        with pytest.raises(ValueError):
-            hom_density_exact(A, M, cap=10)
+        # 60 * 59 * 58 * 57 injections of [4] into [60], past the cap of 10^7
+        A = empty_structure(SIG1, 4)
+        M = empty_structure(SIG1, 60)
+        with pytest.raises(ValueError, match="exceeds cap 10000000"):
+            hom_density_exact(A, M)
 
     def test_signature_mismatch(self):
         with pytest.raises(ValueError):

@@ -144,8 +144,9 @@ class TestEnumerateOrbits:
             assert lookup[m] == orbit_of(m)
 
     def test_space_cap(self):
-        with pytest.raises(ValueError):
-            enumerate_orbits(SIG2, 5, space_cap=1000)
+        # 2^25 graphs on [5], past the cap of 10^6
+        with pytest.raises(ValueError, match="exceeds cap 1000000"):
+            enumerate_orbits(SIG2, 5)
 
     def test_json_export(self):
         payload = json.loads(enumerate_orbits(SIG1, 2).to_json())
