@@ -112,16 +112,17 @@ def _write_manifest(args: argparse.Namespace, command: str, out: str) -> None:
 
 def _load_trajectory(path: str):
     """Walk CSV, continuous-time CSV or event stream, detected by the first
-    line."""
-    text = _read_text(path)
-    end = text.find("\n")  # not partition: that would copy the whole rest
-    header = (text if end < 0 else text[:end]).rstrip("\r")
-    if header == "step,structure":
-        return walk_from_csv(text)
-    if header == "time,structure":
-        return trajectory_from_csv(text)
-    if header.startswith("{"):
-        return events_from_jsonl(text)
+    line.  The reader gets the open file, read with universal newlines,
+    and takes it a piece at a time."""
+    with open(path, encoding="utf-8") as source:
+        header = source.readline().rstrip("\n")
+        source.seek(0)
+        if header == "step,structure":
+            return walk_from_csv(source)
+        if header == "time,structure":
+            return trajectory_from_csv(source)
+        if header.startswith("{"):
+            return events_from_jsonl(source)
     raise ValueError(f"unrecognized trajectory header: {header!r}")
 
 

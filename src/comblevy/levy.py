@@ -31,6 +31,7 @@ import numbers
 import re
 from dataclasses import dataclass, fields
 from itertools import accumulate, chain, islice
+from typing import TextIO
 
 import numpy as np
 
@@ -772,8 +773,9 @@ def _csv_times(keys, first: int) -> list[float]:
         raise ValueError(f"malformed time: {exc}") from None
 
 
-def trajectory_from_csv(text: str, horizon: float | None = None) -> LevyTrajectory:
-    """Read a full-state CSV (see ``LevyTrajectory._from_csv``).  The format
+def trajectory_from_csv(text: str | TextIO, horizon: float | None = None) -> LevyTrajectory:
+    """Read a full-state CSV, a str or an open text file (see
+    ``LevyTrajectory._from_csv``).  The format
     does not record the horizon, so it is the last event time unless
     ``horizon`` is given."""
     return LevyTrajectory._from_csv(text, "time", _csv_times, horizon)
@@ -890,9 +892,9 @@ def _record_columns(parser: _Parser, records: re.Pattern, piece: str):
         raise ValueError(f"increment at t={times[exc.index]}: {exc}") from None
 
 
-def events_from_jsonl(text: str) -> LevyTrajectory:
-    """Read an event stream, a piece of text at a time (see
-    ``structures._text_batches`` and ``_record_columns``)."""
+def events_from_jsonl(text: str | TextIO) -> LevyTrajectory:
+    """Read an event stream, a str or an open text file, a piece of text at
+    a time (see ``structures._text_batches`` and ``_record_columns``)."""
     pieces = _text_batches(text)
     header, *rest = next(filter(None, map(_lines, pieces)), [""])
     if not header:

@@ -30,6 +30,8 @@ from .structures import (
     Structure,
     _cells,
     _flat_cells,
+    _formatter,
+    _relation_columns,
     _take_rows,
     empty_structure,
     parse,
@@ -99,10 +101,22 @@ class FiniteMeasure:
 
     def support(self) -> list[Structure]:
         """Support sorted by canonical serialization."""
-        return sorted(self.weights, key=serialize)
+        return list(self._sorted_support[1])
 
     def items_sorted(self) -> list[tuple[Structure, float]]:
         return [(m, self.weights[m]) for m in self.support()]
+
+    @cached_property
+    def _sorted_support(self) -> tuple[list[str], list[Structure]]:
+        """The support's canonical texts, formatted as one block, and its
+        members, both in the order of those texts."""
+        members = list(self.weights)
+        text = _formatter(self.signature, self.n)
+        columns = _relation_columns(*_flat_cells([_cells(m) for m in members], self.signature.k))
+        bodies = text.bodies(columns)
+        texts = list(map(text.form.__mod__, zip(*bodies) if bodies else [()] * len(members)))
+        order = sorted(range(len(members)), key=texts.__getitem__)
+        return [texts[i] for i in order], [members[i] for i in order]
 
     @cached_property
     def _inverse_cdf(self) -> tuple[list[Structure], list[float], np.ndarray, tuple]:
@@ -279,7 +293,8 @@ def measure_to_payload(mu: FiniteMeasure) -> dict:
         "signature": str(mu.signature),
         "n": mu.n,
         "entries": [
-            {"structure": serialize(m), "mass": w} for m, w in mu.items_sorted()
+            {"structure": text, "mass": mu.weights[m]}
+            for text, m in zip(*mu._sorted_support)
         ],
     }
 

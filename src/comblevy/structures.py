@@ -16,7 +16,7 @@ writers format a block of structures at once (``_Formatter``, of which
 ``serialize`` is the block of one).  The file readers parse many texts at
 once (``_Parser.batch``, of which ``parse`` is the batch of one) into one
 flat int64 cell column plus a count per text and relation, reading the file
-text in bounded pieces (``_line_batches``).
+text, a str or an open file, in bounded pieces (``_line_batches``).
 
 Labels are 1-based throughout.
 """
@@ -185,6 +185,12 @@ class Structure:
     def is_empty(self) -> bool:
         return not any(self.relations)
 
+    def __hash__(self) -> int:
+        # An int hashes to itself modulo 2**61 - 1, so a relation of one
+        # cell c would hash as 2**(c % 61), one of 61 values; its bit length
+        # tells the cell positions apart.
+        return hash((self.n, self.relations, tuple(map(int.bit_length, self.relations))))
+
     def __str__(self) -> str:
         return serialize(self)
 
@@ -316,10 +322,17 @@ class _CellBits:
     def __init__(self, m: Structure):
         self.signature = m.signature
         self.n = m.n
-        self.bufs = [
-            bytearray(rel.to_bytes((m.n**arity + 7) // 8, "little"))
-            for arity, rel in zip(m.signature.arities, m.relations)
-        ]
+        sizes = [(m.n**arity + 7) // 8 for arity in m.signature.arities]
+        try:
+            self.bufs = [
+                bytearray(rel.to_bytes(size, "little"))
+                for size, rel in zip(sizes, m.relations)
+            ]
+        except MemoryError:
+            raise ValueError(
+                f"a state of signature {m.signature} at n={m.n} needs "
+                f"{sum(sizes)} bytes of cell bits, more than can be allocated"
+            ) from None
 
     def flip(self, cells) -> "_CellBits":
         """XOR in the cells ``cells[j]`` of each relation j."""
@@ -442,20 +455,36 @@ class _Formatter:
 _formatter = lru_cache(maxsize=64)(_Formatter)
 
 
+class _CellTexts(dict):
+    """Cell -> its text in a relation body of one arity, ";"-led as a run
+    of :meth:`_Formatter._pieces` is (cell ``(1,2)`` is ``";(1,2)"``), so a
+    body is the join of its cells' texts less the first ";"; built on first
+    use from the formatter's label tables."""
+
+    __slots__ = ("text", "arity")
+
+    def __init__(self, text: _Formatter, arity: int):
+        self.text = text
+        self.arity = arity
+
+    def __missing__(self, cell: int) -> str:
+        text, arity, rest = self.text, self.arity, cell
+        labels = []
+        for pos in range(arity - 1, 0, -1):
+            rest, label = divmod(rest, text.n)
+            labels.append((text.last if pos == arity - 1 else text.middle)[label])
+        if arity:
+            labels.append((text.lead if arity > 1 else text.single)[rest])
+        piece = self[cell] = "".join(reversed(labels)) if arity else ";()"
+        return piece
+
+
 def _relation_columns(cells: np.ndarray, counts: np.ndarray) -> list:
     """Per relation j, the cells of relation j in a flat column of (rows x k)
     ``counts`` (see :meth:`_Parser.batch`), and its count per row."""
     k = counts.shape[1]
     rels = np.repeat(np.tile(np.arange(k), len(counts)), counts.ravel())
     return [(cells[rels == j], counts[:, j].tolist()) for j in range(k)]
-
-
-def _bit_columns(raws) -> tuple[np.ndarray, list[int]]:
-    """The ascending set bits of each of the equal-length little-endian
-    byte strings ``raws`` in one flat column, and how many each holds."""
-    flat = np.frombuffer(b"".join(raws), np.uint8).reshape(len(raws), -1)
-    rows, cells = np.unpackbits(flat, axis=1, bitorder="little").nonzero()
-    return cells, np.bincount(rows, minlength=len(raws)).tolist()
 
 
 def serialize_cells(signature: Signature, n: int, cells) -> str:
@@ -708,10 +737,15 @@ def _row_increments(cells: np.ndarray, counts: np.ndarray, size: int) -> tuple:
 _READ_BATCH_CHARS = 2**16
 
 
-def _text_batches(text: str):
-    """``text`` in pieces of about ``_READ_BATCH_CHARS`` characters, each
-    ending at a "\\n" or at the end of ``text``, so a reader holds one
-    piece's records at a time."""
+def _text_batches(text):
+    """``text``, a str or a file open for reading text, in pieces of about
+    ``_READ_BATCH_CHARS`` characters, each ending at a "\\n" or at the end
+    of ``text``, so a reader holds one piece's records at a time; a file
+    is read a piece at a time."""
+    if not isinstance(text, str):
+        while piece := text.read(_READ_BATCH_CHARS):
+            yield piece if piece.endswith("\n") else piece + text.readline()
+        return
     start = 0
     while start < len(text):
         stop = text.find("\n", start + _READ_BATCH_CHARS - 1)
@@ -725,7 +759,7 @@ def _lines(piece: str) -> list[str]:
     return [ln for ln in piece.splitlines() if ln]
 
 
-def _line_batches(text: str):
+def _line_batches(text):
     """The non-empty lines of each of ``text``'s :func:`_text_batches`
     that has any."""
     return filter(None, map(_lines, _text_batches(text)))

@@ -7,14 +7,20 @@ the log a block of jumps at a time, straight from the cell columns that the
 samplers in :mod:`comblevy.levy` and :mod:`comblevy.walk` and the file
 readers emit.  A walk is the same log at the times
 1..T (see :class:`comblevy.walk.WalkTrajectory`).  Both full-state CSV
-formats are written and read here, by ``_to_csv`` and ``_from_csv``.
+formats are written and read here, by ``_to_csv`` and ``_from_csv``.  The
+writer follows the log: where the jumps flip few of the state's cells,
+each row is the previous row's text with the flipped cells' texts spliced
+in or cut out, so a row costs Python work per flipped cell, not per cell
+of the state; blocks of dense jumps are formatted whole from the states'
+cell columns.  The readers take the file text or the open file, a piece
+at a time.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from functools import cached_property
 from itertools import chain, islice
@@ -24,8 +30,8 @@ import numpy as np
 from .structures import (
     Signature,
     Structure,
-    _bit_columns,
     _CellBits,
+    _CellTexts,
     _cell_lists,
     _cells,
     _flat_cells,
@@ -42,6 +48,40 @@ __all__ = ["LevyTrajectory"]
 
 # A trajectory keeps a full state every this many events.
 _SNAPSHOT_EVERY = 128
+# A block of full-state CSV rows whose jumps flip at most this share of the
+# cells its rows hold is written by editing each row's text (see
+# ``LevyTrajectory._to_csv``).
+_SPLICE_SHARE = 1 / 16
+
+
+def _splice(run: str, cells: list, flips, texts) -> str:
+    """The run of a relation's sorted ``cells`` (the join of their
+    ``texts``) after XOR-ing in the sorted cells ``flips``; ``cells`` is
+    updated in place.  Bisection finds each flip in ``cells`` or the cell
+    it enters before, ``str.find`` finds that cell's text, and one join of
+    the kept segments and the entering texts makes the new run.  A cell's
+    text occurs once in a run: a match starts at the ";" that starts some
+    cell's text and ends at the ")" that ends it, so it is that cell's."""
+    segments, edits, pos, i = [], [], 0, 0
+    for c in flips:
+        i = bisect_left(cells, c, i)
+        if i < len(cells) and cells[i] == c:  # c leaves
+            cut = run.find(texts[c], pos)
+            segments.append(run[pos:cut])
+            pos = cut + len(texts[c])
+            edits.append((i, None))
+        else:  # c enters before cells[i]
+            cut = run.find(texts[cells[i]], pos) if i < len(cells) else len(run)
+            segments += run[pos:cut], texts[c]
+            pos = cut
+            edits.append((i, c))
+    segments.append(run[pos:])
+    for i, c in reversed(edits):  # from the back, so each i still holds
+        if c is None:
+            del cells[i]
+        else:
+            cells.insert(i, c)
+    return "".join(segments)
 
 
 class LevyTrajectory:
@@ -230,23 +270,77 @@ class LevyTrajectory:
 
     def _to_csv(self, key: str, form: str) -> str:
         """Full-state CSV: the header ``key,structure``, then per event its
-        time as ``form`` formats it and its state's text, a block of states
-        at a time: each state's cells are read from a copy of the running
-        bits, and a block holds ``_Formatter.block`` bytes of them."""
+        time as ``form`` formats it and its state's text.
+
+        After the start state's row, rows go a block of jumps at a time, a
+        block's states holding ``_Formatter.block`` bytes of cell bits.  A
+        block whose jumps flip at most ``_SPLICE_SHARE`` of the cells its
+        rows hold, counted at the state before it, is spliced: each
+        relation's text and sorted cell list are kept, and each row edits
+        the previous row's text at the cells its jump flips (``_splice``).
+        A denser block is formatted whole, from its states' cell columns
+        (``_state_columns``)."""
         text = _formatter(self.signature, self.n)
         line = f"{form},{text.form}\n"
-        states = self._replay()
+        k, jumps = self.signature.k, len(self._times) - 1
         size = max(1, text.block // sum((self.n**a + 7) // 8 for a in self.signature.arities))
-        chunks, lo = [f"{key},structure\n"], 0
-        while block := [list(map(bytes, bits.bufs)) for bits in islice(states, size)]:
-            bodies = text.bodies([_bit_columns(raws) for raws in zip(*block)])
-            chunks.append("".join(map(line.__mod__, zip(self._times[lo:lo + len(block)], *bodies))))
-            lo += len(block)
+        cell_texts = [_CellTexts(text, a) for a in self.signature.arities]
+        cells, state = _cells(self._start), None
+        runs = ["".join(map(t.__getitem__, c)) for t, c in zip(cell_texts, cells)]
+        chunks = [f"{key},structure\n", line % (self._times[0], *[run[1:] for run in runs])]
+        for lo in range(0, jumps, size):
+            hi = min(lo + size, jumps)
+            times = self._times[lo + 1: hi + 1]
+            flips = self._bounds[hi * k] - self._bounds[lo * k]
+            if flips <= _SPLICE_SHARE * (hi - lo) * sum(map(len, cells)):
+                if runs is None:
+                    runs = ["".join(map(t.__getitem__, c)) for t, c in zip(cell_texts, cells)]
+                state = None
+                for t, flipped in zip(times, map(self._jump_cells, range(lo, hi))):
+                    runs = [
+                        _splice(run, c, f, t) if f else run
+                        for run, c, f, t in zip(runs, cells, flipped, cell_texts)
+                    ]
+                    chunks.append(line % (t, *[run[1:] for run in runs]))
+            else:
+                if state is None:
+                    state = [np.zeros(self.n**a, bool) for a in self.signature.arities]
+                    for flags, c in zip(state, cells):
+                        flags[c] = True
+                columns, state = self._state_columns(state, lo, hi)
+                chunks.append("".join(map(line.__mod__, zip(times, *text.bodies(columns)))))
+                cells = [col[len(col) - counts[-1]:].tolist() for col, counts in columns]
+                runs = None
         return "".join(chunks)
 
+    def _state_columns(self, state: list, lo: int, hi: int) -> tuple[list, list]:
+        """Per relation, the cells of the states after jumps ``lo`` to
+        ``hi - 1`` in one column, with their counts per state (see
+        ``structures._relation_columns``), and the last of those states,
+        given ``state``, the one before them; a state is one flag per cell
+        per relation.  Each jump's cells are set in its row of a (jumps x
+        cells) matrix, and one XOR scan down the rows makes the states."""
+        k = self.signature.k
+        bounds = np.frombuffer(self._bounds[lo * k: hi * k + 1], np.int64)
+        cells = np.frombuffer(self._cells[bounds[0]: bounds[-1]], np.int64)
+        rows = np.arange(hi - lo)
+        columns, last = [], []
+        for (rel_cells, counts), before in zip(
+            _relation_columns(cells, np.diff(bounds).reshape(hi - lo, k)), state
+        ):
+            flags = np.zeros((hi - lo, len(before)), bool)
+            flags[np.repeat(rows, counts), rel_cells] = True
+            flags[0] ^= before
+            np.logical_xor.accumulate(flags, axis=0, out=flags)
+            at, rel_cells = flags.nonzero()
+            columns.append((rel_cells, np.bincount(at, minlength=hi - lo).tolist()))
+            last.append(flags[-1].copy())
+        return columns, last
+
     @classmethod
-    def _from_csv(cls, text: str, key: str, times, horizon: float | None = None):
-        """Read a full-state CSV with the header ``key,structure``; the
+    def _from_csv(cls, text, key: str, times, horizon: float | None = None):
+        """Read a full-state CSV, a str or an open text file, with the
+        header ``key,structure``; the
         event times of the key fields of rows ``first``, ``first + 1``, ...
         are ``times(keys, first)``.  The horizon is the last event time
         unless ``horizon`` is given.  Rows are parsed a batch at a time with

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Sequence
+from typing import TextIO
 
 from .measures import FiniteMeasure, is_exchangeable
 from .orbits import (
@@ -159,7 +160,7 @@ def _step_times(keys, first: int) -> range:
     return range(first, first + len(keys))
 
 
-def walk_from_csv(text: str) -> WalkTrajectory:
-    """Read a walk CSV (see ``LevyTrajectory._from_csv``); step i must be
-    written ``str(i)``."""
+def walk_from_csv(text: str | TextIO) -> WalkTrajectory:
+    """Read a walk CSV, a str or an open text file (see
+    ``LevyTrajectory._from_csv``); step i must be written ``str(i)``."""
     return WalkTrajectory._from_csv(text, "step", _step_times)

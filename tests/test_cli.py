@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from comblevy.levy import (
     LevyIntensity,
     LevyTrajectory,
     SetSingletonComponent,
+    events_to_jsonl,
     intensity_to_json,
     simulate_levy,
     trajectory_from_csv,
@@ -23,7 +25,7 @@ from comblevy.measures import (
 )
 from comblevy.rng import make_rng
 from comblevy.structures import Signature, empty_structure, serialize
-from comblevy.walk import walk_from_csv
+from comblevy.walk import WalkTrajectory, walk_from_csv, walk_to_csv
 
 from helpers import run_comblevy, run_python
 
@@ -419,10 +421,56 @@ class TestErrorHandling:
         assert "too large to index cells" in capsys.readouterr().err
         assert not out.exists() and not (out.parent / "manifest.json").exists()
 
+    def test_state_too_large_to_allocate_exit_2(self, tmp_path):
+        # closing the log of this empty stream needs one n^2-bit state; the
+        # child's address space is capped, so the test cannot allocate it
+        path = tmp_path / "huge.jsonl"
+        path.write_text('{"n": 100000000, "signature": "(2)", "T": 1.0}\n')
+        code = (
+            "import os, resource, sys\n"
+            "for name in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS'):\n"
+            "    os.environ[name] = '1'\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))\n"
+            "from comblevy.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        out = tmp_path / "out" / "measure.json"
+        result = run_python(["-c", code, "estimate-jumps", "--trajectory", path, "--out", out], tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert "n=100000000 needs 1250000000000000 bytes" in result.stderr
+        assert not out.exists()
+
     def test_missing_required_args(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["simulate-walk"])
         assert exc.value.code == 2
+
+
+class TestLoadTrajectory:
+    def test_reads_the_open_file_a_piece_at_a_time(self, tmp_path):
+        # set-csv's path in each file format, with "\r\n" line ends; the
+        # full-state CSVs are 1.8 MB, and their reader holds about one piece
+        # of the file at a time, never the whole file as bytes and as text
+        traj = simulate_levy(
+            LevyIntensity(SIG1, (SetSingletonComponent(rate=1.0),)), 1000, 1.0, make_rng(7)
+        )
+        walk = WalkTrajectory(tuple(s for _, s in traj.events))
+        for name, text, same in (
+            ("levy.csv", trajectory_to_csv(traj), lambda back: back.events == traj.events),
+            ("walk.csv", walk_to_csv(walk), lambda back: back == walk),
+            ("levy.jsonl", events_to_jsonl(traj), lambda back: back == traj),
+        ):
+            path = tmp_path / name
+            path.write_bytes(text.replace("\n", "\r\n").encode())
+            tracemalloc.start()
+            try:
+                back = cli._load_trajectory(str(path))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert same(back)
+            if name.endswith(".csv"):
+                assert len(text) > 1_500_000 and peak < len(text)
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from comblevy import levy, structures
+from comblevy import levy, structures, trajectory
 from comblevy.levy import (
     ExplicitFinite,
     LevyIntensity,
@@ -34,7 +35,7 @@ from comblevy.levy import (
     trajectory_from_csv,
     trajectory_to_csv,
 )
-from comblevy.measures import FiniteMeasure, urn_measure
+from comblevy.measures import FiniteMeasure, bernoulli_set_measure, urn_measure
 from comblevy.orbits import orbit_of
 from comblevy.rng import make_rng
 from comblevy.structures import (
@@ -1086,6 +1087,45 @@ class TestClosedForms:
             expm_small(np.zeros((2, 3)), 1.0)
 
 
+def _matrix_path(name):
+    """A path of the writer matrix: sparse paths, which the full-state
+    writers splice row by row, dense ones (mixture atoms, vertex stars),
+    which they format a block at a time, and mixed ones."""
+    graph = (PairComponent(0.2), VertexComponent(1.0, rho=0.02), LoopComponent(1.0))
+    community = (
+        MixtureAtom(0.5, (0.2, 0.1)),
+        VertexComponent(1.0, rho=0.3, member_prob=0.5),
+        PairComponent(1.0),
+        LoopComponent(1.0, pattern=(0.3, 0.4, 0.3)),
+    )
+    sig, components, n, horizon = {
+        "set-singleton": (SIG1, (SetSingletonComponent(1.0),), 1000, 1.0),
+        "graph": (SIG2, graph, 60, 3.0),
+        "community": (SIG12, community, 30, None),
+        "mixture-0,3": (Signature((0, 3)), (MixtureAtom(1.0, (0.5, 0.02)),), 8, None),
+        "mixture-2-p0.2": (SIG2, (MixtureAtom(1.0, (0.2,)),), 30, None),
+        "mixture-2-p0.02": (SIG2, (MixtureAtom(1.0, (0.02,)),), 100, None),
+        "mixture-1-p0.5": (SIG1, (MixtureAtom(1.0, (0.5,)),), 200, None),
+        "vertex": (SIG2, (VertexComponent(1.0, rho=0.3),), 40, None),
+        "graph-started": (SIG2, graph, 60, 3.0),
+    }[name]
+    intensity = LevyIntensity(sig, components)
+    if horizon is None:  # about 300 jumps
+        horizon = 300 / RestrictedIntensity(intensity, n).total_rate
+    rng = make_rng(920)
+    traj = simulate_levy(intensity, n, horizon, rng)
+    if name == "graph-started":
+        start = random_structure(rng, sig, n, density=0.5)
+        traj = LevyTrajectory(n, horizon, ((t, increment(s, start)) for t, s in traj.events))
+    return traj
+
+
+MATRIX = (
+    "set-singleton", "graph", "community", "mixture-0,3", "mixture-2-p0.2",
+    "mixture-2-p0.02", "mixture-1-p0.5", "vertex", "graph-started",
+)
+
+
 @pytest.fixture(scope="module")
 def record_paths():
     """Per n in 1..12, a path of signature (0,1,2,3) with a random start and
@@ -1109,7 +1149,10 @@ def record_paths():
 
 class TestBlockWriters:
     """The writers, which format a block of records at a time, against the
-    one-record-at-a-time oracle in tests/helpers.py."""
+    one-record-at-a-time oracle in tests/helpers.py.  The full-state
+    writers edit each row's text out of the previous row's where the jumps
+    flip few cells, and format a block of states whole where they flip
+    many."""
 
     def test_matches_record_oracle(self, record_paths):
         for traj, walk, texts in record_paths:
@@ -1124,6 +1167,42 @@ class TestBlockWriters:
         monkeypatch.setattr(structures._Formatter, "block", block)
         for traj, walk, texts in record_paths:
             assert (events_to_jsonl(traj), trajectory_to_csv(traj), walk_to_csv(walk)) == texts
+
+    @pytest.mark.parametrize("name", MATRIX)
+    def test_writer_matrix(self, name):
+        traj = _matrix_path(name)
+        assert len(traj.events) > 250
+        assert trajectory_to_csv(traj) == record_trajectory_to_csv(traj)
+
+    @pytest.mark.parametrize("share", [0.0, 1e18])
+    def test_either_way_alone(self, monkeypatch, record_paths, share):
+        # 0: every block with a flip is formatted whole; 1e18: every block
+        # at a non-empty state is spliced
+        monkeypatch.setattr(trajectory, "_SPLICE_SHARE", share)
+        for traj, walk, texts in record_paths:
+            assert (trajectory_to_csv(traj), walk_to_csv(walk)) == texts[1:]
+        for name in ("community", "graph-started"):
+            traj = _matrix_path(name)
+            assert trajectory_to_csv(traj) == record_trajectory_to_csv(traj)
+
+    def test_walk_with_empty_steps(self):
+        walk = simulate_walk(bernoulli_set_measure(0.1, 8), None, 400, make_rng(921))
+        assert sum(not any(cells) for cells in walk._iter_jump_cells()) > 100
+        assert walk_to_csv(walk) == record_walk_to_csv(walk)
+
+    def test_set_singleton_path_is_spliced(self, monkeypatch):
+        # from the empty start only the first block is formatted whole
+        traj, blocks = _matrix_path("set-singleton"), []
+        bodies = structures._Formatter.bodies
+
+        def counted(text, columns):
+            blocks.append(columns)
+            return bodies(text, columns)
+
+        monkeypatch.setattr(structures._Formatter, "bodies", counted)
+        text = trajectory_to_csv(traj)
+        assert len(traj.events) > 900 and len(blocks) <= 1
+        assert text == record_trajectory_to_csv(traj)
 
 
 class TestFileFormats:
@@ -1317,10 +1396,11 @@ class TestFileFormats:
             with pytest.raises(ValueError, match=f"increment at t={record['t']}: tuple \\(5\\)"):
                 events_from_jsonl("\n".join(bad))
 
-    def test_readers_cross_batch_and_snapshot_boundaries(self, monkeypatch):
+    def test_readers_cross_batch_and_snapshot_boundaries(self, monkeypatch, tmp_path):
         # a non-empty start and more than three snapshots' worth of jumps,
-        # read back in batches of a few characters to a few records: every
-        # batch boundary falls inside the log's snapshot stretches
+        # read back in batches of a few characters to a few records, from
+        # the text and from a file: every batch boundary falls inside the
+        # log's snapshot stretches
         intensity = LevyIntensity(
             SIG12,
             (
@@ -1343,11 +1423,21 @@ class TestFileFormats:
             (partial(trajectory_from_csv, horizon=traj.horizon), trajectory_to_csv(traj)),
         ]
         walk_text = walk_to_csv(walk)
+        path = tmp_path / "path.txt"
+
+        def from_file(read, text):
+            path.write_bytes(text.replace("\n", "\r\n").encode())
+            with open(path, encoding="utf-8") as source:
+                return read(source)
+
         for chars in (1, 37, 500, 5000):
             monkeypatch.setattr(structures, "_READ_BATCH_CHARS", chars)
-            assert walk_from_csv(walk_text) == walk
+            assert walk_from_csv(walk_text) == walk == from_file(walk_from_csv, walk_text)
             for read, text in texts:
-                for back in (read(text), read(text.replace("\n", "\r\n"))):
+                assert list(structures._text_batches(io.StringIO(text))) == list(
+                    structures._text_batches(text)
+                )
+                for back in (read(text), read(text.replace("\n", "\r\n")), from_file(read, text)):
                     assert back == traj
                     assert back._snapshots == traj._snapshots
                     assert back.events[-1] == traj.events[-1]

@@ -56,6 +56,21 @@ class TestFiniteMeasure:
         keys = [serialize(m) for m in mu.support()]
         assert keys == sorted(keys)
 
+    @pytest.mark.parametrize("arities", [(), (0,), (1,), (2,), (0, 1, 2), (1, 3)])
+    def test_support_texts_formatted_as_one_block(self, arities):
+        # the support is formatted once, as a block; its order, the
+        # sampling order and the JSON entries are those of serialize
+        sig, rng = Signature(arities), make_rng(31)
+        for n in (0, 1, 4, 11):
+            members = {random_structure(rng, sig, n, density=0.3) for _ in range(40)}
+            mu = FiniteMeasure(sig, n, {m: 1.0 + i for i, m in enumerate(members)})
+            ordered = sorted(mu.weights, key=serialize)
+            assert mu.support() == ordered
+            assert mu._inverse_cdf[0] == ordered
+            entries = json.loads(measure_to_json(mu))["entries"]
+            assert [e["structure"] for e in entries] == [serialize(m) for m in ordered]
+            assert [e["mass"] for e in entries] == [mu.weights[m] for m in ordered]
+
 
 class TestUniformOnOrbit:
     def test_singleton_orbit(self):

@@ -281,6 +281,23 @@ class TestGroupLaws:
             )
 
 
+class TestHash:
+    def test_single_cells_hash_apart(self):
+        # an int hashes to itself modulo 2**61 - 1, so hashing the
+        # relation masks alone puts every 1 << c on one of 61 values
+        sig = Signature((2,))
+        singles = [Structure(sig, 100, (1 << c,)) for c in range(100**2)]
+        assert len(set(map(hash, singles))) == len(singles)
+
+    def test_equal_structures_hash_equal(self):
+        rng = make_rng(32)
+        for sig in (Signature(()), Signature((0, 1, 2)), Signature((1, 3))):
+            for n in (0, 1, 5):
+                m = random_structure(rng, sig, n)
+                for twin in (parse(serialize(m)), _structure_from_cells(sig, n, _cells(m))):
+                    assert twin == m and twin is not m and hash(twin) == hash(m)
+
+
 class TestSerialization:
     def test_empty_set(self):
         assert serialize(empty_structure(SIG1, 2)) == "L=(1)|n=2|R1={}"
