@@ -345,7 +345,9 @@ class LevyIntensity:
 
 class _BernoulliBlocks:
     """Independent cell flips in blocks (count, prob), conditioned on at
-    least one flip overall.
+    least one flip overall.  Blocks keep their given positions; a block of
+    no cells flips none and draws nothing (numpy's binomial of 0 trials
+    takes no random numbers).
 
     Sampling is exact: rejection when the conditioning event has probability
     at least 1%, otherwise an analytic draw of the first flipped cell in the
@@ -353,7 +355,7 @@ class _BernoulliBlocks:
     """
 
     def __init__(self, blocks):
-        self.blocks = [(int(c), float(p)) for c, p in blocks if c > 0]
+        self.blocks = [(int(c), float(p)) for c, p in blocks]
         none = 1.0
         for c, p in self.blocks:
             none *= (1.0 - p) ** c
@@ -391,7 +393,8 @@ class _BernoulliBlocks:
             block_probs.append(prefix_none * (1.0 - none_b))
             prefix_none *= none_b
         u = rng.random() * self.hit_prob
-        bi = len(self.blocks) - 1
+        # the last block with cells, should rounding leave u past every acc
+        bi = max(i for i, (c, _) in enumerate(self.blocks) if c)
         acc = 0.0
         for idx, bp in enumerate(block_probs):
             acc += bp
@@ -455,20 +458,10 @@ class _RestrictedMixture(_LevelSampler):
         self.blocks = _BernoulliBlocks(
             [(n**a, p) for a, p in zip(signature.arities, comp.probs)]
         )
-        # Blocks with zero cells are dropped inside _BernoulliBlocks; keep a
-        # map from block position back to relation index.
-        self.block_to_rel = [
-            j for j, a in enumerate(signature.arities) if n**a > 0
-        ]
         self.rate = comp.weight * self.blocks.hit_prob
 
     def sample_cells_batch(self, rng, k: int) -> tuple[np.ndarray, np.ndarray]:
-        rows = []
-        for _ in range(k):
-            cells = [[] for _ in range(self.signature.k)]
-            for pos, block_flips in zip(self.block_to_rel, self.blocks.sample(rng)):
-                cells[pos] = block_flips
-            rows.append(cells)
+        rows = [self.blocks.sample(rng) for _ in range(k)]
         return _flat_cells(rows, self.signature.k)
 
 
@@ -510,16 +503,7 @@ class _RestrictedVertex(_GraphSampler):
         if self.has_member:
             blocks.append((1, comp.member_prob))
         blocks.append((self.edge_cells, comp.rho))
-        self.blocks = _BernoulliBlocks(blocks)
-        # _BernoulliBlocks drops zero-cell blocks; track surviving positions.
-        self.member_pos = None
-        self.edge_pos = None
-        pos = 0
-        if self.has_member:
-            self.member_pos = pos
-            pos += 1
-        if self.edge_cells > 0:
-            self.edge_pos = pos
+        self.blocks = _BernoulliBlocks(blocks)  # membership first, edges last
         self.rate = comp.rate * n * self.blocks.hit_prob
 
     def _edge_cells(self, v: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -538,14 +522,14 @@ class _RestrictedVertex(_GraphSampler):
         # one vertex per row, then the rows' flips one row at a time
         vertices = rng.integers(0, self.n, k)
         flips = [self.blocks.sample(rng) for _ in range(k)]
-        slots = [f[self.edge_pos] for f in flips] if self.edge_pos is not None else [[]] * k
+        slots = [f[-1] for f in flips]
         sizes = np.fromiter(map(len, slots), np.int64, k)
         row = np.repeat(np.arange(k), sizes)
         cells = self._edge_cells(vertices[row], np.fromiter(chain.from_iterable(slots), np.int64))
         edges = cells[np.lexsort((cells, row))], sizes
-        if self.member_pos is None:
+        if not self.has_member:
             return self._columns(edges)
-        member = np.array([bool(f[self.member_pos]) for f in flips], bool)
+        member = np.array([bool(f[0]) for f in flips], bool)
         return self._columns(edges, (vertices[member], member))
 
 
@@ -710,7 +694,7 @@ def restrict_trajectory(traj: LevyTrajectory, m: int) -> LevyTrajectory:
     arities = traj.signature.arities
     jumps = (
         (t, [_restrict_cells(c, traj.n, a, m) for c, a in zip(cells, arities)])
-        for t, cells in zip(islice(traj._times, 1, None), traj._iter_jump_cells())
+        for t, cells in zip(islice(traj._times, 1, None), traj._jumps())
     )
     restricted = LevyTrajectory._started(restrict(traj._start, m))
     restricted._extend_rows((t, kept) for t, kept in jumps if any(kept))

@@ -455,30 +455,6 @@ class _Formatter:
 _formatter = lru_cache(maxsize=64)(_Formatter)
 
 
-class _CellTexts(dict):
-    """Cell -> its text in a relation body of one arity, ";"-led as a run
-    of :meth:`_Formatter._pieces` is (cell ``(1,2)`` is ``";(1,2)"``), so a
-    body is the join of its cells' texts less the first ";"; built on first
-    use from the formatter's label tables."""
-
-    __slots__ = ("text", "arity")
-
-    def __init__(self, text: _Formatter, arity: int):
-        self.text = text
-        self.arity = arity
-
-    def __missing__(self, cell: int) -> str:
-        text, arity, rest = self.text, self.arity, cell
-        labels = []
-        for pos in range(arity - 1, 0, -1):
-            rest, label = divmod(rest, text.n)
-            labels.append((text.last if pos == arity - 1 else text.middle)[label])
-        if arity:
-            labels.append((text.lead if arity > 1 else text.single)[rest])
-        piece = self[cell] = "".join(reversed(labels)) if arity else ";()"
-        return piece
-
-
 def _relation_columns(cells: np.ndarray, counts: np.ndarray) -> list:
     """Per relation j, the cells of relation j in a flat column of (rows x k)
     ``counts`` (see :meth:`_Parser.batch`), and its count per row."""

@@ -5,15 +5,17 @@ and the jumps of a Poisson point process of increments: the event times and
 each jump's sorted cells per relation, in flat columns.  ``_extend`` grows
 the log a block of jumps at a time, straight from the cell columns that the
 samplers in :mod:`comblevy.levy` and :mod:`comblevy.walk` and the file
-readers emit.  A walk is the same log at the times
-1..T (see :class:`comblevy.walk.WalkTrajectory`).  Both full-state CSV
-formats are written and read here, by ``_to_csv`` and ``_from_csv``.  The
-writer follows the log: where the jumps flip few of the state's cells,
-each row is the previous row's text with the flipped cells' texts spliced
-in or cut out, so a row costs Python work per flipped cell, not per cell
-of the state; blocks of dense jumps are formatted whole from the states'
-cell columns.  The readers take the file text or the open file, a piece
-at a time.
+readers emit, and ``LevyTrajectory._block`` is its one reader: every
+replay, writer and view slices its jumps out as that flat cell column and
+its per-jump counts.  A walk is the same log at the times 1..T (see
+:class:`comblevy.walk.WalkTrajectory`).  Both full-state CSV formats are
+written and read here, by ``_to_csv`` and ``_from_csv``.  The writer
+follows the log: where the jumps flip few of the state's cells, each row is
+the previous row's text with the flipped cells' texts spliced in or cut
+out, so a row costs Python work per flipped cell, not per cell of the
+state; blocks of dense jumps are formatted whole from the states' cell
+columns.  The readers take the file text or the open file, a piece at a
+time.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .structures import (
     Signature,
     Structure,
     _CellBits,
-    _CellTexts,
     _cell_lists,
     _cells,
     _flat_cells,
@@ -93,14 +94,16 @@ class LevyTrajectory:
     The path is stored as its start state plus a log of jump increments:
     the event times and each jump's sorted cell indices per relation, in
     flat columns, and the final state.  The log grows only by ``_extend``,
-    a block of jumps at a time, which checks the block and appends it;
-    ``_close`` XORs the whole cell column into the start state once to get
-    the final state.  A full state every ``_SNAPSHOT_EVERY`` events is
-    built by one replay of the log the first time an index or ``state_at``
-    needs one; ``state_at`` then replays at most ``_SNAPSHOT_EVERY - 1``
-    increments onto a snapshot.  Writing, reading, iterating the events
-    and ``[-1]`` never build the snapshots, so memory is O(sum of increment
-    sizes) until then, and O(states / _SNAPSHOT_EVERY) more after.
+    a block of jumps at a time, which checks the block and appends it, and
+    is read only by ``_block``, which copies a stretch of jumps out in the
+    layout ``_extend`` takes.  ``_close`` XORs the whole log into the start
+    state once to get the final state.  A full state every
+    ``_SNAPSHOT_EVERY`` events is built by one replay of the log the first
+    time an index or ``state_at`` needs one; ``state_at`` then XORs at most
+    ``_SNAPSHOT_EVERY - 1`` increments into a snapshot.  Writing, reading,
+    iterating the events and ``[-1]`` never build the snapshots, so memory
+    is O(sum of increment sizes) until then, and O(states /
+    _SNAPSHOT_EVERY) more after.
 
     ``LevyTrajectory(n, horizon, events)`` builds the log from full-state
     events ``(t, Structure)``; ``events`` rebuilds them on demand.
@@ -180,14 +183,25 @@ class LevyTrajectory:
         if self._times[-1] > horizon:
             raise ValueError("event beyond the horizon")
         self.horizon = horizon
-        self._final = _CellBits(self._start).flip_runs(*self._columns()).freeze()
+        jumps = self._block(0, len(self._times) - 1)
+        self._final = _CellBits(self._start).flip_runs(*jumps).freeze()
 
-    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """The whole log as a flat cell column and its (jumps x k) counts,
-        views of the log's arrays that pin them while they live."""
-        counts = np.diff(np.frombuffer(self._bounds, np.int64))
-        counts = counts.reshape(len(self._times) - 1, self.signature.k)
-        return np.frombuffer(self._cells, np.int64), counts
+    def _block(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Jumps ``lo`` to ``hi - 1`` as a flat cell column and their (jumps
+        x k) counts, the layout ``_extend`` takes; sliced copies, so they pin
+        none of the log's buffers.  The log's one reader."""
+        k = self.signature.k
+        bounds = np.frombuffer(self._bounds[lo * k: hi * k + 1], np.int64)
+        cells = np.frombuffer(self._cells[bounds[0]: bounds[-1]], np.int64)
+        return cells, np.diff(bounds).reshape(hi - lo, k)
+
+    def _jumps(self, lo: int = 0, hi: int | None = None):
+        """Sorted cells per relation, as lists, of jumps ``lo`` to ``hi - 1``
+        (to the last jump if ``hi`` is None), in order, sliced from the log
+        ``_SNAPSHOT_EVERY`` jumps at a time."""
+        hi = len(self._times) - 1 if hi is None else hi
+        for start in range(lo, hi, _SNAPSHOT_EVERY):
+            yield from _cell_lists(*self._block(start, min(start + _SNAPSHOT_EVERY, hi)))
 
     @property
     def signature(self) -> Signature:
@@ -198,34 +212,19 @@ class LevyTrajectory:
         """The ``(time, state)`` events, a lazy read-only sequence."""
         return _Events(self)
 
-    def _jump_cells(self, i: int) -> list:
-        """Sorted cells of jump ``i`` (event ``i + 1``), per relation."""
-        k = self.signature.k
-        b = self._bounds
-        return [self._cells[b[i * k + j]: b[i * k + j + 1]] for j in range(k)]
-
-    def _iter_jump_cells(self):
-        """Sorted cells per relation of every jump, in order."""
-        b = self._bounds
-        per_rel = (self._cells[lo:hi] for lo, hi in zip(b, islice(b, 1, None)))
-        return zip(*[per_rel] * self.signature.k)
-
     def _replay(self):
         """The running state after each event in turn, as one ``_CellBits``
         flipped in place."""
         bits = _CellBits(self._start)
-        return chain([bits], map(bits.flip, self._iter_jump_cells()))
+        return chain([bits], map(bits.flip, self._jumps()))
 
     @cached_property
     def _snapshots(self) -> list[Structure]:
         """The state after every ``_SNAPSHOT_EVERY``-th event, from one
         replay of the log that XORs in a stretch of jumps at a time."""
-        cells, counts = self._columns()
-        first = np.frombuffer(self._bounds, np.int64)[::self.signature.k]  # jump i's first cell
         bits, snapshots = _CellBits(self._start), [self._start]
-        for lo in range(0, len(counts) - _SNAPSHOT_EVERY + 1, _SNAPSHOT_EVERY):
-            hi = lo + _SNAPSHOT_EVERY
-            snapshots.append(bits.flip_runs(cells[first[lo]:first[hi]], counts[lo:hi]).freeze())
+        for lo in range(0, len(self._times) - _SNAPSHOT_EVERY, _SNAPSHOT_EVERY):
+            snapshots.append(bits.flip_runs(*self._block(lo, lo + _SNAPSHOT_EVERY)).freeze())
         return snapshots
 
     def _state(self, i: int) -> Structure:
@@ -237,10 +236,7 @@ class LevyTrajectory:
         base = self._snapshots[snap] if snap else self._start
         if extra == 0:
             return base
-        bits = _CellBits(base)
-        for jump in range(i - extra, i):
-            bits.flip(self._jump_cells(jump))
-        return bits.freeze()
+        return _CellBits(base).flip_runs(*self._block(i - extra, i)).freeze()
 
     def state_at(self, t: float) -> Structure:
         if not 0.0 <= t <= self.horizon:
@@ -279,63 +275,71 @@ class LevyTrajectory:
         relation's text and sorted cell list are kept, and each row edits
         the previous row's text at the cells its jump flips (``_splice``).
         A denser block is formatted whole, from its states' cell columns
-        (``_state_columns``)."""
+        (``_state_columns``).  The spliced cells' texts are
+        ``_Formatter._pieces``', formatted a block at a time."""
         text = _formatter(self.signature, self.n)
         line = f"{form},{text.form}\n"
-        k, jumps = self.signature.k, len(self._times) - 1
-        size = max(1, text.block // sum((self.n**a + 7) // 8 for a in self.signature.arities))
-        cell_texts = [_CellTexts(text, a) for a in self.signature.arities]
-        cells, state = _cells(self._start), None
-        runs = ["".join(map(t.__getitem__, c)) for t, c in zip(cell_texts, cells)]
+        arities, jumps = self.signature.arities, len(self._times) - 1
+        state_bytes = sum((self.n**a + 7) // 8 for a in arities)  # 0 for signature ()
+        size = max(1, text.block // max(1, state_bytes))
+        texts = [{} for _ in arities]  # per relation: cell -> its ";"-led text
+
+        def learn(per_rel) -> None:
+            """Add the texts of the cells ``per_rel[j]`` of each relation j
+            that ``texts`` lacks."""
+            for known, arity, rel_cells in zip(texts, arities, per_rel):
+                new = list(set(rel_cells).difference(known))
+                if new:
+                    pieces = iter(text._pieces(np.array(new, np.int64), arity))
+                    known.update(zip(new, map("".join, zip(*[pieces] * max(arity, 1)))))
+
+        cells = _cells(self._start)
+        learn(cells)
+        runs = ["".join(map(t.__getitem__, c)) for t, c in zip(texts, cells)]
         chunks = [f"{key},structure\n", line % (self._times[0], *[run[1:] for run in runs])]
         for lo in range(0, jumps, size):
             hi = min(lo + size, jumps)
             times = self._times[lo + 1: hi + 1]
-            flips = self._bounds[hi * k] - self._bounds[lo * k]
-            if flips <= _SPLICE_SHARE * (hi - lo) * sum(map(len, cells)):
+            block, counts = self._block(lo, hi)
+            if len(block) <= _SPLICE_SHARE * (hi - lo) * sum(map(len, cells)):
                 if runs is None:
-                    runs = ["".join(map(t.__getitem__, c)) for t, c in zip(cell_texts, cells)]
-                state = None
-                for t, flipped in zip(times, map(self._jump_cells, range(lo, hi))):
+                    learn(cells)
+                    runs = ["".join(map(t.__getitem__, c)) for t, c in zip(texts, cells)]
+                jump_cells = _cell_lists(block, counts)
+                learn(map(chain.from_iterable, zip(*jump_cells)))
+                for t, flipped in zip(times, jump_cells):
                     runs = [
                         _splice(run, c, f, t) if f else run
-                        for run, c, f, t in zip(runs, cells, flipped, cell_texts)
+                        for run, c, f, t in zip(runs, cells, flipped, texts)
                     ]
                     chunks.append(line % (t, *[run[1:] for run in runs]))
             else:
-                if state is None:
-                    state = [np.zeros(self.n**a, bool) for a in self.signature.arities]
-                    for flags, c in zip(state, cells):
-                        flags[c] = True
-                columns, state = self._state_columns(state, lo, hi)
+                columns = self._state_columns(cells, block, counts)
                 chunks.append("".join(map(line.__mod__, zip(times, *text.bodies(columns)))))
-                cells = [col[len(col) - counts[-1]:].tolist() for col, counts in columns]
+                cells = [col[len(col) - per_row[-1]:].tolist() for col, per_row in columns]
                 runs = None
         return "".join(chunks)
 
-    def _state_columns(self, state: list, lo: int, hi: int) -> tuple[list, list]:
-        """Per relation, the cells of the states after jumps ``lo`` to
-        ``hi - 1`` in one column, with their counts per state (see
-        ``structures._relation_columns``), and the last of those states,
-        given ``state``, the one before them; a state is one flag per cell
-        per relation.  Each jump's cells are set in its row of a (jumps x
-        cells) matrix, and one XOR scan down the rows makes the states."""
-        k = self.signature.k
-        bounds = np.frombuffer(self._bounds[lo * k: hi * k + 1], np.int64)
-        cells = np.frombuffer(self._cells[bounds[0]: bounds[-1]], np.int64)
-        rows = np.arange(hi - lo)
-        columns, last = [], []
-        for (rel_cells, counts), before in zip(
-            _relation_columns(cells, np.diff(bounds).reshape(hi - lo, k)), state
+    def _state_columns(self, state: list, cells: np.ndarray, counts: np.ndarray) -> list:
+        """Per relation, the cells of the states after a block of jumps (a
+        flat cell column ``cells`` of (jumps x k) ``counts``) in one column,
+        with their counts per state (see ``structures._relation_columns``),
+        given ``state``, the sorted cells per relation of the state before
+        them.  Each jump's cells are set in its row of a (jumps x cells)
+        matrix, the state's in the first row too, and one XOR scan down the
+        rows makes the states."""
+        rows = np.arange(len(counts))
+        columns = []
+        for (rel_cells, per_row), before, arity in zip(
+            _relation_columns(cells, counts), state, self.signature.arities
         ):
-            flags = np.zeros((hi - lo, len(before)), bool)
-            flags[np.repeat(rows, counts), rel_cells] = True
-            flags[0] ^= before
+            flags = np.zeros((len(counts), self.n**arity), bool)
+            flags[np.repeat(rows, per_row), rel_cells] = True
+            flags[0, before] ^= True
             np.logical_xor.accumulate(flags, axis=0, out=flags)
             at, rel_cells = flags.nonzero()
-            columns.append((rel_cells, np.bincount(at, minlength=hi - lo).tolist()))
-            last.append(flags[-1].copy())
-        return columns, last
+            columns.append((rel_cells, np.bincount(at, minlength=len(counts)).tolist()))
+        return columns
 
     @classmethod
     def _from_csv(cls, text, key: str, times, horizon: float | None = None):
@@ -445,20 +449,16 @@ class _Increments(_LogView):
         jumps' sorted cells and how many each jump flips (see
         ``structures._relation_columns``)."""
         traj = self._traj
-        k = traj.signature.k
         for lo in range(0, len(self), size):
             hi = min(lo + size, len(self))
-            # sliced copies: a view of the log's arrays would pin their buffers
-            bounds = np.frombuffer(traj._bounds[lo * k: hi * k + 1], np.int64)
-            cells = np.frombuffer(traj._cells[bounds[0]: bounds[-1]], np.int64)
-            counts = np.diff(bounds).reshape(hi - lo, k)
-            yield traj._times[lo + 1: hi + 1].tolist(), _relation_columns(cells, counts)
+            yield traj._times[lo + 1: hi + 1].tolist(), _relation_columns(*traj._block(lo, hi))
 
     def _item(self, i: int) -> Structure:
         traj = self._traj
-        return _structure_from_cells(traj.signature, traj.n, traj._jump_cells(i))
+        cells, = traj._jumps(i, i + 1)
+        return _structure_from_cells(traj.signature, traj.n, cells)
 
     def __iter__(self):
         traj = self._traj
-        for cells in traj._iter_jump_cells():
+        for cells in traj._jumps():
             yield _structure_from_cells(traj.signature, traj.n, cells)

@@ -246,24 +246,13 @@ def sample_rows(sampler, rng, k: int) -> list:
     if isinstance(sampler, _RestrictedSetSingleton):
         return [[[i]] for i in rng.integers(0, sampler.n, k).tolist()]
     if isinstance(sampler, _RestrictedMixture):
-        rows = []
-        for _ in range(k):
-            cells = [[] for _ in range(sampler.signature.k)]
-            for pos, flips in zip(sampler.block_to_rel, sampler.blocks.sample(rng)):
-                cells[pos] = flips
-            rows.append(cells)
-        return rows
+        return [sampler.blocks.sample(rng) for _ in range(k)]
     if isinstance(sampler, _RestrictedVertex):
         members, edges = [], []
         for v in rng.integers(0, sampler.n, k).tolist():
             flips = sampler.blocks.sample(rng)
-            member = sampler.member_pos is not None and flips[sampler.member_pos]
-            members.append([v] if member else [])
-            edges.append(
-                sorted(_vertex_edge_cell(sampler, v, x) for x in flips[sampler.edge_pos])
-                if sampler.edge_pos is not None
-                else []
-            )
+            members.append([v] if sampler.has_member and flips[0] else [])
+            edges.append(sorted(_vertex_edge_cell(sampler, v, x) for x in flips[-1]))
         return _graph_rows(sampler, edges, members)
     if isinstance(sampler, _RestrictedPair):
         n = sampler.n
@@ -348,7 +337,7 @@ def record_events_to_jsonl(traj, seed=None) -> str:
         header["init"] = record_serialize(traj._start)
     lines = [json.dumps(header, sort_keys=True)]
     text = RecordFormatter(traj.signature, traj.n)
-    for t, cells in zip(traj._times[1:], traj._iter_jump_cells()):
+    for t, cells in zip(traj._times[1:], traj._jumps()):
         lines.append(json.dumps({"increment": text(cells), "t": t}, sort_keys=True))
     return "\n".join(lines) + "\n"
 

@@ -219,10 +219,15 @@ class TestOtherCommands:
         walk_out = tmp_path / "walk.csv"
         run_cli(["simulate-walk", "--measure", measure_file, "--steps", 50,
                  "--seed", 9, "--out", walk_out])
-        out = tmp_path / "jumps.json"
-        assert run_cli(["estimate-jumps", "--trajectory", walk_out, "--out", out]) == 0
-        mu = measure_from_json(out.read_text())
-        assert abs(mu.total_mass - 1.0) <= 1e-12
+        # a walk of signature (), whose two steps are both the empty increment
+        empty_out = tmp_path / "empty.csv"
+        empty_out.write_text("step,structure\n0,L=()|n=3\n1,L=()|n=3\n2,L=()|n=3\n")
+        for path in (walk_out, empty_out):
+            out = tmp_path / "jumps.json"
+            assert run_cli(["estimate-jumps", "--trajectory", path, "--out", out]) == 0
+            mu = measure_from_json(out.read_text())
+            assert abs(mu.total_mass - 1.0) <= 1e-12
+        assert {serialize(m): w for m, w in mu.weights.items()} == {"L=()|n=3": 1.0}
 
     def test_estimate_jumps_levy(self, tmp_path, intensity_file):
         levy_out = tmp_path / "levy.csv"

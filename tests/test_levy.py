@@ -69,6 +69,7 @@ SIG1 = Signature((1,))
 SIG2 = Signature((2,))
 SIG12 = Signature((1, 2))
 SIG13 = Signature((1, 3))
+SIG01 = Signature((0, 1))
 
 
 def S(sig, n, *relations):
@@ -225,16 +226,19 @@ class TestConditionalSamplers:
         _assert_law_close(empirical, _conditional_bernoulli_law(3, p), draws)
 
     def test_both_paths_agree_on_same_blocks(self):
-        # force the analytic branch on a rejection-regime parameterization
-        blocks = _BernoulliBlocks([(3, 0.4)])
+        # force the analytic branch on a rejection-regime parameterization;
+        # blocks of no cells keep their positions and never flip
         draws = 40_000
-        rng = make_rng(44)
-        counts = Counter()
-        for _ in range(draws):
-            flips = blocks._first_flip(rng)
-            counts[frozenset(i + 1 for i in flips[0])] += 1
-        empirical = {k: v / draws for k, v in counts.items()}
-        _assert_law_close(empirical, _conditional_bernoulli_law(3, 0.4), draws)
+        for blocks, at in (([(3, 0.4)], 0), ([(0, 0.5), (3, 0.4), (0, 0.3)], 1)):
+            blocks = _BernoulliBlocks(blocks)
+            rng = make_rng(44)
+            counts = Counter()
+            for _ in range(draws):
+                flips = blocks._first_flip(rng)
+                assert len(flips) == len(blocks.blocks) and sum(map(len, flips)) == len(flips[at])
+                counts[frozenset(i + 1 for i in flips[at])] += 1
+            empirical = {k: v / draws for k, v in counts.items()}
+            _assert_law_close(empirical, _conditional_bernoulli_law(3, 0.4), draws)
 
     def test_samples_never_empty(self):
         I = LevyIntensity(
@@ -536,6 +540,7 @@ class TestIncrementLog:
             20.0,
         ),
         (SIG13, lambda: (MixtureAtom(weight=2.0, probs=(0.3, 0.05)),), 3, 150.0),
+        (SIG01, lambda: (MixtureAtom(weight=2.0, probs=(0.3, 0.1)),), 4, 400.0),
     ]
 
     def _check(self, traj, events, horizon, rng):
@@ -558,7 +563,7 @@ class TestIncrementLog:
         assert traj.state_at(horizon) == events[-1][1]
         assert LevyTrajectory(traj.n, horizon, events) == traj
 
-    @pytest.mark.parametrize("case", range(len(CASES)), ids=["1", "2", "1,2", "1,3"])
+    @pytest.mark.parametrize("case", range(len(CASES)), ids=["1", "2", "1,2", "1,3", "0,1"])
     def test_matches_full_state_replay(self, case):
         sig, components, n, horizon = self.CASES[case]
         intensity = LevyIntensity(sig, components())
@@ -1187,7 +1192,7 @@ class TestBlockWriters:
 
     def test_walk_with_empty_steps(self):
         walk = simulate_walk(bernoulli_set_measure(0.1, 8), None, 400, make_rng(921))
-        assert sum(not any(cells) for cells in walk._iter_jump_cells()) > 100
+        assert sum(not any(cells) for cells in walk._jumps()) > 100
         assert walk_to_csv(walk) == record_walk_to_csv(walk)
 
     def test_set_singleton_path_is_spliced(self, monkeypatch):

@@ -1,5 +1,6 @@
 """Checks on the package source itself."""
 
+import ast
 import importlib
 import inspect
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import comblevy
+from comblevy import trajectory
 
 # CPython's parser holds a module's tokens in one array, which doubles once
 # it passes 8192 entries; past that, every process that compiles the package
@@ -46,3 +48,27 @@ def test_public_functions_take_no_caps(name):
         if inspect.isfunction(obj):
             params = inspect.signature(obj).parameters
             assert not [p for p in params if CONSTANT_PARAMETER.fullmatch(p)], f"{name}.{public}"
+
+
+# The trajectory log's columns; the layout they share is decoded in one place.
+LOG_COLUMNS = {"_bounds", "_cells"}
+# The methods that write them (_begin, _extend), compare them (_log) and
+# read them back (_block).
+LOG_ACCESSORS = {"_begin", "_extend", "_block", "_log"}
+
+
+def test_one_reader_of_the_trajectory_log():
+    tree = ast.parse(Path(trajectory.__file__).read_text(encoding="utf-8"))
+
+    def column_uses(node):
+        return {
+            use for use in ast.walk(node)
+            if isinstance(use, ast.Attribute) and use.attr in LOG_COLUMNS
+        }
+
+    allowed = set().union(*(
+        column_uses(node) for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in LOG_ACCESSORS
+    ))
+    stray = sorted(use.lineno for use in column_uses(tree) - allowed)
+    assert not stray, f"trajectory.py reads the log's columns outside _block at lines {stray}"

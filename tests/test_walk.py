@@ -285,10 +285,14 @@ class TestStateExchangeability:
 
 class TestCsv:
     def test_roundtrip(self):
-        traj = simulate_walk(
-            urn_measure(1, 3), empty_structure(SIG1, 3), 5, make_rng(600)
-        )
-        assert walk_from_csv(walk_to_csv(traj)).steps == traj.steps
+        urn = simulate_walk(urn_measure(1, 3), empty_structure(SIG1, 3), 5, make_rng(600))
+        # signature (): every state is the one empty structure, every step empty
+        empty = WalkTrajectory([empty_structure(Signature(()), 3)] * 3)
+        for traj in (urn, empty):
+            assert len(list(traj.events)) == len(traj.events)
+            assert len(list(traj.jump_increments())) == len(traj.jump_increments())
+            back = walk_from_csv(walk_to_csv(traj))
+            assert back == traj and back.steps == traj.steps
 
     def test_rejects_bad_header(self):
         with pytest.raises(ValueError):
