@@ -750,11 +750,18 @@ def trajectory_to_csv(traj: LevyTrajectory) -> str:
     return traj._to_csv("time", "%r")
 
 
+# A time as the writers write a finite float and the readers read it.
+_TIME = r"(?:0|[1-9][0-9]{0,16})(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
+_TIMES = re.compile(f"(?:{_TIME}\n)*")
+
+
 def _csv_times(keys, first: int) -> list[float]:
-    try:
-        return list(map(float, keys))
-    except ValueError as exc:
-        raise ValueError(f"malformed time: {exc}") from None
+    """The event times that the time fields ``keys`` give, each written as
+    the event-stream reader reads a time (``_TIME``)."""
+    if not _TIMES.fullmatch("\n".join(keys) + "\n"):
+        key = next(key for key in keys if not re.fullmatch(_TIME, key))
+        raise ValueError(f"malformed time: {key!r}")
+    return list(map(float, keys))
 
 
 def trajectory_from_csv(text: str | TextIO, horizon: float | None = None) -> LevyTrajectory:
@@ -832,12 +839,10 @@ def _header(text: str) -> tuple[Structure, float]:
 
 # An event record as events_to_jsonl writes it, with %s for the increment:
 # JSON reads such a line, for an increment with no quote, backslash or
-# control character in it, as this increment string and, for a time of at
-# most 17 integer digits and no sign, as the float its text gives.
-_RECORD_FORM = (
-    r'\{"increment": "%s", '
-    r'"t": ((?:0|[1-9][0-9]{0,16})(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)\}'
-)
+# control character in it, as this increment string and, for a time of
+# ``_TIME``'s form, at most 17 integer digits and no sign, as the float its
+# text gives.
+_RECORD_FORM = r'\{"increment": "%s", "t": (' + _TIME + r")\}"
 
 
 def _records(lines: list[str]) -> tuple[list[float], list[str]]:

@@ -16,7 +16,9 @@ writers format a block of structures at once (``_Formatter``, of which
 ``serialize`` is the block of one).  The file readers parse many texts at
 once (``_Parser.batch``, of which ``parse`` is the batch of one) into one
 flat int64 cell column plus a count per text and relation, reading the file
-text, a str or an open file, in bounded pieces (``_line_batches``).
+text, a str or an open file, in bounded pieces (``_line_batches``).  The
+full-state CSV reader parses only its first row so, and every later row as
+an edit of the row before it (``_Parser.increments``).
 
 Labels are 1-based throughout.
 """
@@ -506,8 +508,7 @@ def _head(text: str) -> tuple[Signature, int]:
 # Cell indices, 0 .. n^arity - 1, are held in int64, so a parser or a
 # sampler handles only sizes whose n^max_arity stays below this.
 _MAX_CELLS = 10**18
-_LABEL = re.compile("[1-9][0-9]*")
-_GAPS = str.maketrans("(),;", "    ")  # tuple punctuation, as label separators
+_LABEL = re.compile("[1-9][0-9]*+")
 
 
 def _check_cell_range(signature: Signature, n: int) -> None:
@@ -529,23 +530,28 @@ class _Parser:
 
     :meth:`batch` parses a list of texts at once: one compiled
     canonical-grammar match per text checks its head, its field count, its
-    field prefixes and the form of every tuple, then one numpy pass per
-    relation decodes all the labels and checks their range and order.  Only
+    field prefixes and the form of every tuple, then a few numpy passes per
+    relation decode all the labels and check their range and order.  Only
     a rejected batch is checked again text by text, to name the first
     defect.  Text of another signature or size is rejected.
+    :meth:`increments` reads texts that follow a canonical one as edits of
+    the text before each, parsing only what changed.
     """
 
-    __slots__ = ("signature", "n", "head", "grammar")
+    __slots__ = ("signature", "n", "head", "grammar", "runs")
 
     def __init__(self, signature: Signature, n: int):
         _check_cell_range(signature, n)
         self.signature = signature
         self.n = n
         self.head = [f"L={signature}", f"n={n}"]
-        fields = []
+        fields, self.runs = [], []
         for j, arity in enumerate(signature.arities, start=1):
             cell = r"\(" + ",".join([_LABEL.pattern] * arity) + r"\)"
-            fields.append(rf"\|R{j}=\{{((?:{cell}(?:;{cell})*)?)\}}")
+            run = f"(?:{cell}(?:;{cell})*+)?+"  # possessive: the grammar never backtracks
+            fields.append(rf"\|R{j}=\{{({run})\}}")
+            # relation j's runs of whole tuples, each ended by a "\n"
+            self.runs.append(re.compile(f"(?:{run}\n)*+"))
         self.grammar = re.compile(re.escape("|".join(self.head)) + "".join(fields))
 
     @classmethod
@@ -571,28 +577,85 @@ class _Parser:
             self._reject(texts)
         return columns
 
+    def increments(self, rows: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """The jumps between consecutive ``rows``, texts without line breaks
+        of which the first is canonical: per row after the first and per
+        relation, the sorted symmetric difference with the row before it, in
+        :meth:`batch`'s form.  Each row is read as an edit of the row before
+        it (:meth:`_edits`); if a row's edit fails a check, every row is
+        parsed whole by :meth:`batch`, so a rejected row raises its error."""
+        edits = self._edits(rows)
+        if edits is None:
+            return _row_increments(*self.batch(rows), self.n**self.signature.max_arity)
+        return edits
+
+    def _edits(self, rows: Sequence[str]):
+        """:meth:`increments` from the changed text alone, or None if a row
+        fails a check.  Joined by "\n" and cut at "|R", the rows give one
+        part per relation field; each row's last field also carries the
+        "\n" and the next row's head, and a copy of the head after the last
+        row gives the last row's last field the same end.  Each relation's
+        fields are cut down to their edit windows (:func:`_edit_windows`),
+        which checks that each field's lead and its end, the last one's
+        with that head, are the field before's.  The new windows must match
+        the tuple grammar and decode (:meth:`_decode`, which checks the
+        labels' range and the cells' order), and the jump is the symmetric
+        difference of the old and new windows' cells.  A new window holds
+        every changed tuple and one unchanged tuple on each side, where
+        there is one, so the order checks inside it cover its edges, and
+        the text around it is the row before's, which is canonical."""
+        k, count, head = self.signature.k, len(rows), "|".join(self.head)
+        joined = "\n".join([*rows, head])
+        parts = joined.split("|R")
+        # a part moved to another row would leave some row's last field
+        # without the "\n" and the head, or give a field another lead
+        if not joined.isascii() or len(parts) != 1 + count * k:
+            return None
+        if not k and joined != "\n".join([head] * (count + 1)):
+            return None  # with no fields, a row is the head alone
+        size = self.n**self.signature.max_arity
+        keys = [np.zeros(0, np.int64)]
+        for j, arity in enumerate(self.signature.arities if count > 1 else ()):
+            fields = parts[1 + j::k]
+            lens = np.fromiter(map(len, fields), np.int64, count)
+            tail = len(head) + 1 if j == k - 1 else 0
+            windows = _edit_windows(fields, lens, len(f"{j + 1}={{"), tail)
+            if windows is None:
+                return None
+            chars, new, tuples = windows
+            if not self.runs[j].fullmatch(chars[new:].tobytes().decode()):
+                return None
+            cells = self._decode(chars, tuples, arity)
+            if cells is None:
+                return None
+            # the windows' cells, keyed by jump, relation and cell
+            jumps = np.tile(np.arange(count - 1) * k + j, 2)
+            keys.append(np.repeat(jumps, tuples) * size + cells[0])
+        return _odd_keys(np.concatenate(keys), size, (count - 1, k))
+
     def columns(self, bodies: Sequence[Sequence[str]], texts: int):
         """:meth:`batch`'s cells of ``texts`` texts whose relation bodies
         the grammar matched, given per relation: ``bodies[j]`` is relation
         j's body of every text.  None if a label exceeds n or a body's
         cells are not strictly increasing."""
-        per_rel = list(map(self._decode, bodies, self.signature.arities))
+        per_rel = []
+        for body, arity in zip(bodies, self.signature.arities):
+            tuples = np.fromiter(map(str.count, body, repeat("(")), np.int64, len(body))
+            chars = np.frombuffer("".join(body).encode(), np.uint8)
+            per_rel.append(self._decode(chars, tuples, arity))
         return None if None in per_rel else _row_major(per_rel, texts)
 
-    def _decode(self, bodies: Sequence[str], arity: int):
+    def _decode(self, chars: np.ndarray, counts: np.ndarray, arity: int):
         """The cells of relation bodies ``(a,b);(c,d)...`` that the grammar
-        matched, in order, and how many each body holds; None if a label
-        exceeds n or a body's cells are not strictly increasing."""
-        counts = np.fromiter(map(str.count, bodies, repeat("(")), np.int64, len(bodies))
+        matched, in order, and how many each body holds, given the bodies'
+        text as bytes (see :func:`_labels`) and ``counts``, the number of
+        tuples in each; None if a label exceeds n or a body's cells are not
+        strictly increasing."""
         if arity == 0:
             cells = np.zeros(int(counts.sum()), np.int64)
         else:
-            # one C pass over all labels; one past the int64 range reads as
-            # the int64 maximum, so it fails the range test like any label > n
-            labels = np.fromstring("".join(bodies).translate(_GAPS), np.int64, sep=" ")
-            if not labels.size:
-                return labels, counts
-            if labels.max() > self.n:
+            labels = _labels(chars)
+            if labels is None or labels.max(initial=0) > self.n:
                 return None
             cells = labels[::arity] - 1
             for i in range(1, arity):
@@ -650,6 +713,23 @@ class _Parser:
         return None
 
 
+def _labels(chars: np.ndarray) -> np.ndarray | None:
+    """The labels in tuple text that the grammar matched, given as bytes
+    that neither start nor end with a digit, in order, read in a few numpy
+    passes: each run of digits is a label, its digits weighted by their
+    place and summed.  None if a label has more digits than any label of a
+    size that cells can index (see ``_MAX_CELLS``)."""
+    digit = chars - ord("0") < 10  # in uint8, bytes below "0" wrap past 10
+    edges = np.flatnonzero(digit[1:] != digit[:-1]) + 1  # each run's start and end
+    start, end = edges[0::2], edges[1::2]
+    digits = end - start
+    if digits.max(initial=0) >= len(str(_MAX_CELLS)):
+        return None
+    place = np.arange(digits.max(initial=0))  # counted from each label's end
+    value = chars[end[:, None] - 1 - place].astype(np.int64) - ord("0")
+    return (np.where(place < digits[:, None], value, 0) * 10**place).sum(1)
+
+
 def _cell_lists(cells: np.ndarray, counts: np.ndarray) -> list[list[list[int]]]:
     """Per text of a parsed batch, its sorted cell list per relation."""
     flat = cells.tolist()
@@ -692,21 +772,94 @@ def _flat_cells(rows, k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.fromiter(chain.from_iterable(runs), np.int64), counts
 
 
+def _odd_keys(keys: np.ndarray, size: int, shape: tuple) -> tuple:
+    """The keys ``(row * k + relation) * size + cell`` that occur once in
+    ``keys``, where none occurs more than twice, as the flat cell column and
+    (rows x k) counts of :meth:`_Parser.batch`: per row and relation, the
+    symmetric difference of the cells keyed twice over."""
+    key = np.sort(keys, kind="stable")  # sorted runs, merged
+    twice = np.zeros(len(key) + 1, bool)  # twice[i]: key i - 1 equals key i
+    twice[1:-1] = key[1:] == key[:-1]
+    slot, cell = np.divmod(key[~(twice[:-1] | twice[1:])], size)
+    return cell, np.bincount(slot, minlength=shape[0] * shape[1]).reshape(shape)
+
+
 def _row_increments(cells: np.ndarray, counts: np.ndarray, size: int) -> tuple:
     """The increments between consecutive rows of a flat cell column of
     (rows x k) ``counts`` (see :meth:`_Parser.batch`), in the same form:
     per relation, the sorted symmetric difference.  Every cell is < ``size``."""
     rows, k = counts.shape
-    # a cell of row r, relation j enters increments r - 1 and r, keyed by
-    # (increment, relation, cell): two sorted runs of keys, merged
+    # a cell of row r, relation j enters increments r - 1 and r
     key = np.repeat(np.arange(rows * k), counts.ravel()) * size + cells
     shift = k * size
-    runs = key[key >= shift] - shift, key[key < (rows - 1) * shift]
-    key = np.sort(np.concatenate(runs), kind="stable")
-    twice = np.zeros(len(key) + 1, bool)  # twice[i]: key i - 1 equals key i
-    twice[1:-1] = key[1:] == key[:-1]
-    slot, cell = np.divmod(key[~(twice[:-1] | twice[1:])], size)
-    return cell, np.bincount(slot, minlength=(rows - 1) * k).reshape(rows - 1, k)
+    keys = np.concatenate((key[key >= shift] - shift, key[key < (rows - 1) * shift]))
+    return _odd_keys(keys, size, (rows - 1, k))
+
+
+def _edit_windows(fields: list[str], lens: np.ndarray, lead: int, tail: int):
+    """The edit windows of consecutive texts ``fields`` of one relation
+    field (``j={...}``, ``lead`` characters before its first tuple and
+    ``tail`` after its closing brace), of ``lens`` characters, of which the
+    first is canonical.  Per text after
+    the first, a window of the text before it and one of its own, such that
+    each text is the other with its window replaced: the bytes of the old
+    windows and then the new, each window ended by a "\n", where the new
+    windows start in them, and the tuples in each window.  None if a text's
+    lead or its closing brace and tail differ from the text before's.
+
+    Each pair of texts is laid out side by side at its longer length,
+    rounded up to words of eight characters, once left-aligned and once
+    right-aligned, and compared a word at a time to find how far it agrees
+    from the start and from the end.  A text equal to the one before has
+    two empty windows.  Otherwise both windows start at the second-to-last
+    "(" before the texts first differ and end before the second "(" after
+    they last differ (at the body's start or end where there is no such
+    "("), so each holds every changed tuple and one unchanged tuple on each
+    side."""
+    old_len, new_len = lens[:-1], lens[1:]
+    short = np.minimum(old_len, new_len)
+    wide = (np.maximum(old_len, new_len) + 7) // 8  # words per pair
+    pair_end = np.cumsum(wide)
+    pair = pair_end - wide  # each pair's first word
+    olds, news, width = fields[:-1], fields[1:], (8 * wide).tolist()
+
+    def agree(just, reduce, missing: int) -> tuple[np.ndarray, ...]:
+        """The old and the new texts laid out by ``just``, and per pair the
+        first (``reduce`` is ``np.minimum``) or last (``np.maximum``) word
+        in which they differ, or ``missing``, and that word's differing
+        characters."""
+        old, new = (
+            np.frombuffer("".join(map(just, texts, width)).encode(), np.uint64)
+            for texts in (olds, news)
+        )
+        word = reduce.reduceat(np.where(old != new, np.arange(len(old)), missing), pair)
+        pick = word.clip(0, len(old) - 1)
+        return old, new, word, (old[pick] ^ new[pick]).view(np.uint8).reshape(-1, 8) != 0
+
+    old, new, word, flags = agree(str.ljust, np.minimum, pair_end[-1])
+    prefix = np.minimum(8 * (word - pair) + flags.argmax(1), short)
+    word, flags = agree(str.rjust, np.maximum, -1)[2:]
+    suffix = np.minimum(8 * (pair_end - 1 - word) + flags[:, ::-1].argmax(1), short - prefix)
+    same = (prefix == new_len) & (old_len == new_len)
+    if not np.all(same | ((prefix >= lead) & (suffix > tail))):
+        return None
+
+    text = np.concatenate((old, new)).view(np.uint8)  # left-aligned
+    old_at, new_at = 8 * pair, 8 * (pair + pair_end[-1])  # where each text starts
+    # the new texts' "(", and two places before them and two after
+    opens = np.flatnonzero(new.view(np.uint8) == ord("(")) + 8 * pair_end[-1]
+    opens = np.concatenate(([-1, -1], opens, [len(text)] * 2))
+    start = opens[np.searchsorted(opens, new_at + prefix) - 2] - new_at
+    stop = opens[np.searchsorted(opens, new_at + new_len - suffix) + 1] - new_at - 1  # at a ";"
+    start = np.where(same, 0, np.maximum(start, lead))
+    gap = np.where(same, new_len, np.maximum(new_len - stop, tail + 1))
+
+    begin = np.concatenate((old_at, new_at)) + np.tile(start, 2)
+    size = np.concatenate((old_len, new_len)) - np.tile(gap + start, 2) + 1  # with a "\n"
+    end = np.cumsum(size)
+    chars = text[np.arange(end[-1]) - np.repeat(end - size - begin, size)]
+    chars[end - 1] = ord("\n")
+    return chars, int(end[len(start) - 1]), np.add.reduceat(chars == ord("("), end - size)
 
 
 # Characters of file text that a reader parses at a time (see _text_batches).
@@ -732,7 +885,7 @@ def _text_batches(text):
 
 def _lines(piece: str) -> list[str]:
     """The non-empty lines of ``piece``, as ``str.splitlines`` splits them."""
-    return [ln for ln in piece.splitlines() if ln]
+    return list(filter(None, piece.splitlines()))
 
 
 def _line_batches(text):

@@ -14,8 +14,10 @@ follows the log: where the jumps flip few of the state's cells, each row is
 the previous row's text with the flipped cells' texts spliced in or cut
 out, so a row costs Python work per flipped cell, not per cell of the
 state; blocks of dense jumps are formatted whole from the states' cell
-columns.  The readers take the file text or the open file, a piece at a
-time.
+columns.  The reader follows the rows the other way round: it parses the
+first row whole and reads every later one as an edit of the row before it,
+so only the text a row changes is parsed.  The readers take the file
+text or the open file, a piece at a time.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .structures import (
     _line_batches,
     _Parser,
     _relation_columns,
-    _row_increments,
     _structure_from_cells,
     increment,
 )
@@ -347,9 +348,11 @@ class LevyTrajectory:
         header ``key,structure``; the
         event times of the key fields of rows ``first``, ``first + 1``, ...
         are ``times(keys, first)``.  The horizon is the last event time
-        unless ``horizon`` is given.  Rows are parsed a batch at a time with
-        one parser, bound to the first row's signature and n, and logged as
-        the sorted symmetric differences of consecutive rows."""
+        unless ``horizon`` is given.  Rows are read a batch at a time with
+        one parser, bound to the first row's signature and n.  The first
+        row is parsed whole; every later row is read as an edit of the row
+        before it, and its jump logged as the symmetric difference of the
+        two rows' changed text (see ``structures._Parser.increments``)."""
         batches = _line_batches(text)
         header, *rest = next(batches, [""])
         if header != f"{key},structure":
@@ -362,16 +365,14 @@ class LevyTrajectory:
                 if event_times[0] != 0.0:
                     raise ValueError(f"first event must be at time 0, got {event_times[0]}")
                 parser = _Parser.of(texts[0])
-                size = parser.n ** parser.signature.max_arity  # bounds every cell
-                cells, counts = parser.batch(texts)
-                start = _cell_lists(cells[:counts[0].sum()], counts[:1])[0]
+                start = _cell_lists(*parser.batch(texts[:1]))[0]
                 traj = cls._started(_structure_from_cells(parser.signature, parser.n, start))
-                event_times = event_times[1:]
+                rows, event_times = texts, event_times[1:]
             else:
                 event_times = times(keys, len(traj._times))
-                cells, counts = map(np.concatenate, zip(last, parser.batch(texts)))
-            traj._extend(event_times, *_row_increments(cells, counts, size))
-            last = cells[len(cells) - counts[-1].sum():], counts[-1:]
+                rows = (last, *texts)
+            traj._extend(event_times, *parser.increments(rows))
+            last = texts[-1]
         if traj is None:
             raise ValueError("full-state CSV has no rows")
         traj._close(traj._times[-1] if horizon is None else horizon)

@@ -14,6 +14,8 @@ from collections import defaultdict
 from collections.abc import Sequence
 from typing import TextIO
 
+import numpy as np
+
 from .measures import FiniteMeasure, is_exchangeable
 from .orbits import (
     SPACE_CAP,
@@ -151,13 +153,14 @@ def walk_to_csv(traj: WalkTrajectory) -> str:
     return traj._to_csv("step", "%d")
 
 
-def _step_times(keys, first: int) -> range:
+def _step_times(keys, first: int) -> np.ndarray:
     """The steps ``first``, ``first + 1``, ... that the step fields ``keys``
     must give in canonical form."""
-    for step, key in enumerate(keys, first):
-        if key != str(step):
-            raise ValueError(f"expected step index {step}, got {key!r}")
-    return range(first, first + len(keys))
+    steps = range(first, first + len(keys))
+    if "\n".join(keys) != "\n".join(map(str, steps)):
+        step, key = next((step, key) for step, key in zip(steps, keys) if key != str(step))
+        raise ValueError(f"expected step index {step}, got {key!r}")
+    return np.arange(first, first + len(keys), dtype=np.float64)
 
 
 def walk_from_csv(text: str | TextIO) -> WalkTrajectory:

@@ -123,6 +123,13 @@ def naive_increment(m1: Structure, m2: Structure) -> Structure:
     return Structure.from_tuples(m1.signature, m1.n, out)
 
 
+def csv_jumps(text: str) -> list[Structure]:
+    """The jumps of a full-state CSV read the plain way: every row's
+    structure parsed whole by ``parse`` and consecutive states XOR-ed."""
+    states = [comblevy.parse(line.partition(",")[2]) for line in text.splitlines()[1:]]
+    return [naive_increment(a, b) for a, b in zip(states, states[1:])]
+
+
 def naive_hom_density(a: Structure, m: Structure) -> float:
     """Full enumeration of injections with complete cell comparison."""
     level, n = a.n, m.n
