@@ -19,7 +19,6 @@ import json
 import numbers
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .trajectory import LevyTrajectory
 from .measures import FiniteMeasure, symmetrize
 from .orbits import orbit_of
 from .rng import make_rng
+from .value import Value
 
 __all__ = [
     "TestReport",
@@ -45,8 +45,7 @@ REPLICATE_SEED = 20160101
 _BLOCK_COUNTS = 2**20
 
 
-@dataclass(frozen=True)
-class TestReport:
+class TestReport(Value):
     """Outcome of the exchangeability test.
 
     ``df`` (support cells minus orbits) is information only, and
@@ -59,7 +58,7 @@ class TestReport:
     p_value: float
     cells_used: int
     pooled_cells: int
-    alphas: dict = field(default_factory=dict)
+    alphas: dict = dict
     inconclusive: bool = False
 
 

@@ -29,9 +29,8 @@ import json
 import math
 import numbers
 import re
-from dataclasses import dataclass, fields
 from itertools import accumulate, chain, islice
-from typing import TextIO
+from typing import ClassVar, TextIO
 
 import numpy as np
 
@@ -60,6 +59,7 @@ from .structures import (
     serialize,
 )
 from .trajectory import LevyTrajectory
+from .value import Value
 
 __all__ = [
     "MixtureAtom",
@@ -122,29 +122,29 @@ _SIG_GRAPH = Signature((2,))
 _SIG_COMMUNITY = Signature((1, 2))
 
 
-class _Component:
+class _Component(Value):
     """Base of the jump-component kinds.
 
     Each kind sets its JSON type ``tag`` and defines ``validate(signature)``,
     which raises ValueError unless the component fits the process signature,
     and ``restrict(signature, n)``, which returns its level-n sampler: a
     finite ``rate`` plus ``sample_cells(rng)`` of a nonempty increment.  The
-    JSON form is the tag plus the dataclass fields; each kind's
+    JSON form is the tag plus the value fields; each kind's
     ``__post_init__`` checks their types and ranges.
     """
 
-    tag: str
+    tag: ClassVar[str]
 
     def to_payload(self) -> dict:
         payload = {"type": self.tag}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            payload[f.name] = list(value) if isinstance(value, tuple) else value
+        for name in self._fields:
+            value = getattr(self, name)
+            payload[name] = list(value) if isinstance(value, tuple) else value
         return payload
 
     @classmethod
     def from_payload(cls, payload: dict):
-        known = {f.name for f in fields(cls)} | {"type"}
+        known = {*cls._fields, "type"}
         unknown = sorted(set(payload) - known)
         if unknown:
             raise ValueError(f"{cls.tag} component has unknown keys: {unknown}")
@@ -156,7 +156,6 @@ def _require_graph_signature(comp: _Component, signature: Signature) -> None:
         raise ValueError(f"{type(comp).__name__} requires signature (2) or (1,2)")
 
 
-@dataclass(frozen=True)
 class MixtureAtom(_Component):
     """Dissociated product-Bernoulli jump kernel with one flip probability
     per relation, carrying total rate ``weight``."""
@@ -184,7 +183,6 @@ class MixtureAtom(_Component):
         return _RestrictedMixture(self, signature, n)
 
 
-@dataclass(frozen=True)
 class SetSingletonComponent(_Component):
     """Rate ``rate`` per element i: the jump flips the single cell {i}."""
 
@@ -202,7 +200,6 @@ class SetSingletonComponent(_Component):
         return _RestrictedSetSingleton(self, signature, n)
 
 
-@dataclass(frozen=True)
 class VertexComponent(_Component):
     """Per-vertex jumps: each edge incident to the chosen vertex flips with
     probability ``rho``; for a community signature the vertex's membership
@@ -238,7 +235,6 @@ class VertexComponent(_Component):
         return _RestrictedVertex(self, signature, n)
 
 
-@dataclass(frozen=True)
 class PairComponent(_Component):
     """Per-unordered-pair jumps: for the chosen pair {i, j} (i < j), flip one
     of the nonempty subsets of {(i,j), (j,i)} drawn from ``pattern``
@@ -259,7 +255,6 @@ class PairComponent(_Component):
         return _RestrictedPair(self, signature, n)
 
 
-@dataclass(frozen=True)
 class LoopComponent(_Component):
     """Per-element jumps on the diagonal: flip the loop (i, i).  For a
     community signature, ``pattern`` distributes over the nonempty subsets
@@ -282,7 +277,6 @@ class LoopComponent(_Component):
         return _RestrictedLoop(self, signature, n)
 
 
-@dataclass(frozen=True)
 class ExplicitFinite(_Component):
     """Arbitrary finite intensity over a fixed label window."""
 
@@ -325,8 +319,7 @@ _COMPONENT_KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class LevyIntensity:
+class LevyIntensity(Value):
     """A composite jump intensity: a sum of component intensities."""
 
     signature: Signature

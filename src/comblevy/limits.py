@@ -14,13 +14,13 @@ beyond the cap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .trajectory import LevyTrajectory
 from .orbits import iter_space
 from .structures import Signature, Structure, _cell_index, serialize
+from .value import Value
 
 __all__ = [
     "DensityVector",
@@ -41,8 +41,7 @@ INJECTION_CAP = 10**7
 MC_CHUNK = 100_000
 
 
-@dataclass(frozen=True)
-class DensityVector:
+class DensityVector(Value):
     """Densities of every pattern at one level; a probability vector."""
 
     m: int

@@ -19,7 +19,6 @@ import json
 import math
 import numbers
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -37,6 +36,7 @@ from .structures import (
     parse,
     serialize,
 )
+from .value import Value
 
 __all__ = [
     "FiniteMeasure",
@@ -168,13 +168,12 @@ class FiniteMeasure:
         )
 
 
-@dataclass(frozen=True)
-class OrbitWeights:
+class OrbitWeights(Value):
     """Nonnegative weights on orbits, the mixing coefficients over U_Y."""
 
     signature: Signature
     n: int
-    p: dict = field(default_factory=dict)
+    p: dict = dict
 
     def mass(self, oid: OrbitId) -> float:
         return self.p.get(oid, 0.0)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .structures import (
@@ -30,6 +29,7 @@ from .structures import (
     parse,
     serialize,
 )
+from .value import Value
 
 __all__ = [
     "OrbitId",
@@ -50,18 +50,38 @@ CANONICAL_CAP = 8
 SPACE_CAP = 1_000_000
 
 
-@dataclass(frozen=True, order=True)
-class OrbitId:
-    """An isomorphism class, identified by its canonical serialization."""
+class OrbitId(Value):
+    """An isomorphism class, identified by its canonical serialization;
+    ordered by that text."""
 
     canonical: str
+
+    def __init__(self, canonical: str) -> None:
+        object.__setattr__(self, "canonical", canonical)
+
+    def __eq__(self, other):
+        return self.canonical == other.canonical if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.canonical,))
+
+    def __lt__(self, other):
+        return self.canonical < other.canonical if other.__class__ is self.__class__ else NotImplemented
+
+    def __le__(self, other):
+        return self.canonical <= other.canonical if other.__class__ is self.__class__ else NotImplemented
+
+    def __gt__(self, other):
+        return self.canonical > other.canonical if other.__class__ is self.__class__ else NotImplemented
+
+    def __ge__(self, other):
+        return self.canonical >= other.canonical if other.__class__ is self.__class__ else NotImplemented
 
     def structure(self) -> Structure:
         return parse(self.canonical)
 
 
-@dataclass(frozen=True)
-class OrbitTable:
+class OrbitTable(Value):
     """Complete list of (orbit, size) pairs for one structure space."""
 
     signature: Signature

@@ -26,13 +26,14 @@ Labels are 1-based throughout.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, islice, repeat
-from operator import lt
+from operator import gt, lt
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .value import Value
 
 __all__ = [
     "Signature",
@@ -50,19 +51,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Signature:
+# Sets a field of a frozen value.
+_set = object.__setattr__
+
+
+class Signature(Value):
     """A nondecreasing tuple of relation arities."""
 
     arities: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        arities = tuple(int(a) for a in self.arities)
-        object.__setattr__(self, "arities", arities)
+    def __init__(self, arities) -> None:
+        arities = tuple(map(int, arities))
         if any(a < 0 for a in arities):
             raise ValueError(f"arities must be nonnegative: {arities}")
-        if any(arities[i] > arities[i + 1] for i in range(len(arities) - 1)):
+        if any(map(gt, arities, arities[1:])):
             raise ValueError(f"arities must be nondecreasing: {arities}")
+        _set(self, "arities", arities)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.arities == other.arities
+
+    def __hash__(self) -> int:
+        return hash((self.arities,))
 
     @property
     def k(self) -> int:
@@ -130,8 +142,7 @@ def _validate_tuple(t: tuple[int, ...], arity: int, n: int) -> None:
             raise ValueError(f"tuple {t} has entry {a} outside 1..{n}")
 
 
-@dataclass(frozen=True)
-class Structure:
+class Structure(Value):
     """A finite labeled structure: base size ``n`` plus one set per relation.
 
     ``relations[j]`` is the int bitmask of relation j, for every arity: bit
@@ -143,6 +154,16 @@ class Structure:
     signature: Signature
     n: int
     relations: tuple
+
+    def __init__(self, signature: Signature, n: int, relations: tuple) -> None:
+        _set(self, "signature", signature)
+        _set(self, "n", n)
+        _set(self, "relations", relations)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.relations, self.signature) == (other.n, other.relations, other.signature)
 
     @classmethod
     def from_tuples(
@@ -197,18 +218,26 @@ class Structure:
         return serialize(self)
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Value):
     """A bijection of {1, ..., n}, stored as the image tuple (1-based)."""
 
     n: int
     image: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        image = tuple(int(v) for v in self.image)
-        object.__setattr__(self, "image", image)
-        if len(image) != self.n or sorted(image) != list(range(1, self.n + 1)):
-            raise ValueError(f"not a bijection of 1..{self.n}: {image}")
+    def __init__(self, n: int, image) -> None:
+        image = tuple(map(int, image))
+        if len(image) != n or sorted(image) != list(range(1, n + 1)):
+            raise ValueError(f"not a bijection of 1..{n}: {image}")
+        _set(self, "n", n)
+        _set(self, "image", image)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.image) == (other.n, other.image)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.image))
 
     def __call__(self, i: int) -> int:
         return self.image[i - 1]
@@ -586,7 +615,7 @@ class _Parser:
         parsed whole by :meth:`batch`, so a rejected row raises its error."""
         edits = self._edits(rows)
         if edits is None:
-            return _row_increments(*self.batch(rows), self.n**self.signature.max_arity)
+            return _row_increments(*self.batch(rows))
         return edits
 
     def _edits(self, rows: Sequence[str]):
@@ -613,8 +642,7 @@ class _Parser:
             return None
         if not k and joined != "\n".join([head] * (count + 1)):
             return None  # with no fields, a row is the head alone
-        size = self.n**self.signature.max_arity
-        keys = [np.zeros(0, np.int64)]
+        slots, cells = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
         for j, arity in enumerate(self.signature.arities if count > 1 else ()):
             fields = parts[1 + j::k]
             lens = np.fromiter(map(len, fields), np.int64, count)
@@ -625,13 +653,14 @@ class _Parser:
             chars, new, tuples = windows
             if not self.runs[j].fullmatch(chars[new:].tobytes().decode()):
                 return None
-            cells = self._decode(chars, tuples, arity)
-            if cells is None:
+            decoded = self._decode(chars, tuples, arity)
+            if decoded is None:
                 return None
-            # the windows' cells, keyed by jump, relation and cell
+            # the windows' cells, each in the slot of its jump and relation
             jumps = np.tile(np.arange(count - 1) * k + j, 2)
-            keys.append(np.repeat(jumps, tuples) * size + cells[0])
-        return _odd_keys(np.concatenate(keys), size, (count - 1, k))
+            slots.append(np.repeat(jumps, tuples))
+            cells.append(decoded[0])
+        return _odd_cells(np.concatenate(slots), np.concatenate(cells), (count - 1, k))
 
     def columns(self, bodies: Sequence[Sequence[str]], texts: int):
         """:meth:`batch`'s cells of ``texts`` texts whose relation bodies
@@ -772,28 +801,33 @@ def _flat_cells(rows, k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.fromiter(chain.from_iterable(runs), np.int64), counts
 
 
-def _odd_keys(keys: np.ndarray, size: int, shape: tuple) -> tuple:
-    """The keys ``(row * k + relation) * size + cell`` that occur once in
-    ``keys``, where none occurs more than twice, as the flat cell column and
-    (rows x k) counts of :meth:`_Parser.batch`: per row and relation, the
-    symmetric difference of the cells keyed twice over."""
-    key = np.sort(keys, kind="stable")  # sorted runs, merged
-    twice = np.zeros(len(key) + 1, bool)  # twice[i]: key i - 1 equals key i
-    twice[1:-1] = key[1:] == key[:-1]
-    slot, cell = np.divmod(key[~(twice[:-1] | twice[1:])], size)
-    return cell, np.bincount(slot, minlength=shape[0] * shape[1]).reshape(shape)
+def _odd_cells(slots: np.ndarray, cells: np.ndarray, shape: tuple) -> tuple:
+    """The pairs (``slots[i]``, ``cells[i]``) that occur once, where none
+    occurs more than twice and slot ``row * k + relation`` names a row and
+    relation of ``shape`` (rows x k), as the flat cell column and counts of
+    :meth:`_Parser.batch`: per row and relation, the symmetric difference of
+    the cells given twice over."""
+    order = np.lexsort((cells, slots))
+    slot, cell = slots[order], cells[order]
+    twice = np.zeros(len(order) + 1, bool)  # twice[i]: pair i - 1 equals pair i
+    twice[1:-1] = (slot[1:] == slot[:-1]) & (cell[1:] == cell[:-1])
+    once = ~(twice[:-1] | twice[1:])
+    return cell[once], np.bincount(slot[once], minlength=shape[0] * shape[1]).reshape(shape)
 
 
-def _row_increments(cells: np.ndarray, counts: np.ndarray, size: int) -> tuple:
+def _row_increments(cells: np.ndarray, counts: np.ndarray) -> tuple:
     """The increments between consecutive rows of a flat cell column of
     (rows x k) ``counts`` (see :meth:`_Parser.batch`), in the same form:
-    per relation, the sorted symmetric difference.  Every cell is < ``size``."""
+    per relation, the sorted symmetric difference."""
     rows, k = counts.shape
     # a cell of row r, relation j enters increments r - 1 and r
-    key = np.repeat(np.arange(rows * k), counts.ravel()) * size + cells
-    shift = k * size
-    keys = np.concatenate((key[key >= shift] - shift, key[key < (rows - 1) * shift]))
-    return _odd_keys(keys, size, (rows - 1, k))
+    slot = np.repeat(np.arange(rows * k), counts.ravel())
+    later, earlier = slot >= k, slot < (rows - 1) * k
+    return _odd_cells(
+        np.concatenate((slot[later] - k, slot[earlier])),
+        np.concatenate((cells[later], cells[earlier])),
+        (rows - 1, k),
+    )
 
 
 def _edit_windows(fields: list[str], lens: np.ndarray, lead: int, tail: int):

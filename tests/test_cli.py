@@ -564,6 +564,44 @@ class TestImportCost:
         assert proc.stdout.split() == ["0", "False"]
 
 
+class TestLazyNamespace:
+    """``import comblevy`` loads no submodule; a public name loads its home
+    submodule, and what that imports, on first access."""
+
+    def loaded(self, tmp_path, statement: str) -> set[str]:
+        script = f"import sys\n{statement}\nprint(*[m for m in sys.modules if m.startswith('comblevy')])\n"
+        proc = run_python(["-c", script], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    def test_import_loads_no_submodule(self, tmp_path):
+        assert self.loaded(tmp_path, "import comblevy") == {"comblevy"}
+
+    def test_reading_an_intensity_loads_only_what_levy_imports(self, tmp_path):
+        # the imports of the benchmark's setup step
+        loaded = self.loaded(
+            tmp_path,
+            "from comblevy import intensity_from_json, measure_from_json\n"
+            "from comblevy.levy import RestrictedIntensity",
+        )
+        assert "comblevy.levy" in loaded
+        assert not loaded & {"comblevy.walk", "comblevy.limits", "comblevy.inference", "comblevy.rng"}
+
+    def test_names_resolve_to_their_home_modules(self, tmp_path):
+        script = (
+            "import importlib\n"
+            "import comblevy\n"
+            "listed = set(dir(comblevy))\n"
+            "print(*[n for n in comblevy.__all__ if n not in listed])\n"
+            "print(*[n for n in comblevy.__all__ if getattr(comblevy, n) is not getattr(\n"
+            "    importlib.import_module(f'comblevy.{comblevy._HOMES[n]}'), n)])\n"
+            "print(hasattr(comblevy, 'no_such_name'), comblevy.walk.__name__, comblevy.__version__)\n"
+        )
+        proc = run_python(["-c", script], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n") == ["", "", "False comblevy.walk 0.1.0", ""]
+
+
 class TestTracerContract:
     """What the benchmark's tracer (``bench/tracing.py``) needs for its
     per-layer metrics: it wraps every ``comblevy.<layer>`` function that

@@ -2,12 +2,14 @@
 every later row as an edit of the row before it, against whole-row parsing
 (``helpers.csv_jumps``) and the parser's own account of each defect."""
 
+import itertools
+
 import pytest
 
 from comblevy import structures
 from comblevy.levy import trajectory_from_csv
 from comblevy.rng import make_rng
-from comblevy.structures import Signature, _Parser, serialize_cells
+from comblevy.structures import Signature, _cell_decode, _cell_lists, _Parser, serialize_cells
 from comblevy.walk import walk_from_csv
 
 from helpers import csv_jumps
@@ -176,3 +178,57 @@ def test_rejects_another_head_without_fields():
     text = "step,structure\n0,L=()|n=3\n1,L=()|n=3\n2,L=()|n=4\n"
     with pytest.raises(ValueError, match="expected \\(\\) and n=3"):
         walk_from_csv(text)
+
+
+# A size whose 3-ary cells reach 10^18 - 3 * 10^12: keyed as
+# (row * k + relation) * n^3 + cell, as the reader once keyed them, a
+# 13-row batch overflowed int64.
+BIG_N = 999_999
+
+
+def _big_rows(sig: Signature, rows: int, seed: int) -> list[list[set]]:
+    """Random tuple sets per row and relation, with labels at both ends of
+    1..BIG_N; each row after the first differs from the one before."""
+    rng = make_rng(seed)
+    labels = (1, 2, BIG_N - 1, BIG_N)
+    pool = [list(itertools.product(labels, repeat=arity)) for arity in sig.arities]
+    path = [[set() for _ in sig.arities]]
+    while len(path) < rows:
+        row = [{t for t in tuples if rng.random() < 0.3} for tuples in pool]
+        if row != path[-1]:
+            path.append(row)
+    return path
+
+
+def _row_text(sig: Signature, row: list[set]) -> str:
+    fields = "".join(
+        f"|R{j}={{" + ";".join("(" + ",".join(map(str, t)) + ")" for t in sorted(tuples)) + "}"
+        for j, tuples in enumerate(row, start=1)
+    )
+    return f"L={sig}|n={BIG_N}{fields}"
+
+
+def test_increments_at_the_largest_cell_range():
+    sig = Signature((1, 3))
+    path = _big_rows(sig, 40, 11)
+    rows = [_row_text(sig, row) for row in path]
+    expected = [[a ^ b for a, b in zip(prev, row)] for prev, row in itertools.pairwise(path)]
+    parser = _Parser(sig, BIG_N)
+    # read as edits, and parsed whole
+    for increments in (parser.increments(rows), structures._row_increments(*parser.batch(rows))):
+        jumps = [
+            [{_cell_decode(c, BIG_N, arity) for c in cells} for cells, arity in zip(jump, sig.arities)]
+            for jump in _cell_lists(*increments)
+        ]
+        assert jumps == expected
+
+
+def test_reader_refuses_an_unallocatable_state_at_the_largest_cell_range():
+    sig = Signature((3,))
+    rows = [_row_text(sig, row) for row in _big_rows(sig, 13, 12)]
+    text = "time,structure\n" + "".join(f"{t}.0,{row}\n" for t, row in enumerate(rows))
+    with pytest.raises(ValueError, match=(
+        "a state of signature \\(3\\) at n=999999 needs 124999625000375000 bytes "
+        "of cell bits, more than can be allocated"
+    )):
+        trajectory_from_csv(text)

@@ -28,6 +28,17 @@ def test_module_parser_tokens(path):
     assert len(tokens) <= MAX_PARSER_TOKENS, f"{path.name}: {len(tokens)} parser tokens"
 
 
+def test_no_module_imports_dataclasses():
+    # the dataclass decorator compiles each class's methods when its module
+    # is imported, a cost every process would pay again
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names
+        } | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert "dataclasses" not in imported, path.name
+
+
 # Every module but the entry point, which runs the CLI when imported.
 MODULE_NAMES = [f"comblevy.{path.stem}" for path in MODULES if path.stem != "__main__"]
 # Resource caps and tolerances are module constants, not parameters.

@@ -498,7 +498,7 @@ class TestLinearDecode:
                 [sorted(set(a) ^ set(b)) for a, b in zip(prev, row)]
                 for prev, row in itertools.pairwise(rows)
             ]
-            increments = _row_increments(*_flat_cells(rows, sig.k), n**2)
+            increments = _row_increments(*_flat_cells(rows, sig.k))
             assert _cell_lists(*increments) == expected
 
     def test_structure_from_cells_matches_shift_build(self):
