@@ -784,11 +784,11 @@ def events_to_jsonl(traj: LevyTrajectory, seed: int | None = None) -> str:
     text = _formatter(traj.signature, traj.n)
     # Each record is what json.dumps(..., sort_keys=True) gives: the
     # structure text needs no escaping and a finite float's JSON is its repr.
-    line = f'{{"increment": "{text.form}", "t": %r}}\n'
+    line = f'{{"increment": "{text.form}", "t": %s}}\n'
     # Through ``jump_increments()``: bench/tracing.py reports that call as
     # the ``levy.jump_increments`` layer.
-    for times, columns in traj.jump_increments().blocks(text.block):
-        chunks.append("".join(map(line.__mod__, zip(*text.bodies(columns), times))))
+    for times, cells, counts in traj.jump_increments().blocks(text.block):
+        chunks.append(text.records(cells, counts, line, list(map(repr, times))))
     return "".join(chunks)
 
 

@@ -30,7 +30,6 @@ from .structures import (
     _cells,
     _flat_cells,
     _formatter,
-    _relation_columns,
     _take_rows,
     empty_structure,
     parse,
@@ -112,9 +111,9 @@ class FiniteMeasure:
         members, both in the order of those texts."""
         members = list(self.weights)
         text = _formatter(self.signature, self.n)
-        columns = _relation_columns(*_flat_cells([_cells(m) for m in members], self.signature.k))
-        bodies = text.bodies(columns)
-        texts = list(map(text.form.__mod__, zip(*bodies) if bodies else [()] * len(members)))
+        block = _flat_cells([_cells(m) for m in members], self.signature.k)
+        texts = text.records(*block, text.form + "\n").split("\n")
+        texts.pop()  # the empty text after the last line end
         order = sorted(range(len(members)), key=texts.__getitem__)
         return [texts[i] for i in order], [members[i] for i in order]
 
@@ -324,7 +323,18 @@ def measure_from_payload(payload: dict) -> FiniteMeasure:
 
 
 def measure_to_json(mu: FiniteMeasure) -> str:
-    return json.dumps(measure_to_payload(mu), indent=2)
+    """``json.dumps(measure_to_payload(mu), indent=2)``, with the entries
+    laid out from the support's texts in one join: a structure text needs
+    no escaping, and a mass, a finite float, is written as its repr."""
+    head = f'{{\n  "signature": "{mu.signature}",\n  "n": {mu.n},\n  "entries": ['
+    texts, members = mu._sorted_support
+    if not texts:
+        return head + "]\n}"
+    opening = '\n    {\n      "structure": "'
+    leads = itertools.chain([opening], itertools.repeat("\n    }," + opening))
+    masses = map(repr, map(mu.weights.__getitem__, members))
+    pieces = zip(leads, texts, itertools.repeat('",\n      "mass": '), masses)
+    return head + "".join(itertools.chain.from_iterable(pieces)) + "\n    }\n  ]\n}"
 
 
 def measure_from_json(text: str) -> FiniteMeasure:

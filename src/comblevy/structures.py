@@ -411,15 +411,17 @@ def _structure_from_cells(signature: Signature, n: int, cells) -> Structure:
 
 
 class _Labels(dict):
-    """0-based label a -> ``form % (a + 1)``, built on first use."""
+    """Key a -> the text of 0-based label ``a // len(forms)`` in the form
+    ``forms[a % len(forms)]``, built on first use."""
 
-    __slots__ = ("form",)
+    __slots__ = ("forms",)
 
-    def __init__(self, form: str):
-        self.form = form
+    def __init__(self, *forms: str):
+        self.forms = forms
 
     def __missing__(self, a: int) -> str:
-        text = self[a] = self.form % (a + 1)
+        label, form = divmod(a, len(self.forms))
+        text = self[a] = self.forms[form] % (label + 1)
         return text
 
 
@@ -427,18 +429,16 @@ class _Formatter:
     """Canonical text of structures of one signature and size, a block of
     rows at a time (see :func:`serialize_cells` for the format).
 
-    A block is given per relation, as the sorted cells of all its rows in
-    one flat int64 column plus how many each row holds.  :meth:`bodies`
-    decodes a relation's labels with one numpy divmod pass per tuple
-    position, maps them through the formatter's tables of label text and
-    joins each row's run of cells once, from those shared strings.  The
-    tables hold the labels met so far, never all n up front; ``_formatter``
-    keeps one formatter, and so its tables, per signature and size.
-    ``form`` is the structure text with a ``%s`` for each relation's body,
-    so a writer builds each record line with one ``%`` from its form.
+    :meth:`records` lays out a block's text piece by piece: the literals of
+    a record's line, each row's time text and each cell's label texts.  It
+    decodes the labels with one numpy divmod pass per tuple position and
+    maps them through the formatter's tables of label text.  The tables
+    hold the labels met so far, never all n up front; ``_formatter`` keeps
+    one formatter, and so its tables, per signature and size.  ``form`` is
+    the structure text with a ``%s`` for each relation's body.
     """
 
-    __slots__ = ("n", "arities", "form", "single", "lead", "middle", "last")
+    __slots__ = ("n", "arities", "widths", "form", "heads", "middle", "last")
 
     # Rows a writer formats at a time; a full-state writer takes only as
     # many states as fill this many bytes of relation bits.
@@ -447,40 +447,74 @@ class _Formatter:
     def __init__(self, signature: Signature, n: int):
         self.n = n
         self.arities = signature.arities
+        self.widths = np.array([max(a, 1) for a in self.arities], np.int64)
         self.form = f"L={signature}|n={n}" + "".join(
             f"|R{j}={{%s}}" for j in range(1, signature.k + 1)
         )
-        self.single, self.lead, self.middle, self.last = map(
-            _Labels, (";(%d)", ";(%d", ",%d", ",%d)")
-        )
+        # a cell's first label by min(arity, 2), keyed 2 * label + 1 for
+        # the first cell of its row's relation and 2 * label, led by a ";",
+        # for a later one
+        self.heads = {1: _Labels(";(%d)", "(%d)"), 2: _Labels(";(%d", "(%d")}
+        self.middle, self.last = _Labels(",%d"), _Labels(",%d)")
 
-    def bodies(self, columns) -> list[list[str]]:
-        """Per relation j, the text between the braces of field Rj of each
-        row of a block; ``columns[j]`` is the relation's flat cell column
-        and its list of counts per row (see :func:`_relation_columns`)."""
-        bodies = []
-        for arity, (cells, counts) in zip(self.arities, columns):
-            pieces = self._pieces(cells, arity)
-            width = max(arity, 1)
-            ends = [end * width for end in accumulate(counts)]
-            # [1:]: a run drops the ";" that its first cell leads with
-            bodies.append(["".join(pieces[lo:hi])[1:] for lo, hi in zip([0, *ends], ends)])
-        return bodies
+    def records(self, cells: np.ndarray, counts: np.ndarray, line: str, times=None) -> str:
+        """The text of a block of records, one per row: ``line`` with the
+        row's structure text in place of ``form`` and, at a ``%s`` outside
+        it, the row's text from the list ``times``.  The rows are given as
+        the log holds them: a flat column of their sorted cells, row by row
+        and relation by relation, and their (rows x k) ``counts`` (see
+        :meth:`_Parser.batch`).
 
-    def _pieces(self, cells: np.ndarray, arity: int) -> list[str]:
-        """The text of ``cells``, ``max(arity, 1)`` pieces per cell: its
-        label texts, led by a ";" (``(1,2)`` is ``";(1", ",2)"``), so that
-        a run of cells is the join of its slice of pieces."""
+        A row's pieces are the literals of ``line`` with, between them, its
+        time text and each relation's cells, ``max(arity, 1)`` label texts
+        per cell.  Each piece gets its slot in one object array by index
+        arithmetic (:meth:`_layout`), and the array is joined once."""
+        # the layout's index arrays are freed before the join, so they do
+        # not add to its peak memory
+        return "".join(self._layout(cells, counts, line, times).tolist())
+
+    def _layout(self, cells: np.ndarray, counts: np.ndarray, line: str, times) -> np.ndarray:
+        """The pieces of :meth:`records`' text, in order, in an object array."""
+        rows, k = counts.shape
+        literals = line.split("%s")
+        lead = line[: line.index(self.form)].count("%s")  # 1 if the time leads
+        # pieces per row in each literal and slot, in record order
+        sizes = np.ones((rows, 2 * len(literals) - 1), np.int64)
+        bodies = slice(2 * lead + 1, 2 * (lead + k), 2)
+        sizes[:, bodies] = counts * self.widths
+        starts = sizes.cumsum().reshape(sizes.shape) - sizes
+        out = np.empty(starts[-1, -1] + 1 if rows else 0, object)
+        out[starts[:, ::2]] = np.array(literals, object)
+        if times is not None:
+            out[starts[:, 1 if lead else -2]] = times
+        per = counts.ravel()
+        rank = np.arange(len(cells)) - (per.cumsum() - per).repeat(per)
+        rel = (np.arange(per.size) % k).repeat(per) if k > 1 else slice(None)
+        pos = starts[:, bodies].ravel().repeat(per) + rank * self.widths[rel]
+        first = rank == 0
+        for j, arity in enumerate(self.arities):
+            at = rel == j if k > 1 else rel
+            where = pos[at]
+            for q, texts in enumerate(self._texts(cells[at], first[at], arity)):
+                out[where + q] = texts
+        return out
+
+    def _texts(self, cells: np.ndarray, first: np.ndarray, arity: int) -> list[list[str]]:
+        """Per tuple position, the label texts of ``cells``, of one
+        relation: a cell's text is the join of its ``max(arity, 1)`` texts,
+        led by a ";" but where ``first`` holds (``(1,2)`` is ``";(1"``,
+        ``",2)"``)."""
         if arity == 0:
-            return [";()"] * len(cells)
-        pieces = [""] * (arity * len(cells))
-        for pos in range(arity - 1, 0, -1):
-            cells, label = np.divmod(cells, self.n)
-            table = self.last if pos == arity - 1 else self.middle
-            pieces[pos::arity] = map(table.__getitem__, label.tolist())
-        table = self.lead if arity > 1 else self.single
-        pieces[::arity] = map(table.__getitem__, cells.tolist())
-        return pieces
+            return [list(map((";()", "()").__getitem__, first.tolist()))]
+        texts = []
+        for q in range(arity - 1, -1, -1):
+            if q:
+                cells, keys = np.divmod(cells, self.n)
+                table = self.last if q == arity - 1 else self.middle
+            else:
+                keys, table = 2 * cells + first, self.heads[min(arity, 2)]
+            texts.append(list(map(table.__getitem__, keys.tolist())))
+        return texts[::-1]
 
 
 _formatter = lru_cache(maxsize=64)(_Formatter)
@@ -491,7 +525,7 @@ def _relation_columns(cells: np.ndarray, counts: np.ndarray) -> list:
     ``counts`` (see :meth:`_Parser.batch`), and its count per row."""
     k = counts.shape[1]
     rels = np.repeat(np.tile(np.arange(k), len(counts)), counts.ravel())
-    return [(cells[rels == j], counts[:, j].tolist()) for j in range(k)]
+    return [(cells[rels == j], counts[:, j]) for j in range(k)]
 
 
 def serialize_cells(signature: Signature, n: int, cells) -> str:
@@ -502,18 +536,15 @@ def serialize_cells(signature: Signature, n: int, cells) -> str:
     ``(a1,...,ai)`` in lexicographic order (which is cell-index order) and
     no whitespace.
     """
-    return _text(signature, n, [(np.array(c, np.int64), [len(c)]) for c in cells])
+    cells = [np.asarray(c, np.int64) for c in cells]
+    text = _formatter(signature, n)
+    counts = np.array([list(map(len, cells))], np.int64)
+    return text.records(np.concatenate([np.zeros(0, np.int64), *cells]), counts, text.form)
 
 
 def serialize(m: Structure) -> str:
     """Canonical text form, bit-exact and sortable (see :func:`serialize_cells`)."""
     return serialize_cells(m.signature, m.n, map(_bit_array, m.relations))
-
-
-def _text(signature: Signature, n: int, columns) -> str:
-    """The text of a block of one structure (see :meth:`_Formatter.bodies`)."""
-    text = _formatter(signature, n)
-    return text.form % tuple(body for body, in text.bodies(columns))
 
 
 def _head(text: str) -> tuple[Signature, int]:

@@ -42,6 +42,7 @@ from .structures import (
     _line_batches,
     _Parser,
     _relation_columns,
+    _row_major,
     _structure_from_cells,
     increment,
 )
@@ -276,8 +277,9 @@ class LevyTrajectory:
         relation's text and sorted cell list are kept, and each row edits
         the previous row's text at the cells its jump flips (``_splice``).
         A denser block is formatted whole, from its states' cell columns
-        (``_state_columns``).  The spliced cells' texts are
-        ``_Formatter._pieces``', formatted a block at a time."""
+        (``_state_columns``) through ``_Formatter.records``, the time
+        texts made by one ``form`` map per block.  The spliced cells' texts
+        are ``_Formatter._texts``', formatted a block at a time."""
         text = _formatter(self.signature, self.n)
         line = f"{form},{text.form}\n"
         arities, jumps = self.signature.arities, len(self._times) - 1
@@ -291,8 +293,10 @@ class LevyTrajectory:
             for known, arity, rel_cells in zip(texts, arities, per_rel):
                 new = list(set(rel_cells).difference(known))
                 if new:
-                    pieces = iter(text._pieces(np.array(new, np.int64), arity))
-                    known.update(zip(new, map("".join, zip(*[pieces] * max(arity, 1)))))
+                    # as no cell is first, each text leads with a ";"
+                    first = np.zeros(len(new), bool)
+                    pieces = text._texts(np.array(new, np.int64), first, arity)
+                    known.update(zip(new, map("".join, zip(*pieces))))
 
         cells = _cells(self._start)
         learn(cells)
@@ -315,20 +319,20 @@ class LevyTrajectory:
                     ]
                     chunks.append(line % (t, *[run[1:] for run in runs]))
             else:
-                columns = self._state_columns(cells, block, counts)
-                chunks.append("".join(map(line.__mod__, zip(times, *text.bodies(columns)))))
-                cells = [col[len(col) - per_row[-1]:].tolist() for col, per_row in columns]
+                block, counts = self._state_columns(cells, block, counts)
+                stamps = list(map(form.__mod__, times))
+                chunks.append(text.records(block, counts, f"%s,{text.form}\n", stamps))
+                cells = _cell_lists(block[len(block) - counts[-1].sum():], counts[-1:])[0]
                 runs = None
         return "".join(chunks)
 
-    def _state_columns(self, state: list, cells: np.ndarray, counts: np.ndarray) -> list:
-        """Per relation, the cells of the states after a block of jumps (a
-        flat cell column ``cells`` of (jumps x k) ``counts``) in one column,
-        with their counts per state (see ``structures._relation_columns``),
-        given ``state``, the sorted cells per relation of the state before
-        them.  Each jump's cells are set in its row of a (jumps x cells)
-        matrix, the state's in the first row too, and one XOR scan down the
-        rows makes the states."""
+    def _state_columns(self, state: list, cells: np.ndarray, counts: np.ndarray) -> tuple:
+        """The states after a block of jumps (a flat cell column ``cells``
+        of (jumps x k) ``counts``) in the same form, given ``state``, the
+        sorted cells per relation of the state before them.  Per relation,
+        each jump's cells are set in its row of a (jumps x cells) matrix,
+        the state's in the first row too, and one XOR scan down the rows
+        makes the states."""
         rows = np.arange(len(counts))
         columns = []
         for (rel_cells, per_row), before, arity in zip(
@@ -339,8 +343,8 @@ class LevyTrajectory:
             flags[0, before] ^= True
             np.logical_xor.accumulate(flags, axis=0, out=flags)
             at, rel_cells = flags.nonzero()
-            columns.append((rel_cells, np.bincount(at, minlength=len(counts)).tolist()))
-        return columns
+            columns.append((rel_cells, np.bincount(at, minlength=len(counts))))
+        return _row_major(columns, len(counts))
 
     @classmethod
     def _from_csv(cls, text, key: str, times, horizon: float | None = None):
@@ -446,13 +450,12 @@ class _Increments(_LogView):
 
     def blocks(self, size: int):
         """The increments ``size`` jumps at a time, sliced from the log: per
-        block, the jump times and, per relation, the flat column of the
-        jumps' sorted cells and how many each jump flips (see
-        ``structures._relation_columns``)."""
+        block, the jump times, the flat column of the jumps' sorted cells
+        and their (jumps x k) counts (see ``LevyTrajectory._block``)."""
         traj = self._traj
         for lo in range(0, len(self), size):
             hi = min(lo + size, len(self))
-            yield traj._times[lo + 1: hi + 1].tolist(), _relation_columns(*traj._block(lo, hi))
+            yield (traj._times[lo + 1: hi + 1].tolist(), *traj._block(lo, hi))
 
     def _item(self, i: int) -> Structure:
         traj = self._traj

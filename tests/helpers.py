@@ -27,7 +27,7 @@ from comblevy.levy import (
     _RestrictedSetSingleton,
     _RestrictedVertex,
 )
-from comblevy.measures import FiniteMeasure
+from comblevy.measures import FiniteMeasure, measure_to_payload
 from comblevy.structures import Permutation, Signature, Structure, _cells
 
 
@@ -365,3 +365,8 @@ def record_walk_to_csv(walk) -> str:
     for i, m in enumerate(walk.steps):
         lines.append(f"{i},{text(_cells(m))}")
     return "\n".join(lines) + "\n"
+
+
+def record_measure_to_json(mu: FiniteMeasure) -> str:
+    """The measure JSON through the standard library's encoder."""
+    return json.dumps(measure_to_payload(mu), indent=2)

@@ -1173,6 +1173,42 @@ class TestBlockWriters:
         for traj, walk, texts in record_paths:
             assert (events_to_jsonl(traj), trajectory_to_csv(traj), walk_to_csv(walk)) == texts
 
+    # Hand-built paths for the layouts the block writers' index arithmetic
+    # must get right: the signature () with no relation slot, rows whose
+    # relations are all empty (each path's last row among them), one row
+    # holding labels of 1 to 4 digits, and times written with an exponent
+    # or as a whole number.
+    EDGE_TIMES = (0.0, 1e-05, 0.5, 1.0, 3.0)
+    WIDE = ((1, 1000), (9, 10), (99, 100), (999, 1000), (1000, 1))
+
+    def _edge_paths(self):
+        sig12, sig2 = Signature((1, 2)), Signature((2,))
+        blank, loop = empty_structure(sig12, 5), S(sig12, 5, set(), {(3, 3)})
+        star = S(sig12, 5, {2}, {(1, 5), (5, 1)})
+        wide = [S(sig2, 1000, set(cells)) for cells in ((), self.WIDE[:2], self.WIDE, self.WIDE[4:])]
+        return [[empty_structure(Signature(()), 3)], [blank, star, blank, loop, blank], [*wide, wide[0]]]
+
+    @pytest.mark.parametrize("block", [1, 2, 4096])
+    def test_edge_layouts(self, monkeypatch, block):
+        monkeypatch.setattr(structures._Formatter, "block", block)
+        for states in self._edge_paths():
+            traj = LevyTrajectory(states[0].n, 3.0, zip(self.EDGE_TIMES, states))
+            assert traj.events[-1][1].is_empty()
+            # a walk may stay put: each state thrice
+            walk = WalkTrajectory(tuple(s for s in states for _ in range(3)))
+            assert events_to_jsonl(traj, seed=3) == record_events_to_jsonl(traj, seed=3)
+            assert trajectory_to_csv(traj) == record_trajectory_to_csv(traj)
+            assert walk_to_csv(walk) == record_walk_to_csv(walk)
+        # traj is the last path, the one at n = 1000
+        assert "|R1={(1,1000);(9,10);(99,100);(999,1000);(1000,1)}" in trajectory_to_csv(traj)
+        assert '"t": 1e-05}' in events_to_jsonl(traj) and '"t": 3.0}' in events_to_jsonl(traj)
+
+    def test_serialize_empty_structures(self):
+        for arities in [(), (0,), (1,), (2,), (0, 1, 2, 3)]:
+            for n in (0, 1, 12):
+                m = empty_structure(Signature(arities), n)
+                assert serialize(m) == record_serialize(m)
+
     @pytest.mark.parametrize("name", MATRIX)
     def test_writer_matrix(self, name):
         traj = _matrix_path(name)
@@ -1198,13 +1234,13 @@ class TestBlockWriters:
     def test_set_singleton_path_is_spliced(self, monkeypatch):
         # from the empty start only the first block is formatted whole
         traj, blocks = _matrix_path("set-singleton"), []
-        bodies = structures._Formatter.bodies
+        records = structures._Formatter.records
 
-        def counted(text, columns):
-            blocks.append(columns)
-            return bodies(text, columns)
+        def counted(text, *args):
+            blocks.append(args)
+            return records(text, *args)
 
-        monkeypatch.setattr(structures._Formatter, "bodies", counted)
+        monkeypatch.setattr(structures._Formatter, "records", counted)
         text = trajectory_to_csv(traj)
         assert len(traj.events) > 900 and len(blocks) <= 1
         assert text == record_trajectory_to_csv(traj)

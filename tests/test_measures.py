@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+from comblevy.inference import empirical_jump_measure
+from comblevy.levy import LevyIntensity, SetSingletonComponent, simulate_levy
 from comblevy.measures import (
     FiniteMeasure,
     OrbitWeights,
@@ -22,7 +24,7 @@ from comblevy.orbits import OrbitId, enumerate_orbits, orbit_of
 from comblevy.rng import make_rng
 from comblevy.structures import Signature, Structure, empty_structure, serialize
 
-from helpers import random_structure
+from helpers import random_structure, record_measure_to_json
 
 SIG1 = Signature((1,))
 SIG2 = Signature((2,))
@@ -281,6 +283,30 @@ class TestJsonFormats:
         back = measure_from_json(measure_to_json(mu))
         assert back.approx_equal(mu, tol=0.0)
         assert back.signature == mu.signature and back.n == mu.n
+
+    def test_measure_json_matches_encoder(self):
+        # the entries are laid out from the support's texts; json.dumps of
+        # the payload is the oracle
+        sig12, sig0 = Signature((1, 2)), Signature(())
+        rng = make_rng(32)
+        members = {random_structure(rng, sig12, 3, density=0.4) for _ in range(30)}
+        measures = [
+            FiniteMeasure(SIG1, 3, {}),
+            point_mass(S(SIG1, 5, {2, 5})),
+            FiniteMeasure(sig12, 3, {m: 1e-05 * (i + 1) for i, m in enumerate(members)}),
+            FiniteMeasure(sig12, 2, {empty_structure(sig12, 2): 3.0}),
+            point_mass(empty_structure(sig0, 4)),
+            FiniteMeasure(sig0, 0, {}),
+            self._set_csv_measure(),
+        ]
+        assert len(measures[-1].weights) == 641
+        for mu in measures:
+            assert measure_to_json(mu) == record_measure_to_json(mu)
+
+    def _set_csv_measure(self):
+        """The jump measure of a set-csv path (n=1000, T=1) at seed 1."""
+        intensity = LevyIntensity(SIG1, (SetSingletonComponent(rate=1.0),))
+        return empirical_jump_measure(simulate_levy(intensity, 1000, 1.0, make_rng(1)))
 
     def test_measure_rejects_malformed(self):
         with pytest.raises(ValueError):

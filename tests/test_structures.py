@@ -14,7 +14,6 @@ from comblevy.structures import (
     _set_bits,
     _flat_cells,
     _structure_from_cells,
-    _relation_columns,
     _row_increments,
     agreement_level,
     empty_structure,
@@ -478,9 +477,9 @@ class TestLinearDecode:
                 assert serialize(m) == _scan_text(m)
             # one formatter, one block: later states reuse its label tables
             text = _Formatter(sig, n)
-            columns = _relation_columns(*_flat_cells([_cells(m) for m in states], sig.k))
-            rows = zip(*text.bodies(columns))
-            assert [text.form % row for row in rows] == [_scan_text(m) for m in states]
+            block = _flat_cells([_cells(m) for m in states], sig.k)
+            lines = text.records(*block, text.form + "\n")
+            assert lines == "".join(_scan_text(m) + "\n" for m in states)
         for m in (empty_structure(sig, 3), Structure(sig, 2, (1, 3, 15, 255))):
             assert serialize(m) == _scan_text(m)
 
