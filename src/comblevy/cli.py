@@ -291,6 +291,7 @@ def main(argv=None) -> int:
     except IsADirectoryError as exc:
         print(f"comblevy: not a file: {exc}", file=sys.stderr)
         return EXIT_IO
+    # RuntimeError: json.loads raises RecursionError on deeply nested input
     except (ValueError, TypeError, RuntimeError) as exc:
         print(f"comblevy: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -19,7 +19,10 @@ total restricted rate, at sorted uniform times, each with an independent
 increment (component chosen proportionally to its rate, then one
 conditional draw).  ``simulate_levy`` draws it that way, in batches
 (see ``_jump_chain``), into a :class:`~comblevy.trajectory.LevyTrajectory`
-log a block at a time.  The trajectory readers at the end of this module
+log a block at a time.  Each component draws a batch's increments at once;
+the mixture atom's and the vertex component's product-Bernoulli flips,
+conditioned on at least one, come from one exact batched draw (see
+``_BernoulliBlocks``).  The trajectory readers at the end of this module
 build that log a batch of parsed records at a time too.
 """
 
@@ -49,7 +52,6 @@ from .structures import (
     _Parser,
     _cell_lists,
     _check_cell_range,
-    _flat_cells,
     _restrict_cells,
     _row_major,
     _structure_from_cells,
@@ -83,7 +85,6 @@ __all__ = [
 ]
 
 RATE_TOL = 1e-12
-REJECTION_CAP = 10_000
 # Expected jumps per time block of the batched jump chain (see _jump_chain).
 _BLOCK_EVENTS = 2**16
 
@@ -338,86 +339,63 @@ class LevyIntensity(Value):
 
 class _BernoulliBlocks:
     """Independent cell flips in blocks (count, prob), conditioned on at
-    least one flip overall.  Blocks keep their given positions; a block of
-    no cells flips none and draws nothing (numpy's binomial of 0 trials
-    takes no random numbers).
+    least one flip overall.  Cells are ordered block by block; a block of no
+    cells or probability 0 flips none.
 
-    Sampling is exact: rejection when the conditioning event has probability
-    at least 1%, otherwise an analytic draw of the first flipped cell in the
-    global cell order followed by unconditioned flips after it.
+    ``sample(rng, rows)`` draws ``rows`` flip sets exactly, in two steps.
+    First each row's first flipped cell: its block by inverse CDF (block b
+    holds the first flip with probability P(no flip before b) P(some flip
+    in b)), then its place in the block by a truncated geometric.  Then the
+    cells after it, in its block and every later one, as runs of geometric
+    gaps: cells where a run of i.i.d. Geometric(p) gaps lands flip
+    independently with probability p (Devroye 1986, ch. X.2).  Each block
+    draws its runs in rounds of one scalar-p ``rng.geometric`` call, each
+    round about enough gaps to pass the block's end, until every run has.
     """
 
     def __init__(self, blocks):
         self.blocks = [(int(c), float(p)) for c, p in blocks]
-        none = 1.0
-        for c, p in self.blocks:
-            none *= (1.0 - p) ** c
-        self.none_prob = none
-        self.hit_prob = 1.0 - none
+        none = [(1.0 - p) ** c for c, p in self.blocks]  # P(no flip in block b)
+        self.hit_prob = 1.0 - math.prod(none)
+        self._hit = 1.0 - np.array(none)
+        first_in = self._hit * np.cumprod([1.0, *none])[:-1]  # P(first flip in b)
+        self._cum = np.cumsum(first_in)
+        self._last = len(np.trim_zeros(first_in, "b")) - 1
+        self._count = np.array([c for c, _ in self.blocks], np.int64)
+        with np.errstate(divide="ignore"):  # log(1 - p) = -inf at p = 1
+            self._log_q = np.log1p(-np.array([p for _, p in self.blocks]))
 
-    def sample(self, rng) -> list[list[int]]:
+    def sample(self, rng, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """The flat column of every row's flipped cells, row by row, block
+        by block within a row and ascending within a block, and the
+        (rows x blocks) counts of them."""
         if self.hit_prob <= 0.0:
             raise ValueError("conditioning on an impossible flip event")
-        if self.hit_prob >= 0.01:
-            for _ in range(REJECTION_CAP):
-                flips = self._unconditioned(rng)
-                if any(flips):
-                    return flips
-            raise RuntimeError(
-                f"rejection sampling failed after {REJECTION_CAP} tries"
-            )
-        return self._first_flip(rng)
-
-    def _unconditioned(self, rng) -> list[list[int]]:
-        flips = []
-        for c, p in self.blocks:
-            k = int(rng.binomial(c, p))
-            if k == 0:
-                flips.append([])
-            else:
-                flips.append(sorted(rng.choice(c, size=k, replace=False).tolist()))
-        return flips
-
-    def _first_flip(self, rng) -> list[list[int]]:
-        block_probs = []
-        prefix_none = 1.0
-        for c, p in self.blocks:
-            none_b = (1.0 - p) ** c
-            block_probs.append(prefix_none * (1.0 - none_b))
-            prefix_none *= none_b
-        u = rng.random() * self.hit_prob
-        # the last block with cells, should rounding leave u past every acc
-        bi = max(i for i, (c, _) in enumerate(self.blocks) if c)
-        acc = 0.0
-        for idx, bp in enumerate(block_probs):
-            acc += bp
-            if u < acc:
-                bi = idx
-                break
-        c, p = self.blocks[bi]
-        first = self._truncated_geometric(rng, c, p)
-        flips: list[list[int]] = [[] for _ in self.blocks]
-        flips[bi].append(first)
-        remaining = c - first - 1
-        if remaining > 0 and p > 0.0:
-            k = int(rng.binomial(remaining, p))
-            if k:
-                flips[bi].extend((first + 1 + rng.choice(remaining, size=k, replace=False)).tolist())
-        for j in range(bi + 1, len(self.blocks)):
-            cj, pj = self.blocks[j]
-            k = int(rng.binomial(cj, pj))
-            if k:
-                flips[j].extend(rng.choice(cj, size=k, replace=False).tolist())
-        return [sorted(f) for f in flips]
-
-    @staticmethod
-    def _truncated_geometric(rng, c: int, p: float) -> int:
-        if p >= 1.0:
-            return 0
-        tail = (1.0 - p) ** c
-        u = rng.random()
-        f = int(math.floor(math.log1p(-u * (1.0 - tail)) / math.log1p(-p)))
-        return min(max(f, 0), c - 1)
+        k = len(self.blocks)
+        u = rng.random(rows) * self._cum[-1]
+        block = np.minimum(np.searchsorted(self._cum, u, side="right"), self._last)
+        # a truncated geometric: P(first = j) is proportional to (1 - p)^j p, j < c
+        first = np.floor(np.log1p(-rng.random(rows) * self._hit[block]) / self._log_q[block])
+        first = np.minimum(first, self._count[block] - 1).astype(np.int64)
+        runs, cells = [np.arange(rows) * k + block], [first]
+        for j, (c, p) in enumerate(self.blocks):
+            if not (c and p):
+                continue
+            row = np.flatnonzero(block <= j)
+            at = np.where(block[row] == j, first[row], -1)
+            while row.size:
+                # the mean number of gaps that takes the earliest run past c
+                gaps = int(math.ceil((c - 1 - at.min()) * p)) + 1
+                ahead = at[:, None] + np.cumsum(rng.geometric(p, (row.size, gaps)), axis=1)
+                inside = ahead < c
+                runs.append(np.repeat(row * k + j, inside.sum(axis=1)))
+                cells.append(ahead[inside])
+                going = inside[:, -1]
+                row, at = row[going], ahead[going, -1]
+        runs = np.concatenate(runs)
+        order = np.argsort(runs, kind="stable")
+        counts = np.bincount(runs, minlength=rows * k).reshape(rows, k)
+        return np.concatenate(cells)[order], counts
 
 
 class _LevelSampler:
@@ -454,8 +432,7 @@ class _RestrictedMixture(_LevelSampler):
         self.rate = comp.weight * self.blocks.hit_prob
 
     def sample_cells_batch(self, rng, k: int) -> tuple[np.ndarray, np.ndarray]:
-        rows = [self.blocks.sample(rng) for _ in range(k)]
-        return _flat_cells(rows, self.signature.k)
+        return self.blocks.sample(rng, k)
 
 
 class _RestrictedSetSingleton(_LevelSampler):
@@ -512,17 +489,18 @@ class _RestrictedVertex(_GraphSampler):
         return cells
 
     def sample_cells_batch(self, rng, k: int) -> tuple[np.ndarray, np.ndarray]:
-        # one vertex per row, then the rows' flips one row at a time
         vertices = rng.integers(0, self.n, k)
-        flips = [self.blocks.sample(rng) for _ in range(k)]
-        slots = [f[-1] for f in flips]
-        sizes = np.fromiter(map(len, slots), np.int64, k)
+        slots, flips = self.blocks.sample(rng, k)
+        # a row's slots are its membership flip, if any, then its edge slots
+        last = flips.shape[1] - 1
+        edge = np.repeat(np.tile(np.arange(last + 1) == last, k), flips.ravel())
+        sizes = flips[:, -1]
         row = np.repeat(np.arange(k), sizes)
-        cells = self._edge_cells(vertices[row], np.fromiter(chain.from_iterable(slots), np.int64))
+        cells = self._edge_cells(vertices[row], slots[edge])
         edges = cells[np.lexsort((cells, row))], sizes
         if not self.has_member:
             return self._columns(edges)
-        member = np.array([bool(f[0]) for f in flips], bool)
+        member = flips[:, 0] == 1
         return self._columns(edges, (vertices[member], member))
 
 

@@ -122,11 +122,12 @@ def _cell_decode(idx: int, n: int, arity: int) -> tuple[int, ...]:
 
 
 def _bit_array(mask: int) -> np.ndarray:
-    """Ascending indices of the set bits of ``mask``, in time linear in its
-    width: the little-endian bytes, unpacked to one byte per bit."""
-    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    bits = np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little")
-    return bits.nonzero()[0]
+    """Ascending indices of the set bits of ``mask``: its little-endian
+    bytes, of which only the nonzero ones are unpacked to one byte per bit."""
+    raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), np.uint8)
+    at = raw.nonzero()[0]
+    byte, bit = np.unpackbits(raw[at], bitorder="little").reshape(-1, 8).nonzero()
+    return at[byte] * 8 + bit
 
 
 def _set_bits(mask: int) -> list[int]:

@@ -28,7 +28,7 @@ from comblevy.levy import (
     _RestrictedVertex,
 )
 from comblevy.measures import FiniteMeasure, measure_to_payload
-from comblevy.structures import Permutation, Signature, Structure, _cells
+from comblevy.structures import Permutation, Signature, Structure, _cell_lists, _cells
 
 
 def run_python(args, cwd) -> subprocess.CompletedProcess:
@@ -253,11 +253,11 @@ def sample_rows(sampler, rng, k: int) -> list:
     if isinstance(sampler, _RestrictedSetSingleton):
         return [[[i]] for i in rng.integers(0, sampler.n, k).tolist()]
     if isinstance(sampler, _RestrictedMixture):
-        return [sampler.blocks.sample(rng) for _ in range(k)]
+        return _cell_lists(*sampler.blocks.sample(rng, k))
     if isinstance(sampler, _RestrictedVertex):
         members, edges = [], []
-        for v in rng.integers(0, sampler.n, k).tolist():
-            flips = sampler.blocks.sample(rng)
+        vertices = rng.integers(0, sampler.n, k).tolist()
+        for v, flips in zip(vertices, _cell_lists(*sampler.blocks.sample(rng, k))):
             members.append([v] if sampler.has_member and flips[0] else [])
             edges.append(sorted(_vertex_edge_cell(sampler, v, x) for x in flips[-1]))
         return _graph_rows(sampler, edges, members)

@@ -293,6 +293,16 @@ class TestErrorHandling:
         assert run_cli(["simulate-walk", "--measure", bad, "--steps", 2,
                         "--seed", 1, "--out", tmp_path / "w.csv"]) == 2
 
+    @pytest.mark.parametrize("command, flag", [("decompose", "--measure"),
+                                               ("simulate-levy", "--intensity")])
+    def test_deeply_nested_json_exit_2(self, tmp_path, capsys, command, flag):
+        # json.loads raises RecursionError, a RuntimeError, on such input
+        bad = tmp_path / "nested.json"
+        bad.write_text("[" * 100_000 + "]" * 100_000)
+        args = {"decompose": [], "simulate-levy": ["--n", 5, "--horizon", 1, "--seed", 1]}
+        assert run_cli([command, flag, bad, *args[command], "--out", tmp_path / "o"]) == 2
+        assert "maximum recursion depth exceeded" in capsys.readouterr().err
+
     def test_mistyped_intensity_field_exit_2(self, tmp_path):
         bad = tmp_path / "intensity.json"
         component = {"type": "vertex", "rate": 1, "rho": 0.3, "include_loop": "false"}

@@ -177,68 +177,58 @@ class TestRestrictedRates:
         assert cells.min() >= 0 and cells.max() < n * n
 
 
-def _conditional_bernoulli_law(n, p):
-    """Exact conditional law of a nonempty product-Bernoulli subset of [n]."""
-    import itertools
-
-    hit = 1 - (1 - p) ** n
+def _conditional_blocks_law(blocks):
+    """Exact law, by enumeration, of the set of flipped (block, cell) pairs
+    of independent flips in blocks (count, prob), given at least one."""
+    cells = [(b, i, p) for b, (c, p) in enumerate(blocks) for i in range(c)]
     law = {}
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(range(1, n + 1), size):
-            law[frozenset(subset)] = p**size * (1 - p) ** (n - size) / hit
-    return law
-
-
-def _empirical_subset_law(sampler, rng, draws):
-    counts = Counter()
-    for _ in range(draws):
-        m = sampler(rng)
-        counts[frozenset(a for (a,) in m.tuples(0))] += 1
-    return {k: v / draws for k, v in counts.items()}
+    for flips in itertools.product((False, True), repeat=len(cells)):
+        weight = math.prod(p if f else 1 - p for f, (_, _, p) in zip(flips, cells))
+        if any(flips) and weight:
+            law[frozenset((b, i) for f, (b, i, _) in zip(flips, cells) if f)] = weight
+    total = sum(law.values())
+    return {flipped: w / total for flipped, w in law.items()}
 
 
 def _assert_law_close(empirical, exact, draws, z=4.0):
     for subset, p in exact.items():
-        band = z * math.sqrt(p * (1 - p) / draws) + 1e-9
+        # a few draws of a subset of tiny probability are no evidence against it
+        band = z * math.sqrt(p * (1 - p) / draws) + 3 / draws
         assert abs(empirical.get(subset, 0.0) - p) <= band, subset
 
 
 class TestConditionalSamplers:
-    def test_rejection_path_matches_exact_law(self):
-        I = LevyIntensity(SIG1, (MixtureAtom(weight=1.0, probs=(0.4,)),))
-        r = RestrictedIntensity(I, 3)
-        assert r.components[0].blocks.hit_prob >= 0.01  # rejection path
-        draws = 40_000
-        empirical = _empirical_subset_law(
-            lambda rng: r.sample(rng), make_rng(42), draws
-        )
-        _assert_law_close(empirical, _conditional_bernoulli_law(3, 0.4), draws)
-
-    def test_analytic_path_matches_exact_law(self):
-        p = 0.003
-        I = LevyIntensity(SIG1, (MixtureAtom(weight=1.0, probs=(p,)),))
-        r = RestrictedIntensity(I, 3)
-        assert r.components[0].blocks.hit_prob < 0.01  # analytic fallback path
-        draws = 40_000
-        empirical = _empirical_subset_law(
-            lambda rng: r.sample(rng), make_rng(43), draws
-        )
-        _assert_law_close(empirical, _conditional_bernoulli_law(3, p), draws)
-
-    def test_both_paths_agree_on_same_blocks(self):
-        # force the analytic branch on a rejection-regime parameterization;
-        # blocks of no cells keep their positions and never flip
-        draws = 40_000
-        for blocks, at in (([(3, 0.4)], 0), ([(0, 0.5), (3, 0.4), (0, 0.3)], 1)):
-            blocks = _BernoulliBlocks(blocks)
-            rng = make_rng(44)
-            counts = Counter()
-            for _ in range(draws):
-                flips = blocks._first_flip(rng)
-                assert len(flips) == len(blocks.blocks) and sum(map(len, flips)) == len(flips[at])
-                counts[frozenset(i + 1 for i in flips[at])] += 1
-            empirical = {k: v / draws for k, v in counts.items()}
-            _assert_law_close(empirical, _conditional_bernoulli_law(3, 0.4), draws)
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            [(3, 0.4)],  # P(some flip) >= 1%
+            [(3, 0.003)],  # P(some flip) < 1%
+            [(0, 0.5), (3, 0.4), (0, 0.3)],  # blocks of no cells
+            [(1, 0.5), (4, 0.3)],  # a vertex's membership and edge blocks
+            [(1, 0.002), (4, 0.001)],
+            [(2, 1.0), (2, 0.3)],
+            [(2, 0.3), (1, 1.0)],
+            [(2, 0.0), (2, 0.3), (2, 0.0)],
+        ],
+        ids=["dense", "sparse", "no-cells", "vertex", "vertex-sparse", "p1-first", "p1-last", "p0"],
+    )
+    def test_blocks_match_exact_law(self, blocks):
+        sampler, draws = _BernoulliBlocks(blocks), 50_000
+        # a batch of no rows draws nothing and takes no random numbers
+        rng, twin = make_rng(44), make_rng(44)
+        cells, counts = sampler.sample(rng, 0)
+        assert cells.size == 0 and counts.shape == (0, len(blocks))
+        assert rng.random() == twin.random()
+        cells, counts = sampler.sample(rng, draws)
+        assert counts.shape == (draws, len(blocks)) and counts.sum(axis=1).min() >= 1
+        flipped = Counter()
+        for row in _cell_lists(cells, counts):
+            for cells_b, (c, _) in zip(row, blocks):
+                assert cells_b == sorted(set(cells_b)) and all(0 <= i < c for i in cells_b)
+            flipped[frozenset((b, i) for b, cells_b in enumerate(row) for i in cells_b)] += 1
+        exact = _conditional_blocks_law(blocks)
+        assert set(flipped) <= set(exact)
+        _assert_law_close({s: v / draws for s, v in flipped.items()}, exact, draws)
 
     def test_samples_never_empty(self):
         I = LevyIntensity(
@@ -925,13 +915,14 @@ class TestColumnSamplers:
         for mu in (FiniteMeasure(sig, 3, weights), urn_measure(2, 6)):
             self._check(mu, mu.signature.k)
 
-    # sha256 of events_to_jsonl(simulate_levy(...), seed) as the list-of-rows
-    # samplers wrote them: the columns draw and write the same paths
+    # sha256 of events_to_jsonl(simulate_levy(...), seed) with the flips of
+    # mixture and vertex jumps drawn by _BernoulliBlocks.sample's batched
+    # draw: any change to the draw order or the writer shows here
     PINNED = {
-        ("graph", 1): "01c2dc485ed8f560651c7fd4362123eebb79b6d554a7225aa8ffc00ccb4403d7",
-        ("graph", 2): "7a1320be236ba52b9c9f6f8853587091a7d00b21cd1b4aba730513b90e5aa8f9",
-        ("community", 1): "ac6b34ac98da2cb7dc7bffda2b40b0be3bea5652bdfc111d2f7df50de7aced23",
-        ("community", 2): "f088b891c12d54dd8740e971092451c170524b10f767cad7b51b8886038694b0",
+        ("graph", 1): "c295d1964f825ef05df0912ba8fee83cb461fe75b408a74f8c647c59a820ce2d",
+        ("graph", 2): "9a6d02e69f34ca377beaccd3733acb057b457c225ab2c1634f9f19cbb47cacae",
+        ("community", 1): "abd7ccc95ab0ae1110235a62923eeccb4b8e1978b8d159e77802d144c21a349e",
+        ("community", 2): "90df9348e9d3e829a37865cf4d46f889511de5245b1643975dad611ea152417e",
     }
 
     @pytest.mark.parametrize("name,seed", sorted(PINNED))

@@ -9,6 +9,7 @@ from comblevy.structures import (
     Structure,
     _Formatter,
     _Parser,
+    _bit_array,
     _cell_lists,
     _cells,
     _set_bits,
@@ -465,6 +466,15 @@ class TestLinearDecode:
                 assert _set_bits(mask) == [
                     i for i in range(n**arity) if mask >> i & 1
                 ]
+
+    def test_decode_wide_masks(self):
+        # as wide as the edge relation at n = 300, where most bytes are zero
+        width = 300**2
+        sparse = sum(1 << int(i) for i in make_rng(122).choice(width, 30, replace=False))
+        for mask in (0, 1 << (width - 1), (1 << width) - 1, sparse):
+            bits = _bit_array(mask)
+            assert bits.dtype == np.int64
+            assert bits.tolist() == [i for i, b in enumerate(reversed(bin(mask))) if b == "1"]
 
     def test_formatter_matches_scan(self):
         rng = make_rng(121)
