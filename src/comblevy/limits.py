@@ -6,20 +6,22 @@ A.  The full vector of densities over all patterns at level m is a
 probability vector; sampling it along a trajectory gives a finite-resolution
 view of the limit-space path of the process.
 
-Exact densities enumerate injections with prefix pruning, capped by the
-falling-factorial count; the Monte Carlo estimator is the supported path
-beyond the cap.
+density_vector pulls M back under every injection, and hom_density_mc under
+random ones (the supported path beyond the falling-factorial cap), through one
+kernel a bounded chunk at a time; hom_density_exact shares no code with it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from functools import cached_property
 
 import numpy as np
 
 from .trajectory import LevyTrajectory
 from .orbits import iter_space
-from .structures import Signature, Structure, _cell_index, serialize
+from .structures import Signature, Structure, _cell_index, _serialize_all
 from .value import Value
 
 __all__ = [
@@ -37,7 +39,8 @@ __all__ = [
 ]
 
 INJECTION_CAP = 10**7
-# Injections hom_density_mc draws at a time.
+# Entries in a chunk of injections, its rows times the larger of n and the
+# pattern cells: a bound on the uniforms argsorted and the kernel's arrays.
 MC_CHUNK = 100_000
 
 
@@ -51,14 +54,18 @@ class DensityVector(Value):
         return self.values.get(pattern, 0.0)
 
     def items_sorted(self) -> list[tuple[Structure, float]]:
-        return sorted(self.values.items(), key=lambda kv: serialize(kv[0]))
+        return [(pattern, self.values[pattern]) for _, pattern in self._sorted]
+
+    @cached_property
+    def _sorted(self) -> list[tuple[str, Structure]]:
+        """(text, pattern) pairs in text order, the texts formatted as one block."""
+        patterns = list(self.values)
+        texts = _serialize_all(patterns[0].signature, patterns[0].n, patterns) if patterns else []
+        return sorted(zip(texts, patterns))  # texts differ, so patterns never compare
 
 
 def falling_factorial(n: int, m: int) -> int:
-    out = 1
-    for i in range(m):
-        out *= n - i
-    return out
+    return math.perm(n, m)
 
 
 def _injections(n: int, level: int) -> int:
@@ -73,26 +80,43 @@ def _contains(m: Structure, j: int, t: tuple[int, ...]) -> bool:
     return bool(m.relations[j] >> _cell_index(t, m.n) & 1)
 
 
-def _pattern_cells(signature: Signature, m: int) -> list[list[tuple[int, ...]]]:
-    """All pattern-level tuples per relation, as nested lists."""
-    import itertools
-
-    cells = []
-    for arity in signature.arities:
-        cells.append(
-            [t for t in itertools.product(range(1, m + 1), repeat=arity)]
-        )
-    return cells
-
-
 def _cells_by_level(signature: Signature, m: int) -> list[list[tuple[int, tuple[int, ...]]]]:
     """Pattern cells grouped by their maximal entry (level 0 = arity-0 cells)."""
     by_level: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(m + 1)]
-    for j, cell_list in enumerate(_pattern_cells(signature, m)):
-        for t in cell_list:
-            level = max(t) if t else 0
-            by_level[level].append((j, t))
+    for j, arity in enumerate(signature.arities):
+        for t in itertools.product(range(1, m + 1), repeat=arity):
+            by_level[max(t, default=0)].append((j, t))
     return by_level
+
+
+def _injection_block(n: int, level: int, lo: int, hi: int) -> np.ndarray:
+    """Injections ``lo``..``hi``-1 of [level] into [n] as rows of 0-based
+    labels, in ``itertools.permutations`` order: an index's digits in radices
+    n, n-1, ... are each label's rank among the labels its row has left."""
+    index = np.arange(lo, hi)
+    maps = np.empty((hi - lo, level), np.int64)
+    for k in range(level - 1, -1, -1):
+        index, maps[:, k] = np.divmod(index, n - k)
+    for k in range(level - 2, -1, -1):
+        later = maps[:, k + 1 :]
+        later += later >= maps[:, k : k + 1]
+    return maps
+
+
+def _pulled_back(m: Structure, level: int, maps: np.ndarray) -> np.ndarray:
+    """Per row of ``maps`` (an injection of [level] into [m.n], 0-based
+    labels), m's bit at each pattern cell's image, relation by relation in
+    cell-index order: the images are encoded as cells over [m.n] and read
+    from the relation's little-endian bytes."""
+    n, rows = m.n, len(maps)
+    bits = [np.zeros((rows, 0), np.int64)]
+    for arity, relation in zip(m.signature.arities, m.relations):
+        raw = np.frombuffer(relation.to_bytes((n**arity + 7) // 8, "little"), np.uint8)
+        cells = np.zeros((rows, level**arity), np.int64)
+        for labels in np.indices((level,) * arity).reshape(arity, level**arity):
+            cells = cells * n + maps[:, labels]
+        bits.append(raw[cells >> 3] >> (cells & 7) & 1)
+    return np.hstack(bits)
 
 
 def _check_arguments(a: Structure, m: Structure) -> None:
@@ -148,67 +172,43 @@ def hom_density_exact(a: Structure, m: Structure) -> float:
 def density_vector(m: Structure, level: int) -> DensityVector:
     """Complete density vector over every pattern at the given level.
 
-    One pass over all injections; each injection contributes to exactly one
-    pattern, so the vector sums to one.
+    Each injection pulls ``m`` back to one pattern, so the vector sums to
+    one.  A pattern's code is its relations' masks laid end to end, the
+    first highest, so ``np.bincount`` of codes counts in ``iter_space`` order.
     """
-    import itertools
-
     if level < 0 or level > m.n:
         raise ValueError(f"level {level} outside 0..{m.n}")
     total = _injections(m.n, level)
-    sig = m.signature
-    pattern_cells = _pattern_cells(sig, level)
-    counts: dict[tuple, int] = {}
-    for phi in itertools.permutations(range(1, m.n + 1), level):
-        payloads = []
-        for j, cell_list in enumerate(pattern_cells):
-            # cell_list runs in cell-index order, so idx is the pattern bit
-            mask = 0
-            for idx, t in enumerate(cell_list):
-                mapped = tuple(phi[x - 1] for x in t)
-                if _contains(m, j, mapped):
-                    mask |= 1 << idx
-            payloads.append(mask)
-        key = tuple(payloads)
-        counts[key] = counts.get(key, 0) + 1
-    values: dict[Structure, float] = {}
-    for pattern in iter_space(sig, level):
-        key = pattern.relations
-        values[pattern] = counts.get(key, 0) / total
-    return DensityVector(m=level, values=values)
+    patterns = list(iter_space(m.signature, level))
+    widths = [level**arity for arity in m.signature.arities]
+    shifts = [c + sum(widths[j + 1 :]) for j, width in enumerate(widths) for c in range(width)]
+    weights = np.left_shift(1, np.array(shifts, np.int64))
+    counts = np.zeros(len(patterns), np.int64)
+    step = max(1, MC_CHUNK // max(m.n, len(weights), 1))
+    for lo in range(0, total, step):
+        maps = _injection_block(m.n, level, lo, min(lo + step, total))
+        counts += np.bincount(_pulled_back(m, level, maps) @ weights, minlength=len(patterns))
+    return DensityVector(m=level, values=dict(zip(patterns, (counts / total).tolist())))
 
 
 def hom_density_mc(a: Structure, m: Structure, samples: int, rng) -> tuple[float, float]:
     """Monte Carlo density estimate over uniform random injections.
 
-    Returns (estimate, standard error).
+    Returns (estimate, standard error).  Each drawn injection's pulled-back
+    bits are compared with ``a``'s own, its pull-back under the identity.
     """
     _check_arguments(a, m)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     level, n = a.n, m.n
-    cells = [
-        (j, t)
-        for j, cell_list in enumerate(_pattern_cells(a.signature, level))
-        for t in cell_list
-    ]
-    a_bits = [_contains(a, j, t) for j, t in cells]
+    target = _pulled_back(a, level, np.arange(level)[None, :])[0]
+    step = max(1, MC_CHUNK // max(n, target.size, 1))
     hits = 0
-    done = 0
-    while done < samples:
-        batch = min(MC_CHUNK, samples - done)
+    for done in range(0, samples, step):
         # argsort of i.i.d. uniforms yields a uniform random permutation
-        u = rng.random((batch, n))
-        injections = np.argsort(u, axis=1)[:, :level] + 1
-        for row in injections:
-            ok = True
-            for (j, t), bit in zip(cells, a_bits):
-                mapped = tuple(int(row[x - 1]) for x in t)
-                if _contains(m, j, mapped) != bit:
-                    ok = False
-                    break
-            hits += ok
-        done += batch
+        u = rng.random((min(step, samples - done), n))
+        maps = np.argsort(u, axis=1)[:, :level]
+        hits += int((_pulled_back(m, level, maps) == target).all(axis=1).sum())
     estimate = hits / samples
     stderr = math.sqrt(estimate * (1.0 - estimate) / samples)
     return estimate, stderr
@@ -256,14 +256,13 @@ def density_l1(v1: DensityVector, v2: DensityVector) -> float:
 
 def density_to_csv(vec: DensityVector) -> str:
     lines = ["pattern,density"]
-    for pattern, value in vec.items_sorted():
-        lines.append(f"{serialize(pattern)},{value!r}")
+    lines += [f"{text},{vec.values[pattern]!r}" for text, pattern in vec._sorted]
     return "\n".join(lines) + "\n"
 
 
 def limit_path_to_csv(grid, vectors) -> str:
     lines = ["time,pattern,density"]
     for t, vec in zip(grid, vectors):
-        for pattern, value in vec.items_sorted():
-            lines.append(f"{float(t)!r},{serialize(pattern)},{value!r}")
+        time = repr(float(t))
+        lines += [f"{time},{text},{vec.values[pattern]!r}" for text, pattern in vec._sorted]
     return "\n".join(lines) + "\n"

@@ -29,7 +29,7 @@ from .structures import (
     Structure,
     _cells,
     _flat_cells,
-    _formatter,
+    _serialize_all,
     _take_rows,
     empty_structure,
     parse,
@@ -110,10 +110,7 @@ class FiniteMeasure:
         """The support's canonical texts, formatted as one block, and its
         members, both in the order of those texts."""
         members = list(self.weights)
-        text = _formatter(self.signature, self.n)
-        block = _flat_cells([_cells(m) for m in members], self.signature.k)
-        texts = text.records(*block, text.form + "\n").split("\n")
-        texts.pop()  # the empty text after the last line end
+        texts = _serialize_all(self.signature, self.n, members)
         order = sorted(range(len(members)), key=texts.__getitem__)
         return [texts[i] for i in order], [members[i] for i in order]
 

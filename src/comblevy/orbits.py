@@ -25,6 +25,7 @@ from .structures import (
     _cell_decode,
     _cell_index,
     _cells,
+    _serialize_all,
     _structure_from_cells,
     parse,
     serialize,
@@ -173,18 +174,18 @@ def iter_space(signature: Signature, n: int):
 
 @lru_cache(maxsize=64)
 def _orbit_data(signature: Signature, n: int) -> tuple[OrbitTable, dict]:
+    """The orbit table and lookup; the orbits' canonical members are
+    formatted as one block."""
     _check_cap(n)
-    lookup: dict[Structure, OrbitId] = {}
-    entries = []
+    seen: set[Structure] = set()
+    orbits = []
     for m in iter_space(signature, n):
-        if m in lookup:
-            continue
-        members = orbit_members(m)
-        oid = OrbitId(serialize(members[0]))
-        for member in members:
-            lookup[member] = oid
-        entries.append((oid, len(members)))
-    entries.sort(key=lambda e: e[0].canonical)
+        if m not in seen:
+            orbits.append(orbit_members(m))
+            seen.update(orbits[-1])
+    oids = [OrbitId(text) for text in _serialize_all(signature, n, [o[0] for o in orbits])]
+    lookup = {member: oid for oid, members in zip(oids, orbits) for member in members}
+    entries = sorted(zip(oids, map(len, orbits)), key=lambda e: e[0].canonical)
     table = OrbitTable(signature, n, tuple(entries))
     return table, lookup
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -533,6 +534,32 @@ class TestDeterminism:
             dirs.append(d)
         for fname in ("report.json", "manifest.json"):
             assert (dirs[0] / fname).read_bytes() == (dirs[1] / fname).read_bytes()
+
+    # sha256 of the outputs of the implementation that pulled each injection
+    # back cell by cell in Python
+    PINNED_DENSITY_OUTPUTS = {
+        "density": "00aa411bb5abc055adae60881a312c54a83ae4773614eba3eb3f7541fad5a3f4",
+        "limits": "b1c0947c709a0513e59a9a560f6c3a1bfc1afa4b753b3f69303142de0e24c504",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_DENSITY_OUTPUTS))
+    def test_density_outputs_pinned(self, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        Path("graph.json").write_text(json.dumps({"signature": "(2)", "components": [
+            {"type": "pair", "rate": 0.2},
+            {"type": "vertex", "rate": 1.0, "rho": 0.02},
+            {"type": "loop", "rate": 1.0},
+        ]}))
+        argv, out = {
+            "density": (["density", "--structure", "L=(2)|n=5|R1={(1,2);(2,1);(3,3);(4,5)}",
+                         "--level", 3, "--out", "d.csv"], "d.csv"),
+            "limits": (["simulate-levy", "--intensity", "graph.json", "--n", 30, "--horizon", 0.5,
+                        "--seed", 3, "--format", "jsonl", "--limit-level", 2,
+                        "--grid", "0.1,0.2,0.5", "--out", "levy.jsonl"], "levy.jsonl.limits.csv"),
+        }[name]
+        assert run_cli(argv) == 0
+        digest = hashlib.sha256(Path(out).read_bytes()).hexdigest()
+        assert digest == self.PINNED_DENSITY_OUTPUTS[name]
 
 
 class TestImportCost:

@@ -1,10 +1,14 @@
+import itertools
 import math
+import tracemalloc
 
 import pytest
 
 from comblevy.levy import LevyIntensity, LevyTrajectory, SetSingletonComponent, simulate_levy
 from comblevy.limits import (
+    MC_CHUNK,
     DensityVector,
+    _injection_block,
     density_l1,
     density_to_csv,
     density_vector,
@@ -21,6 +25,7 @@ from comblevy.structures import (
     Signature,
     Structure,
     empty_structure,
+    parse,
     relabel,
     restrict,
     serialize,
@@ -97,6 +102,33 @@ class TestDensityVector:
             for A in iter_space(sig, 2):
                 assert vec.value(A) == pytest.approx(hom_density_exact(A, M), abs=1e-15)
 
+    @pytest.mark.parametrize("sig", ["()", "(0)", "(0,2)", "(1,2)", "(2)", "(0,1,2)"])
+    def test_matches_naive_oracle(self, sig):
+        # the naive oracle shares no code with the pull-back kernel; its
+        # densities of the vector's support sum to one, so every pattern
+        # outside the support has density zero too
+        sig = Signature.parse(sig)
+        rng = make_rng(712)
+        for n in range(6):
+            M = random_structure(rng, sig, n)
+            for level in range(min(n, 3) + 1):
+                vec = density_vector(M, level)
+                support = {A: naive_hom_density(A, M) for A, v in vec.values.items() if v}
+                assert {A: vec.values[A] for A in support} == support
+                assert math.fsum(support.values()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_injection_blocks_in_permutation_order(self):
+        for n in range(6):
+            for level in range(n + 1):
+                perms = list(itertools.permutations(range(n), level))
+                for step in (1, 4, len(perms)):
+                    rows = [
+                        tuple(row)
+                        for lo in range(0, len(perms), step)
+                        for row in _injection_block(n, level, lo, min(lo + step, len(perms))).tolist()
+                    ]
+                    assert rows == perms
+
     def test_normalization(self):
         rng = make_rng(702)
         for _ in range(10):
@@ -168,6 +200,39 @@ class TestMonteCarloDensity:
         mean = sum(estimates) / runs
         combined_sigma = math.sqrt(exact * (1 - exact) / (runs * samples))
         assert abs(mean - exact) <= 4 * combined_sigma
+
+
+    # Estimates of the implementation that compared each drawn injection
+    # with the pattern cell by cell, one chunk of 100,000 draws at a time;
+    # (pattern, structure, samples, seed) -> (estimate, standard error).
+    PINNED = [
+        ("L=(2)|n=2|R1={(1,2);(2,1)}", "L=(2)|n=6|R1={(1,2);(2,1);(2,3);(3,2);(4,4);(5,6)}",
+         5000, 720, (0.1356, 0.004841748444518778)),
+        ("L=(1,2)|n=2|R1={(1)}|R2={(1,2)}", "L=(1,2)|n=4|R1={(1);(3)}|R2={(1,2);(2,2);(3,4);(4,1)}",
+         250_000, 721, (0.084412, 0.0005560094037190378)),
+        ("L=(0,2)|n=0|R1={()}|R2={}", "L=(0,2)|n=3|R1={()}|R2={(1,2)}", 100, 722, (1.0, 0.0)),
+        ("L=(3)|n=2|R1={(1,1,2)}", "L=(3)|n=4|R1={(1,1,2);(1,2,3);(2,2,1);(3,3,4)}",
+         7000, 723, (0.08328571428571428, 0.003302579167032783)),
+    ]
+
+    @pytest.mark.parametrize("a, m, samples, seed, expected", PINNED)
+    def test_pinned_estimates(self, a, m, samples, seed, expected):
+        assert hom_density_mc(parse(a), parse(m), samples, make_rng(seed)) == expected
+
+    def test_memory_bounded_by_chunk(self):
+        # a chunk holds at most MC_CHUNK uniforms and as many argsorted
+        # labels; drawing all 3000 rows of 1000 uniforms at once would take
+        # 24 MB for the uniforms alone
+        A = S(SIG2, 2, {(1, 2)})
+        M = S(SIG2, 1000, {(1, 2), (2, 1), (3, 4)})
+        tracemalloc.start()
+        try:
+            est, _ = hom_density_mc(A, M, 3000, make_rng(713))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est < 0.01
+        assert peak <= 4 * 8 * MC_CHUNK
 
 
 class TestSetFrequency:

@@ -83,3 +83,16 @@ def test_one_reader_of_the_trajectory_log():
     ))
     stray = sorted(use.lineno for use in column_uses(tree) - allowed)
     assert not stray, f"trajectory.py reads the log's columns outside _block at lines {stray}"
+
+
+def test_no_module_imports_inside_a_function():
+    # a module's dependencies are read from its head, and a call pays no
+    # import-system lookup
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inner = sorted(
+            node.lineno
+            for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
+        )
+        assert not inner, f"{path.name} imports inside a function at lines {inner}"
