@@ -6,7 +6,7 @@ commands require an explicit seed and are byte-deterministic given the same
 config and seed.  Every output directory receives a ``manifest.json``
 recording the effective config, the seed, and the tool version.
 
-Exit codes: 0 success, 2 validation error, 3 I/O error.
+Exit codes: 0 success, 2 validation error or out of memory, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .inference import (
     chi_square_exchangeability,
-    empirical_jump_measure,
+    empirical_jump_measure_json,
     report_to_json,
 )
 from .levy import (
@@ -44,7 +44,6 @@ from .limits import (
 from .measures import (
     decompose_exchangeable,
     measure_from_json,
-    measure_to_json,
     orbit_weights_to_json,
 )
 from .orbits import enumerate_orbits
@@ -202,8 +201,8 @@ def cmd_density(args: argparse.Namespace) -> None:
 
 
 def cmd_estimate_jumps(args: argparse.Namespace) -> None:
-    mu = empirical_jump_measure(_load_trajectory(args.trajectory))
-    _write_atomic(args.out, measure_to_json(mu) + "\n")
+    text = empirical_jump_measure_json(_load_trajectory(args.trajectory))
+    _write_atomic(args.out, text + "\n")
     _write_manifest(args, "estimate-jumps", args.out)
 
 
@@ -298,6 +297,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"comblevy: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        print(f"comblevy: out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_VALIDATION
     return EXIT_OK
 
 

@@ -11,26 +11,32 @@ is the Monte Carlo one under that law (Davison & Hinkley 1997, section 4.2),
 pooling and no degrees of freedom.  Continuous-time trajectories are tested
 on their sequence of jump increments, each jump counted once with no time
 weighting; that is an extension beyond the discrete-time definition.
+
+Both count the increments from the log's cell columns in one pass
+(``_jump_counts``), so a Structure is built at most once per distinct
+increment, and ``empirical_jump_measure_json`` builds none.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import numbers
-from collections import Counter
 from collections.abc import Sequence
 
 import numpy as np
 
 from .trajectory import LevyTrajectory
-from .measures import FiniteMeasure, symmetrize
-from .orbits import orbit_of
+from .measures import FiniteMeasure, _measure_json, symmetrize
+from .orbits import _check_cap, orbit_of
 from .rng import make_rng
+from .structures import _cell_lists, _serialize_rows, _structure_from_cells
 from .value import Value
 
 __all__ = [
     "TestReport",
     "empirical_jump_measure",
+    "empirical_jump_measure_json",
     "jump_increment_sequence",
     "chi_square_exchangeability",
     "report_to_json",
@@ -43,6 +49,8 @@ REPLICATE_SEED = 20160101
 # Counts per block of multinomial draws: an n=8 orbit of 40320 members would
 # take about 320 MB for all B rows at once.
 _BLOCK_COUNTS = 2**20
+# Jumps the counting kernel reads from the log at a time.
+_COUNT_BLOCK = 2**12
 
 
 class TestReport(Value):
@@ -66,16 +74,33 @@ def empirical_jump_measure(traj) -> FiniteMeasure:
     """Frequency of each increment in :func:`jump_increment_sequence`: a
     walk's one-step increments (empty included) or a continuous-time
     trajectory's jumps."""
-    return _frequency_measure(Counter(jump_increment_sequence(traj)))
+    return _frequency_measure(_jump_structures(traj))
 
 
-def _frequency_measure(counts: Counter) -> FiniteMeasure:
-    total = counts.total()
-    if total == 0:
-        raise ValueError("need at least one increment to estimate the jump measure")
+def empirical_jump_measure_json(traj) -> str:
+    """``measure_to_json(empirical_jump_measure(traj))``, made from the
+    counted jumps' columns: the distinct jumps' texts are formatted as one
+    block and sorted, and no Structure is built."""
+    cells, counts, tallies = _jump_counts(traj)
+    total = _total(tallies)
+    texts = _serialize_rows(traj.signature, traj.n, cells, counts)
+    order = sorted(range(len(texts)), key=texts.__getitem__)
+    masses = [tallies[i] / total for i in order]
+    return _measure_json(traj.signature, traj.n, [texts[i] for i in order], masses)
+
+
+def _frequency_measure(counts: dict) -> FiniteMeasure:
+    total = _total(counts.values())
     first = next(iter(counts))
     weights = {m: c / total for m, c in counts.items()}
     return FiniteMeasure(first.signature, first.n, weights)
+
+
+def _total(tallies) -> int:
+    total = sum(tallies)
+    if total == 0:
+        raise ValueError("need at least one increment to estimate the jump measure")
+    return total
 
 
 def jump_increment_sequence(traj) -> Sequence:
@@ -84,6 +109,44 @@ def jump_increment_sequence(traj) -> Sequence:
     if not isinstance(traj, LevyTrajectory):
         raise TypeError(f"unsupported trajectory type: {type(traj).__name__}")
     return traj.jump_increments()
+
+
+def _jump_counts(traj) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The distinct increments of :func:`jump_increment_sequence`, in order
+    of first occurrence, as a flat cell column and (distinct x k) counts (see
+    ``LevyTrajectory._block``), and how often each occurs.
+
+    One pass over the log, a block of jumps at a time, keys each jump by
+    the bytes of its count row and its sorted cells, which name its
+    increment; the distinct keys are decoded back into columns at the end.
+    No Structure is built, so the work is linear in the log's size."""
+    increments = jump_increment_sequence(traj)
+    k = traj.signature.k
+    tallies: dict[bytes, int] = {}
+    for _, cells, counts in increments.blocks(_COUNT_BLOCK):
+        rows, flat = counts.tobytes(), cells.tobytes()
+        ends = (8 * counts.sum(axis=1).cumsum()).tolist()
+        for at, lo, hi in zip(itertools.count(0, 8 * k), [0, *ends], ends):
+            key = rows[at:at + 8 * k] + flat[lo:hi]
+            tallies[key] = tallies.get(key, 0) + 1
+    keys = list(tallies)
+    words = np.frombuffer(b"".join(keys), np.int64)
+    sizes = np.fromiter(map(len, keys), np.int64, len(keys)) // 8
+    heads = (sizes.cumsum() - sizes)[:, None] + np.arange(k)  # each key's count row
+    is_cell = np.ones(len(words), bool)
+    is_cell[heads] = False
+    return words[is_cell], words[heads], list(tallies.values())
+
+
+def _jump_structures(traj) -> dict:
+    """Each distinct increment of :func:`jump_increment_sequence` as a
+    Structure, mapped to how often it occurs, in order of first occurrence
+    (as ``Counter`` orders them)."""
+    cells, counts, tallies = _jump_counts(traj)
+    return {
+        _structure_from_cells(traj.signature, traj.n, jump): tally
+        for jump, tally in zip(_cell_lists(cells, counts), tallies)
+    }
 
 
 def _check_alpha(a) -> float:
@@ -108,9 +171,13 @@ def chi_square_exchangeability(traj, alphas=(0.05,)) -> TestReport:
     """Pearson statistic of the raw jump counts against their orbit average,
     with a conditional Monte Carlo p-value."""
     alphas = [_check_alpha(a) for a in alphas]
+    jump_increment_sequence(traj)  # checks the type
+    # orbits are enumerated only up to the cap, so a larger path is refused
+    # before its jumps are counted
+    _check_cap(traj.n)
     # The observed counts enter the statistic, so the measure is built from
     # them here instead of through empirical_jump_measure.
-    counts = Counter(jump_increment_sequence(traj))
+    counts = _jump_structures(traj)
     mu_ex = symmetrize(_frequency_measure(counts))
 
     # The support of the orbit average is every member of each observed

@@ -39,8 +39,9 @@ __all__ = [
 ]
 
 INJECTION_CAP = 10**7
-# Entries in a chunk of injections, its rows times the larger of n and the
-# pattern cells: a bound on the uniforms argsorted and the kernel's arrays.
+# Entries in a chunk of injections, its rows times the widest of its arrays'
+# rows: the pattern cells, the level's labels and, for the uniforms that
+# hom_density_mc argsorts, n.
 MC_CHUNK = 100_000
 
 
@@ -184,7 +185,7 @@ def density_vector(m: Structure, level: int) -> DensityVector:
     shifts = [c + sum(widths[j + 1 :]) for j, width in enumerate(widths) for c in range(width)]
     weights = np.left_shift(1, np.array(shifts, np.int64))
     counts = np.zeros(len(patterns), np.int64)
-    step = max(1, MC_CHUNK // max(m.n, len(weights), 1))
+    step = max(1, MC_CHUNK // max(level, len(weights), 1))
     for lo in range(0, total, step):
         maps = _injection_block(m.n, level, lo, min(lo + step, total))
         counts += np.bincount(_pulled_back(m, level, maps) @ weights, minlength=len(patterns))

@@ -320,17 +320,22 @@ def measure_from_payload(payload: dict) -> FiniteMeasure:
 
 
 def measure_to_json(mu: FiniteMeasure) -> str:
-    """``json.dumps(measure_to_payload(mu), indent=2)``, with the entries
-    laid out from the support's texts in one join: a structure text needs
-    no escaping, and a mass, a finite float, is written as its repr."""
-    head = f'{{\n  "signature": "{mu.signature}",\n  "n": {mu.n},\n  "entries": ['
+    """``json.dumps(measure_to_payload(mu), indent=2)``, laid out by
+    :func:`_measure_json`."""
     texts, members = mu._sorted_support
+    return _measure_json(mu.signature, mu.n, texts, map(mu.weights.__getitem__, members))
+
+
+def _measure_json(signature: Signature, n: int, texts: list[str], masses) -> str:
+    """The measure JSON of the entries ``texts[i]`` with mass ``masses[i]``,
+    in the given order, laid out in one join: a structure text needs no
+    escaping, and a mass, a finite float, is written as its repr."""
+    head = f'{{\n  "signature": "{signature}",\n  "n": {n},\n  "entries": ['
     if not texts:
         return head + "]\n}"
     opening = '\n    {\n      "structure": "'
     leads = itertools.chain([opening], itertools.repeat("\n    }," + opening))
-    masses = map(repr, map(mu.weights.__getitem__, members))
-    pieces = zip(leads, texts, itertools.repeat('",\n      "mass": '), masses)
+    pieces = zip(leads, texts, itertools.repeat('",\n      "mass": '), map(repr, masses))
     return head + "".join(itertools.chain.from_iterable(pieces)) + "\n    }\n  ]\n}"
 
 

@@ -548,14 +548,22 @@ def serialize(m: Structure) -> str:
     return serialize_cells(m.signature, m.n, map(_bit_array, m.relations))
 
 
-def _serialize_all(signature: Signature, n: int, structures) -> list[str]:
-    """The canonical texts of ``structures``, all of one signature and size,
-    formatted as one block (see :func:`serialize_cells`)."""
+def _serialize_rows(
+    signature: Signature, n: int, cells: np.ndarray, counts: np.ndarray
+) -> list[str]:
+    """The canonical texts of the rows of a flat cell column of (rows x k)
+    ``counts`` (see :meth:`_Parser.batch`), formatted as one block (see
+    :func:`serialize_cells`)."""
     text = _formatter(signature, n)
-    block = _flat_cells([_cells(m) for m in structures], signature.k)
-    texts = text.records(*block, text.form + "\n").split("\n")
+    texts = text.records(cells, counts, text.form + "\n").split("\n")
     texts.pop()  # the empty text after the last line end
     return texts
+
+
+def _serialize_all(signature: Signature, n: int, structures) -> list[str]:
+    """The canonical texts of ``structures``, all of one signature and size,
+    formatted as one block."""
+    return _serialize_rows(signature, n, *_flat_cells([_cells(m) for m in structures], signature.k))
 
 
 def _head(text: str) -> tuple[Signature, int]:

@@ -1,32 +1,37 @@
 import hashlib
 import json
 import math
+import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from comblevy import cli, levy
+from comblevy import cli, inference, levy, walk
 from comblevy.cli import main
+from comblevy.inference import empirical_jump_measure
 from comblevy.levy import (
     LevyIntensity,
     LevyTrajectory,
     SetSingletonComponent,
     events_to_jsonl,
+    intensity_from_json,
     intensity_to_json,
     simulate_levy,
     trajectory_from_csv,
     trajectory_to_csv,
 )
 from comblevy.measures import (
+    FiniteMeasure,
     decompose_exchangeable,
     measure_from_json,
     measure_to_json,
     urn_measure,
 )
 from comblevy.rng import make_rng
-from comblevy.structures import Signature, empty_structure, serialize
-from comblevy.walk import WalkTrajectory, walk_from_csv, walk_to_csv
+from comblevy.structures import Signature, Structure, empty_structure, increment, serialize
+from comblevy.walk import WalkTrajectory, simulate_walk, walk_from_csv, walk_to_csv
 
 from helpers import run_comblevy, run_python
 
@@ -255,6 +260,81 @@ class TestOtherCommands:
         assert len(mu.weights) > 10
         assert all(m.tuple_count(0) == 1 for m in mu.weights)
 
+    @staticmethod
+    def jump_paths():
+        """The text of a trajectory file of each kind, by file name."""
+        graph = simulate_levy(intensity_from_json(json.dumps({"signature": "(2)", "components": [
+            {"type": "pair", "rate": 0.2},
+            {"type": "vertex", "rate": 1.0, "rho": 0.02},
+            {"type": "loop", "rate": 1.0},
+        ]})), 40, 1.0, make_rng(21))
+        community = simulate_levy(intensity_from_json(json.dumps({"signature": "(1,2)", "components": [
+            {"type": "mixture_atom", "weight": 0.5, "probs": [0.2, 0.1]},
+            {"type": "vertex", "rate": 1.0, "rho": 0.3, "member_prob": 0.5},
+            {"type": "pair", "rate": 1.0},
+        ]})), 5, 10.0, make_rng(22))
+        sets = simulate_levy(
+            LevyIntensity(SIG1, (SetSingletonComponent(rate=1.0),)), 200, 1.0, make_rng(23)
+        )
+        e = empty_structure(SIG1, 4)
+        lazy = FiniteMeasure(SIG1, 4, {e: 0.5, Structure.from_tuples(SIG1, 4, [[2, 3]]): 0.5})
+        steps = simulate_walk(lazy, e, 60, make_rng(24))
+        start = graph.events[-1][1]
+        shifted = LevyTrajectory(40, 1.0, [(t, increment(x, start)) for t, x in graph.events])
+        return {
+            "graph-stream.jsonl": events_to_jsonl(graph),
+            "set.csv": trajectory_to_csv(sets),
+            "walk-with-empty-steps.csv": walk_to_csv(steps),
+            "(1,2)-path.csv": trajectory_to_csv(community),
+            "non-empty-start.jsonl": events_to_jsonl(shifted),
+        }
+
+    @pytest.mark.parametrize("name", [
+        "graph-stream.jsonl", "set.csv", "walk-with-empty-steps.csv", "(1,2)-path.csv",
+        "non-empty-start.jsonl",
+    ])
+    def test_estimate_jumps_writes_the_measure_json(self, tmp_path, name):
+        path, out = tmp_path / name, tmp_path / "jumps.json"
+        path.write_text(self.jump_paths()[name])
+        assert run_cli(["estimate-jumps", "--trajectory", path, "--out", out]) == 0
+        traj = cli._load_trajectory(str(path))
+        # the measure of a Counter of the increments as Structures
+        counts = Counter(traj.jump_increments())
+        total = sum(counts.values())
+        expected = FiniteMeasure(
+            traj.signature, traj.n, {m: c / total for m, c in counts.items()}
+        )
+        assert out.read_text() == measure_to_json(expected) + "\n"
+        assert out.read_text() == measure_to_json(empirical_jump_measure(traj)) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_estimate_jumps_builds_no_structure_per_jump(
+        self, tmp_path, monkeypatch, intensity_file, fmt
+    ):
+        build = sys.modules["comblevy.structures"]._structure_from_cells
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("comblevy.")]:
+            if hasattr(module, "_structure_from_cells"):
+                monkeypatch.setattr(module, "_structure_from_cells", counted)
+        made = []
+        for horizon in (1.0, 30.0):
+            path = tmp_path / f"levy-{horizon}.{fmt}"
+            assert run_cli(["simulate-levy", "--intensity", intensity_file,
+                            "--n", 20, "--horizon", horizon, "--seed", 25, "--format", fmt,
+                            "--out", path]) == 0
+            jumps = len(cli._load_trajectory(str(path)).jump_increments())
+            calls.clear()
+            assert run_cli(["estimate-jumps", "--trajectory", path,
+                            "--out", tmp_path / "jumps.json"]) == 0
+            made.append((jumps, len(calls)))
+        (short, short_calls), (long, long_calls) = made
+        assert long > 10 * short and long_calls == short_calls
+
     def test_test_exchangeability(self, tmp_path, measure_file):
         walk_out = tmp_path / "walk.csv"
         run_cli(["simulate-walk", "--measure", measure_file, "--steps", 400,
@@ -456,6 +536,21 @@ class TestErrorHandling:
         assert "n=100000000 needs 1250000000000000 bytes" in result.stderr
         assert not out.exists()
 
+    def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch, intensity_file):
+        path = tmp_path / "levy.csv"
+        assert run_cli(["simulate-levy", "--intensity", intensity_file, "--n", 4,
+                        "--horizon", 1.0, "--seed", 1, "--out", path]) == 0
+
+        def exhausted(traj):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "empirical_jump_measure_json", exhausted)
+        out = tmp_path / "out" / "measure.json"
+        assert run_cli(["estimate-jumps", "--trajectory", path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("comblevy: out of memory: ") and err.count("\n") == 1
+        assert not out.parent.exists()
+
     def test_missing_required_args(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["simulate-walk"])
@@ -646,12 +741,21 @@ class TestTracerContract:
     ``LevyTrajectory.jump_increments`` for ``levy.jump_increments_s`` and
     takes ``len()`` of each writer's result for ``levy.write_bytes``."""
 
-    WRAPPED = ("simulate_levy", "events_to_jsonl", "events_from_jsonl", "trajectory_to_csv")
+    # the functions whose spans give layer metrics, with their home modules
+    WRAPPED = {
+        "simulate_levy": levy,
+        "events_to_jsonl": levy,
+        "events_from_jsonl": levy,
+        "trajectory_to_csv": levy,
+        "trajectory_from_csv": levy,  # levy.read_s
+        "walk_from_csv": walk,  # walk.from_csv_s
+        "chi_square_exchangeability": inference,  # inference.*
+    }
 
-    def test_cli_binds_the_levy_functions(self):
-        for name in self.WRAPPED:
-            assert getattr(cli, name) is getattr(levy, name)
-            assert getattr(cli, name).__module__ == "comblevy.levy"
+    def test_cli_binds_the_layer_functions(self):
+        for name, home in self.WRAPPED.items():
+            assert getattr(cli, name) is getattr(home, name)
+            assert getattr(cli, name).__module__ == home.__name__
 
     def test_writers_return_text_and_jsonl_reads_jump_increments(
         self, tmp_path, intensity_file, monkeypatch

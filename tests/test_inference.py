@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+from collections import Counter
 
 import pytest
 
@@ -12,6 +14,7 @@ from comblevy.inference import (
 )
 from comblevy.levy import (
     LevyIntensity,
+    LevyTrajectory,
     SetSingletonComponent,
     intensity_from_json,
     simulate_levy,
@@ -72,6 +75,66 @@ class TestEmpiricalJumpMeasure:
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError):
             empirical_jump_measure(WalkTrajectory((empty_structure(SIG1, 2),)))
+
+
+COMMUNITY = json.dumps({"signature": "(1,2)", "components": [
+    {"type": "mixture_atom", "weight": 0.5, "probs": [0.2, 0.1]},
+    {"type": "vertex", "rate": 1.0, "rho": 0.3, "member_prob": 0.5},
+    {"type": "pair", "rate": 1.0},
+    {"type": "loop", "rate": 1.0, "pattern": [0.3, 0.4, 0.3]},
+]})
+GRAPH = json.dumps({"signature": "(2)", "components": [
+    {"type": "pair", "rate": 0.2},
+    {"type": "vertex", "rate": 1.0, "rho": 0.02},
+    {"type": "loop", "rate": 1.0},
+]})
+SKEWED = FiniteMeasure(
+    SIG1, 3, {S(SIG1, 3, {1}): 0.5, S(SIG1, 3, {2}): 0.3, S(SIG1, 3, {2, 3}): 0.2}
+)
+
+
+def counted_paths():
+    """Paths of every kind the counting kernel reads, by name."""
+    e0 = empty_structure(Signature(()), 3)
+    graph = simulate_levy(intensity_from_json(GRAPH), 40, 1.0, make_rng(811))
+    return {
+        "set-levy": simulate_levy(LevyIntensity(SIG1, (SetSingletonComponent(1.0),)), 6, 20.0,
+                                  make_rng(810)),
+        "graph-levy": graph,
+        "community-levy": simulate_levy(intensity_from_json(COMMUNITY), 4, 30.0, make_rng(812)),
+        "walk-with-empty-steps": simulate_walk(
+            FiniteMeasure(SIG1, 3, {empty_structure(SIG1, 3): 0.5, S(SIG1, 3, {2}): 0.5}),
+            S(SIG1, 3, {1}), 60, make_rng(813),
+        ),
+        "signature-()-walk": WalkTrajectory((e0,) * 5),
+        "non-empty-start": LevyTrajectory(40, 1.0, [
+            (t, increment(state, graph.events[-1][1])) for t, state in graph.events
+        ]),
+        "no-jumps": LevyTrajectory(5, 1.0, [(0.0, S(SIG1, 5, {2}))]),
+    }
+
+
+class TestJumpCounts:
+    """The counting kernel against a Counter of the increments as Structures."""
+
+    @pytest.mark.parametrize("name", sorted(counted_paths()))
+    def test_counts_as_a_counter_of_structures(self, name):
+        traj = counted_paths()[name]
+        expected = Counter(traj.jump_increments())
+        counted = inference._jump_structures(traj)
+        assert counted == expected
+        # in first-occurrence order, as the Counter orders them
+        assert list(counted) == list(expected)
+        cells, counts, tallies = inference._jump_counts(traj)
+        assert counts.shape == (len(expected), traj.signature.k)
+        assert len(cells) == counts.sum() and sum(tallies) == len(traj.jump_increments())
+
+    def test_blocks_leave_the_counts_unchanged(self, monkeypatch):
+        traj = counted_paths()["graph-levy"]
+        whole = inference._jump_structures(traj)
+        monkeypatch.setattr(inference, "_COUNT_BLOCK", 3)
+        counted = inference._jump_structures(traj)
+        assert counted == whole and list(counted) == list(whole)
 
 
 class TestChiSquareTest:
@@ -208,6 +271,42 @@ class TestChiSquareTest:
     def test_rejects_unknown_type(self):
         with pytest.raises(TypeError):
             jump_increment_sequence(42)
+
+    def test_refuses_a_path_past_the_cap_before_counting(self, monkeypatch):
+        traj = simulate_levy(LevyIntensity(SIG1, (SetSingletonComponent(1.0),)), 9, 1.0,
+                             make_rng(814))
+
+        def counted(traj):
+            raise AssertionError("the jumps were counted")
+
+        monkeypatch.setattr(inference, "_jump_counts", counted)
+        with pytest.raises(ValueError, match="n=9 exceeds canonicalization cap 8"):
+            chi_square_exchangeability(traj)
+
+    # sha256 of report_to_json(chi_square_exchangeability(path, (0.05, 0.01)))
+    # as computed when the increments were counted with a Counter of
+    # Structures
+    PINNED_REPORTS = {
+        "community": "a98af93bb75a6105866315cc134f0a643b5762f8d691f757b6ccb576f8126701",
+        "skewed-walk": "e23de14109aec403db4a2c780e718336854a18b08c72b6538655252a7eac7682",
+        "urn-walk": "e7057474663fe44fbdcc8983ee45f82bdde03d518bebac3aed08c9eab41f8879",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+    def test_pinned_reports(self, name):
+        traj = {
+            "community": lambda: simulate_levy(
+                intensity_from_json(COMMUNITY), 4, 150.0, make_rng(100)
+            ),
+            "skewed-walk": lambda: simulate_walk(
+                SKEWED, empty_structure(SIG1, 3), 200, make_rng(805)
+            ),
+            "urn-walk": lambda: simulate_walk(
+                urn_measure(1, 3), S(SIG1, 3, {1, 3}), 400, make_rng(10)
+            ),
+        }[name]()
+        text = report_to_json(chi_square_exchangeability(traj, alphas=(0.05, 0.01)))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PINNED_REPORTS[name]
 
 
 class TestReportJson:

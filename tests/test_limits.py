@@ -168,6 +168,32 @@ class TestDensityVector:
             v2 = density_vector(relabel(M, sigma), 2)
             assert v1.values == v2.values
 
+    def test_memory_bounded_by_chunk(self):
+        # a chunk holds MC_CHUNK // 4 injections at level 2 of a graph, and
+        # its arrays a few int64 entries per pattern cell; enumerating all
+        # 999,000 injections at once would take 32 MB for their cells alone
+        n = 1000
+        arcs = [(i, i + 1) for i in range(1, n)] + [(i + 1, i) for i in range(1, 100, 2)]
+        M = S(SIG2, n, arcs)
+        tracemalloc.start()
+        try:
+            vec = density_vector(M, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        total = n * (n - 1)
+        # 50 mutual pairs, 949 one-way arcs in each direction
+        counts = {
+            S(SIG2, 2, {(1, 2), (2, 1)}): 100,
+            S(SIG2, 2, {(1, 2)}): 949,
+            S(SIG2, 2, {(2, 1)}): 949,
+            S(SIG2, 2, set()): total - 1998,
+        }
+        assert {A: v for A, v in vec.values.items() if v} == {
+            A: c / total for A, c in counts.items()
+        }
+        assert peak <= 8 * 8 * MC_CHUNK
+
 
 class TestMonteCarloDensity:
     def test_impossible_pattern(self):
