@@ -22,7 +22,6 @@ _EXPORTS = {
         "increment",
         "restrict",
         "relabel",
-        "agreement_level",
         "serialize",
         "parse",
     ),
@@ -31,24 +30,19 @@ _EXPORTS = {
         "OrbitTable",
         "canonical_form",
         "orbit_of",
-        "orbit_size",
         "orbit_members",
         "enumerate_orbits",
     ),
     "measures": (
         "FiniteMeasure",
         "OrbitWeights",
-        "uniform_on_orbit",
         "urn_measure",
-        "bernoulli_set_measure",
         "is_exchangeable",
         "symmetrize",
         "decompose_exchangeable",
-        "recompose",
         "measure_to_json",
         "measure_from_json",
         "point_mass",
-        "point_mass_at_empty",
     ),
     "rng": (
         "make_rng",

@@ -27,6 +27,7 @@ from .inference import (
     report_to_json,
 )
 from .levy import (
+    _header,
     events_from_jsonl,
     events_to_jsonl,
     intensity_from_json,
@@ -46,9 +47,9 @@ from .measures import (
     measure_from_json,
     orbit_weights_to_json,
 )
-from .orbits import enumerate_orbits
+from .orbits import _check_cap, enumerate_orbits
 from .rng import ALGORITHM, make_rng
-from .structures import Signature, empty_structure, parse
+from .structures import Signature, _head, empty_structure, parse
 from .walk import simulate_walk, walk_from_csv, walk_to_csv
 
 EXIT_OK = 0
@@ -123,6 +124,20 @@ def _load_trajectory(path: str):
         if header.startswith("{"):
             return events_from_jsonl(source)
     raise ValueError(f"unrecognized trajectory header: {header!r}")
+
+
+def _named_size(path: str) -> int | None:
+    """The n that a trajectory file's first lines name, read as its reader
+    reads them: the event-stream header's, or the first full-state CSV
+    row's.  None where they name none; the reader then reports the defect."""
+    with open(path, encoding="utf-8") as source:
+        header, row = source.readline().rstrip("\n"), source.readline()
+    with contextlib.suppress(ValueError):
+        if header.startswith("{"):
+            return _header(header)[0].n
+        if header in ("step,structure", "time,structure"):
+            return _head(row.partition(",")[2])[1]
+    return None
 
 
 def _replicates(text: str) -> int:
@@ -207,6 +222,9 @@ def cmd_estimate_jumps(args: argparse.Namespace) -> None:
 
 
 def cmd_test_exchangeability(args: argparse.Namespace) -> None:
+    # orbits are enumerated only up to the cap, so a larger path is refused
+    # from the file's first lines, before any jump is read
+    _check_cap(_named_size(args.trajectory) or 0)
     traj = _load_trajectory(args.trajectory)
     alphas = args.alpha if args.alpha else [0.05]
     report = chi_square_exchangeability(traj, alphas=alphas)

@@ -32,7 +32,7 @@ import json
 import math
 import numbers
 import re
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain
 from typing import ClassVar, TextIO
 
 import numpy as np
@@ -52,7 +52,7 @@ from .structures import (
     _Parser,
     _cell_lists,
     _check_cell_range,
-    _restrict_cells,
+    _restrict_columns,
     _row_major,
     _structure_from_cells,
     empty_structure,
@@ -659,16 +659,17 @@ def simulate_levy(
 
 
 def restrict_trajectory(traj: LevyTrajectory, m: int) -> LevyTrajectory:
-    """Project every state to [m]; jumps that vanish under restriction merge."""
+    """Project every state to [m]; jumps that vanish under restriction merge.
+    The log is restricted ``_BLOCK_EVENTS`` jumps at a time by one column
+    kernel (``structures._restrict_columns``), and the jumps it leaves empty
+    are dropped."""
     if not 0 <= m <= traj.n:
         raise ValueError(f"restriction level {m} outside 0..{traj.n}")
-    arities = traj.signature.arities
-    jumps = (
-        (t, [_restrict_cells(c, traj.n, a, m) for c, a in zip(cells, arities)])
-        for t, cells in zip(islice(traj._times, 1, None), traj._jumps())
-    )
     restricted = LevyTrajectory._started(restrict(traj._start, m))
-    restricted._extend_rows((t, kept) for t, kept in jumps if any(kept))
+    for times, cells, counts in traj.jump_increments().blocks(_BLOCK_EVENTS):
+        cells, counts = _restrict_columns(traj.signature, traj.n, m, cells, counts)
+        kept = counts.any(axis=1)
+        restricted._extend(np.compress(kept, times), cells, counts[kept])
     restricted._close(traj.horizon)
     return restricted
 
@@ -787,24 +788,27 @@ def _int_field(record: dict, name: str) -> int:
 def _header(text: str) -> tuple[Structure, float]:
     """Start state and horizon of an event-stream header.  Fields are
     type-checked rather than coerced: n an integer, T a finite number > 0,
-    seed (optional) an integer or null."""
-    header = json.loads(text)
-    signature = Signature.parse(_text_field(header, "signature"))
-    n = _int_field(header, "n")
-    horizon = _check_number(header["T"], "event-stream field 'T'")
-    if horizon <= 0.0:
-        raise ValueError(f"event-stream field 'T' must be > 0, got {horizon}")
-    if header.get("seed") is not None:
-        _int_field(header, "seed")
-    if "init" in header:
-        state = parse(_text_field(header, "init"))
-    else:
-        state = empty_structure(signature, n)
-    if state.signature != signature or state.n != n:
-        raise ValueError(
-            f"initial state {serialize(state)} does not match the header's "
-            f"signature {signature} and n={n}"
-        )
+    seed (optional) an integer or null; any defect raises ValueError."""
+    try:
+        header = json.loads(text)
+        signature = Signature.parse(_text_field(header, "signature"))
+        n = _int_field(header, "n")
+        horizon = _check_number(header["T"], "event-stream field 'T'")
+        if horizon <= 0.0:
+            raise ValueError(f"event-stream field 'T' must be > 0, got {horizon}")
+        if header.get("seed") is not None:
+            _int_field(header, "seed")
+        if "init" in header:
+            state = parse(_text_field(header, "init"))
+        else:
+            state = empty_structure(signature, n)
+        if state.signature != signature or state.n != n:
+            raise ValueError(
+                f"initial state {serialize(state)} does not match the header's "
+                f"signature {signature} and n={n}"
+            )
+    except (json.JSONDecodeError, KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed event-stream header: {exc}") from None
     return state, horizon
 
 
@@ -859,10 +863,7 @@ def events_from_jsonl(text: str | TextIO) -> LevyTrajectory:
     header, *rest = next(filter(None, map(_lines, pieces)), [""])
     if not header:
         raise ValueError("empty event stream")
-    try:
-        state, horizon = _header(header)
-    except (json.JSONDecodeError, KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(f"malformed event-stream header: {exc}") from None
+    state, horizon = _header(header)
     parser = _Parser(state.signature, state.n)
     # a record line, its relation bodies, time and line end captured (so
     # findall gives a tuple per line, also for k = 0), or any line

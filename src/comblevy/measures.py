@@ -2,10 +2,9 @@
 
 Covers the measure algebra used everywhere else: exchangeability checking,
 orbit averaging (symmetrization), the finite exchangeable decomposition into
-orbit-uniform measures, urn measures on k-subsets, and product-Bernoulli set
-measures.  Measures are stored sparsely, keyed by structure; dense orbit
-enumeration happens only inside the operations that need it and is guarded
-by the canonicalization cap.
+orbit-uniform measures, and urn measures on k-subsets.  Measures are stored
+sparsely, keyed by structure; dense orbit enumeration happens only inside the
+operations that need it and is guarded by the canonicalization cap.
 
 A measure here may weight the empty structure (empirical jump measures count
 no-jump steps); the zero-mass-at-empty convention for jump intensities is
@@ -31,7 +30,6 @@ from .structures import (
     _flat_cells,
     _serialize_all,
     _take_rows,
-    empty_structure,
     parse,
     serialize,
 )
@@ -40,19 +38,15 @@ from .value import Value
 __all__ = [
     "FiniteMeasure",
     "OrbitWeights",
-    "uniform_on_orbit",
     "urn_measure",
-    "bernoulli_set_measure",
     "is_exchangeable",
     "symmetrize",
     "decompose_exchangeable",
-    "recompose",
     "measure_to_json",
     "measure_from_json",
     "measure_to_payload",
     "measure_from_payload",
     "point_mass",
-    "point_mass_at_empty",
     "orbit_weights_to_json",
 ]
 
@@ -60,8 +54,6 @@ MASS_TOL = 1e-12
 # Largest per-member deviation from its orbit's mean mass that
 # is_exchangeable accepts.
 EXCHANGEABLE_TOL = 1e-9
-# Largest n whose 2^n subsets bernoulli_set_measure enumerates.
-BERNOULLI_SET_CAP = 24
 
 SIG_SET = Signature((1,))
 
@@ -184,16 +176,6 @@ class OrbitWeights(Value):
         return all(abs(self.mass(y) - other.mass(y)) <= tol for y in keys)
 
 
-def uniform_on_orbit(oid: OrbitId) -> FiniteMeasure:
-    """Uniform distribution over one isomorphism class."""
-    rep = oid.structure()
-    if orbit_of(rep) != oid:
-        raise ValueError(f"not a canonical orbit id: {oid.canonical!r}")
-    members = orbit_members(rep)
-    mass = 1.0 / len(members)
-    return FiniteMeasure(rep.signature, rep.n, {m: mass for m in members})
-
-
 def urn_measure(k: int, n: int) -> FiniteMeasure:
     """Uniform measure on the k-subsets of [n] (signature (1))."""
     if not 0 <= k <= n:
@@ -203,22 +185,6 @@ def urn_measure(k: int, n: int) -> FiniteMeasure:
         Structure.from_tuples(SIG_SET, n, [subset]): mass
         for subset in itertools.combinations(range(1, n + 1), k)
     }
-    return FiniteMeasure(SIG_SET, n, weights)
-
-
-def bernoulli_set_measure(prob: float, n: int) -> FiniteMeasure:
-    """Product-Bernoulli measure on subsets of [n]: each element kept w.p. prob."""
-    if not 0.0 <= prob <= 1.0:
-        raise ValueError(f"prob={prob} outside [0, 1]")
-    if n > BERNOULLI_SET_CAP:
-        raise ValueError(f"n={n} exceeds enumeration cap {BERNOULLI_SET_CAP}")
-    weights = {}
-    for size in range(n + 1):
-        mass = prob**size * (1.0 - prob) ** (n - size)
-        if mass == 0.0:
-            continue
-        for subset in itertools.combinations(range(1, n + 1), size):
-            weights[Structure.from_tuples(SIG_SET, n, [subset])] = mass
     return FiniteMeasure(SIG_SET, n, weights)
 
 
@@ -266,21 +232,6 @@ def decompose_exchangeable(mu: FiniteMeasure) -> OrbitWeights:
         if total > 0:
             p[orbit_of(members[0])] = total
     return OrbitWeights(mu.signature, mu.n, p)
-
-
-def recompose(p: OrbitWeights) -> FiniteMeasure:
-    """Mixture of orbit-uniform measures with the given weights."""
-    weights: dict[Structure, float] = {}
-    for oid, mass in p.p.items():
-        if mass < 0:
-            raise ValueError(f"negative orbit weight {mass} on {oid.canonical!r}")
-        if mass == 0:
-            continue
-        members = orbit_members(oid.structure())
-        share = mass / len(members)
-        for m in members:
-            weights[m] = weights.get(m, 0.0) + share
-    return FiniteMeasure(p.signature, p.n, weights)
 
 
 def measure_to_payload(mu: FiniteMeasure) -> dict:
@@ -359,7 +310,3 @@ def orbit_weights_to_json(p: OrbitWeights) -> str:
 
 def point_mass(m: Structure) -> FiniteMeasure:
     return FiniteMeasure(m.signature, m.n, {m: 1.0})
-
-
-def point_mass_at_empty(signature: Signature, n: int) -> FiniteMeasure:
-    return point_mass(empty_structure(signature, n))

@@ -37,7 +37,6 @@ __all__ = [
     "OrbitTable",
     "canonical_form",
     "orbit_of",
-    "orbit_size",
     "orbit_members",
     "enumerate_orbits",
     "orbit_lookup",
@@ -149,10 +148,6 @@ def orbit_of(m: Structure) -> OrbitId:
     return OrbitId(serialize(canonical_form(m)))
 
 
-def orbit_size(m: Structure) -> int:
-    return len(orbit_members(m))
-
-
 def space_size(signature: Signature, n: int) -> int:
     """Number of structures over [n]: the product of 2^(n^arity) factors."""
     total = 1
@@ -176,6 +171,8 @@ def iter_space(signature: Signature, n: int):
 def _orbit_data(signature: Signature, n: int) -> tuple[OrbitTable, dict]:
     """The orbit table and lookup; the orbits' canonical members are
     formatted as one block."""
+    if n < 0:
+        raise ValueError(f"n={n} must be >= 0")
     _check_cap(n)
     seen: set[Structure] = set()
     orbits = []

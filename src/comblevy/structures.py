@@ -43,7 +43,6 @@ __all__ = [
     "increment",
     "restrict",
     "relabel",
-    "agreement_level",
     "serialize",
     "parse",
     "serialize_cells",
@@ -287,22 +286,30 @@ def restrict(m: Structure, size: int) -> Structure:
         raise ValueError(f"restriction size {size} outside 0..{m.n}")
     if size == m.n:
         return m
-    cells = [
-        _restrict_cells(rel_cells, m.n, arity, size)
-        for arity, rel_cells in zip(m.signature.arities, _cells(m))
-    ]
+    columns = _flat_cells([_cells(m)], m.signature.k)
+    cells = _cell_lists(*_restrict_columns(m.signature, m.n, size, *columns))[0]
     return _structure_from_cells(m.signature, size, cells)
 
 
-def _restrict_cells(cells, n: int, arity: int, size: int) -> list[int]:
-    """The cells among ``cells`` (over [n]) whose entries all lie in
-    [size], re-indexed over [size]; order is kept."""
-    kept = []
-    for c in cells:
-        entries = _cell_decode(c, n, arity)
-        if all(a <= size for a in entries):
-            kept.append(_cell_index(entries, size))
-    return kept
+def _restrict_columns(
+    signature: Signature, n: int, size: int, cells: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Restrict a flat cell column of (rows x k) ``counts`` (see
+    :meth:`_Parser.batch`) over [n] to [size], in the same layout: each
+    cell is split into its labels by one ``divmod`` per tuple position,
+    and the cells whose labels all lie in [size] are kept, re-encoded over
+    [size].  The encoding is lexicographic in the labels over both sizes,
+    so each row's cells stay sorted."""
+    if size == n:
+        return cells, counts
+    slots = np.repeat(np.arange(counts.size), counts.ravel())
+    arity = np.repeat(np.tile(np.array(signature.arities, np.int64), len(counts)), counts.ravel())
+    rest, image, kept = cells, np.zeros(len(cells), np.int64), np.ones(len(cells), bool)
+    for pos in range(signature.max_arity):  # the label at n^pos, the last first
+        rest, label = np.divmod(rest, n)
+        kept &= (label < size) | (pos >= arity)
+        image += label * size**pos
+    return image[kept], np.bincount(slots[kept], minlength=counts.size).reshape(counts.shape)
 
 
 def relabel(m: Structure, sigma: Permutation) -> Structure:
@@ -318,25 +325,6 @@ def relabel(m: Structure, sigma: Permutation) -> Structure:
         for arity, rel_cells in zip(m.signature.arities, _cells(m))
     ]
     return _structure_from_cells(m.signature, m.n, cells)
-
-
-def agreement_level(m1: Structure, m2: Structure) -> int:
-    """Largest size whose restrictions of the two structures coincide.
-
-    Returns ``n`` when the structures are equal.  Returns -1 in the corner
-    case where arity-0 relations differ (restrictions then differ even at
-    size 0, so no agreement level exists).
-    """
-    _check_same_shape(m1, m2)
-    diff = increment(m1, m2)
-    if diff.is_empty():
-        return m1.n
-    level = m1.n
-    for j, arity in enumerate(m1.signature.arities):
-        for t in diff.tuples(j):
-            reach = max(t) if t else 0
-            level = min(level, reach - 1)
-    return level
 
 
 def _cells(m: Structure) -> list[list[int]]:

@@ -37,14 +37,12 @@ from .structures import (
     _CellBits,
     _cell_lists,
     _cells,
-    _flat_cells,
     _formatter,
     _line_batches,
     _Parser,
     _relation_columns,
     _row_major,
     _structure_from_cells,
-    increment,
 )
 
 __all__ = ["LevyTrajectory"]
@@ -105,34 +103,12 @@ class LevyTrajectory:
     ``_SNAPSHOT_EVERY - 1`` increments into a snapshot.  Writing, reading,
     iterating the events and ``[-1]`` never build the snapshots, so memory
     is O(sum of increment sizes) until then, and O(states /
-    _SNAPSHOT_EVERY) more after.
-
-    ``LevyTrajectory(n, horizon, events)`` builds the log from full-state
-    events ``(t, Structure)``; ``events`` rebuilds them on demand.
+    _SNAPSHOT_EVERY) more after.  ``events`` rebuilds the full-state
+    events ``(t, Structure)`` on demand.
     """
 
     # Whether a jump may leave the state unchanged (a walk's empty step).
     _empty_jumps = False
-
-    def __init__(self, n: int, horizon: float, events) -> None:
-        events = iter(events)
-        try:
-            t0, start = next(events)
-        except StopIteration:
-            raise ValueError("trajectory needs at least the initial event") from None
-        if t0 != 0.0:
-            raise ValueError(f"first event must be at time 0, got {t0}")
-        if start.n != n:
-            raise ValueError(f"state size {start.n} != trajectory resolution {n}")
-        self._begin(start)
-
-        def jumps(prev=start):
-            for t, state in events:
-                yield t, _cells(increment(state, prev))
-                prev = state
-
-        self._extend_rows(jumps())
-        self._close(horizon)
 
     @classmethod
     def _started(cls, start: Structure) -> "LevyTrajectory":
@@ -170,14 +146,6 @@ class LevyTrajectory:
         self._times.frombytes(times.tobytes())
         self._bounds.frombytes((len(self._cells) + np.cumsum(counts)).tobytes())
         self._cells.frombytes(cells.tobytes())
-
-    def _extend_rows(self, jumps) -> None:
-        """Log the jumps ``(t, sorted cells per relation)``, a block of
-        ``_SNAPSHOT_EVERY`` at a time."""
-        jumps = iter(jumps)
-        while block := list(islice(jumps, _SNAPSHOT_EVERY)):
-            times, rows = zip(*block)
-            self._extend(times, *_flat_cells(rows, self.signature.k))
 
     def _close(self, horizon: float) -> None:
         if not math.isfinite(horizon):

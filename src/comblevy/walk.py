@@ -11,7 +11,6 @@ with exchangeable increments project to a Markov chain on orbits.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Sequence
 from typing import TextIO
 
 import numpy as np
@@ -45,19 +44,11 @@ _BLOCK_STEPS = 2**12
 
 class WalkTrajectory(LevyTrajectory):
     """A walk X_0, ..., X_T as a log: step m is the jump D_m at time m,
-    which may be empty, and the horizon is T.
-
-    ``WalkTrajectory(states)`` builds the log from the states X_0, ..., X_T;
-    ``steps`` rebuilds them on demand and ``jump_increments()`` gives the
-    D_m.
+    which may be empty, and the horizon is T.  ``steps`` rebuilds the
+    states X_0, ..., X_T on demand and ``jump_increments()`` gives the D_m.
     """
 
     _empty_jumps = True
-
-    def __init__(self, states: Sequence[Structure]) -> None:
-        if not states:
-            raise ValueError("trajectory needs at least the initial state")
-        super().__init__(states[0].n, float(len(states) - 1), enumerate(states))
 
     @property
     def T(self) -> int:

@@ -27,8 +27,19 @@ from comblevy.levy import (
     _RestrictedSetSingleton,
     _RestrictedVertex,
 )
-from comblevy.measures import FiniteMeasure, measure_to_payload
-from comblevy.structures import Permutation, Signature, Structure, _cell_lists, _cells
+from comblevy.measures import FiniteMeasure, OrbitWeights, measure_to_payload
+from comblevy.orbits import OrbitId, orbit_members, orbit_of
+from comblevy.structures import (
+    Permutation,
+    Signature,
+    Structure,
+    _cell_lists,
+    _cells,
+    _flat_cells,
+    increment,
+)
+from comblevy.trajectory import LevyTrajectory
+from comblevy.walk import WalkTrajectory
 
 
 def run_python(args, cwd) -> subprocess.CompletedProcess:
@@ -121,6 +132,30 @@ def naive_increment(m1: Structure, m2: Structure) -> Structure:
             [t for t in all_cells(m1.n, arity) if (t in r1[j]) != (t in r2[j])]
         )
     return Structure.from_tuples(m1.signature, m1.n, out)
+
+
+def levy_path(horizon: float, events) -> LevyTrajectory:
+    """The path through the full-state events ``(t, state)``, the first the
+    start at time 0, logged as the simulators and readers log theirs:
+    ``_started`` at the start, one ``_extend`` with the increments between
+    consecutive states, ``_close`` at ``horizon``."""
+    return _logged(LevyTrajectory, horizon, events)
+
+
+def walk_path(states) -> WalkTrajectory:
+    """The walk through the states X_0, ..., X_T (see :func:`levy_path`)."""
+    return _logged(WalkTrajectory, len(states) - 1, enumerate(states))
+
+
+def _logged(cls, horizon: float, events):
+    (t0, start), *rest = events
+    assert t0 == 0.0, t0
+    traj = cls._started(start)
+    states = [start, *(state for _, state in rest)]
+    jumps = [_cells(increment(b, a)) for a, b in zip(states, states[1:])]
+    traj._extend([t for t, _ in rest], *_flat_cells(jumps, start.signature.k))
+    traj._close(float(horizon))
+    return traj
 
 
 def csv_jumps(text: str) -> list[Structure]:
@@ -370,3 +405,48 @@ def record_walk_to_csv(walk) -> str:
 def record_measure_to_json(mu: FiniteMeasure) -> str:
     """The measure JSON through the standard library's encoder."""
     return json.dumps(measure_to_payload(mu), indent=2)
+
+
+# Largest n whose 2^n subsets bernoulli_set_measure enumerates.
+BERNOULLI_SET_CAP = 24
+
+
+def bernoulli_set_measure(prob: float, n: int) -> FiniteMeasure:
+    """Product-Bernoulli measure on subsets of [n]: each element kept w.p. prob."""
+    if not 0.0 <= prob <= 1.0:
+        raise ValueError(f"prob={prob} outside [0, 1]")
+    if n > BERNOULLI_SET_CAP:
+        raise ValueError(f"n={n} exceeds enumeration cap {BERNOULLI_SET_CAP}")
+    weights = {}
+    for size in range(n + 1):
+        mass = prob**size * (1.0 - prob) ** (n - size)
+        if mass == 0.0:
+            continue
+        for subset in itertools.combinations(range(1, n + 1), size):
+            weights[Structure.from_tuples(Signature((1,)), n, [subset])] = mass
+    return FiniteMeasure(Signature((1,)), n, weights)
+
+
+def uniform_on_orbit(oid: OrbitId) -> FiniteMeasure:
+    """Uniform distribution over one isomorphism class."""
+    rep = oid.structure()
+    if orbit_of(rep) != oid:
+        raise ValueError(f"not a canonical orbit id: {oid.canonical!r}")
+    members = orbit_members(rep)
+    mass = 1.0 / len(members)
+    return FiniteMeasure(rep.signature, rep.n, {m: mass for m in members})
+
+
+def recompose(p: OrbitWeights) -> FiniteMeasure:
+    """Mixture of orbit-uniform measures with the given weights."""
+    weights: dict[Structure, float] = {}
+    for oid, mass in p.p.items():
+        if mass < 0:
+            raise ValueError(f"negative orbit weight {mass} on {oid.canonical!r}")
+        if mass == 0:
+            continue
+        members = orbit_members(oid.structure())
+        share = mass / len(members)
+        for m in members:
+            weights[m] = weights.get(m, 0.0) + share
+    return FiniteMeasure(p.signature, p.n, weights)

@@ -29,8 +29,6 @@ from comblevy.measures import (
     OrbitWeights,
     decompose_exchangeable,
     measure_to_json,
-    recompose,
-    uniform_on_orbit,
     urn_measure,
 )
 from comblevy.orbits import enumerate_orbits, orbit_lookup, orbit_members, orbit_of
@@ -45,7 +43,14 @@ from comblevy.structures import (
 )
 from comblevy.walk import simulate_walk, walk_distribution_exact
 
-from helpers import expm_small, random_permutation, random_structure, run_comblevy
+from helpers import (
+    expm_small,
+    random_permutation,
+    random_structure,
+    recompose,
+    run_comblevy,
+    uniform_on_orbit,
+)
 
 SIG1 = Signature((1,))
 SIG2 = Signature((2,))

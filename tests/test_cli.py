@@ -27,13 +27,14 @@ from comblevy.measures import (
     decompose_exchangeable,
     measure_from_json,
     measure_to_json,
+    point_mass,
     urn_measure,
 )
 from comblevy.rng import make_rng
 from comblevy.structures import Signature, Structure, empty_structure, increment, serialize
-from comblevy.walk import WalkTrajectory, simulate_walk, walk_from_csv, walk_to_csv
+from comblevy.walk import simulate_walk, walk_from_csv, walk_to_csv
 
-from helpers import run_comblevy, run_python
+from helpers import levy_path, run_comblevy, run_python, walk_path
 
 SIG1 = Signature((1,))
 
@@ -73,10 +74,8 @@ class TestSimulateWalk:
         assert manifest["version"]
 
     def test_point_mass_constant(self, tmp_path):
-        from comblevy.measures import point_mass_at_empty
-
         mf = tmp_path / "pm.json"
-        mf.write_text(measure_to_json(point_mass_at_empty(SIG1, 2)))
+        mf.write_text(measure_to_json(point_mass(empty_structure(SIG1, 2))))
         out = tmp_path / "pm.csv"
         assert run_cli(["simulate-walk", "--measure", mf, "--steps", 4,
                         "--seed", 1, "--out", out]) == 0
@@ -280,7 +279,7 @@ class TestOtherCommands:
         lazy = FiniteMeasure(SIG1, 4, {e: 0.5, Structure.from_tuples(SIG1, 4, [[2, 3]]): 0.5})
         steps = simulate_walk(lazy, e, 60, make_rng(24))
         start = graph.events[-1][1]
-        shifted = LevyTrajectory(40, 1.0, [(t, increment(x, start)) for t, x in graph.events])
+        shifted = levy_path(1.0, [(t, increment(x, start)) for t, x in graph.events])
         return {
             "graph-stream.jsonl": events_to_jsonl(graph),
             "set.csv": trajectory_to_csv(sets),
@@ -347,10 +346,8 @@ class TestOtherCommands:
         assert set(payload["alphas"]) == {"0.05", "0.01"}
 
     def test_inconclusive_is_not_failure(self, tmp_path):
-        from comblevy.measures import point_mass_at_empty
-
         mf = tmp_path / "pm.json"
-        mf.write_text(measure_to_json(point_mass_at_empty(SIG1, 2)))
+        mf.write_text(measure_to_json(point_mass(empty_structure(SIG1, 2))))
         walk_out = tmp_path / "const.csv"
         run_cli(["simulate-walk", "--measure", mf, "--steps", 20, "--seed", 1,
                  "--out", walk_out])
@@ -509,6 +506,31 @@ class TestErrorHandling:
         assert f"exceeds {cap}" in capsys.readouterr().err
         assert not out.exists() and not (out.parent / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 9, "signature": "(1)", "T": 1.0}\nnot a record\n',
+            "time,structure\n0,L=(1)|n=9|R1={(1)}\nnot a row\n",
+            "step,structure\n0,L=(1)|n=9|R1={}\nnot a row\n",
+        ],
+        ids=["event-stream", "csv", "walk-csv"],
+    )
+    def test_exchangeability_cap_from_first_lines(self, tmp_path, capsys, text):
+        # the cap is checked on the n the file's first lines name, before
+        # a jump is read, so the malformed line after them is never parsed
+        path = tmp_path / "path"
+        path.write_text(text)
+        out = tmp_path / "out" / "report.json"
+        assert run_cli(["test-exchangeability", "--trajectory", path, "--out", out]) == 2
+        assert capsys.readouterr().err == "comblevy: n=9 exceeds canonicalization cap 8\n"
+        assert not out.parent.exists()
+
+    def test_negative_orbit_size_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out" / "orbits.json"
+        assert run_cli(["orbits", "--signature", "(2)", "--n", -1, "--out", out]) == 2
+        assert capsys.readouterr().err == "comblevy: n=-1 must be >= 0\n"
+        assert not out.parent.exists()
+
     def test_cell_codes_past_int64_exit_2(self, tmp_path, capsys):
         path = tmp_path / "huge.jsonl"
         path.write_text('{"n": 10000000000, "signature": "(2)", "T": 1.0}\n')
@@ -565,7 +587,7 @@ class TestLoadTrajectory:
         traj = simulate_levy(
             LevyIntensity(SIG1, (SetSingletonComponent(rate=1.0),)), 1000, 1.0, make_rng(7)
         )
-        walk = WalkTrajectory(tuple(s for _, s in traj.events))
+        walk = walk_path(tuple(s for _, s in traj.events))
         for name, text, same in (
             ("levy.csv", trajectory_to_csv(traj), lambda back: back.events == traj.events),
             ("walk.csv", walk_to_csv(walk), lambda back: back == walk),

@@ -14,7 +14,6 @@ from comblevy.inference import (
 )
 from comblevy.levy import (
     LevyIntensity,
-    LevyTrajectory,
     SetSingletonComponent,
     intensity_from_json,
     simulate_levy,
@@ -28,9 +27,9 @@ from comblevy.structures import (
     increment,
     relabel,
 )
-from comblevy.walk import WalkTrajectory, simulate_walk
+from comblevy.walk import simulate_walk
 
-from helpers import random_permutation, random_structure
+from helpers import levy_path, random_permutation, random_structure, walk_path
 
 SIG1 = Signature((1,))
 
@@ -43,26 +42,26 @@ def trajectory_from_increments(x0, increments):
     states = [x0]
     for d in increments:
         states.append(increment(states[-1], d))
-    return WalkTrajectory(tuple(states))
+    return walk_path(tuple(states))
 
 
 class TestEmpiricalJumpMeasure:
     def test_constant_trajectory(self):
         e = empty_structure(SIG1, 2)
-        mu = empirical_jump_measure(WalkTrajectory((e,) * 11))
+        mu = empirical_jump_measure(walk_path((e,) * 11))
         assert mu.mass(e) == 1.0
 
     def test_repeated_increment(self):
         e = empty_structure(SIG1, 2)
         s1 = S(SIG1, 2, {1})
-        mu = empirical_jump_measure(WalkTrajectory((e, s1, e)))
+        mu = empirical_jump_measure(walk_path((e, s1, e)))
         assert mu.mass(s1) == 1.0
 
     def test_two_distinct_increments(self):
         e = empty_structure(SIG1, 2)
         s1 = S(SIG1, 2, {1})
         s12 = S(SIG1, 2, {1, 2})
-        mu = empirical_jump_measure(WalkTrajectory((e, s1, s12)))
+        mu = empirical_jump_measure(walk_path((e, s1, s12)))
         assert mu.mass(s1) == 0.5
         assert mu.mass(S(SIG1, 2, {2})) == 0.5
 
@@ -74,7 +73,7 @@ class TestEmpiricalJumpMeasure:
 
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError):
-            empirical_jump_measure(WalkTrajectory((empty_structure(SIG1, 2),)))
+            empirical_jump_measure(walk_path((empty_structure(SIG1, 2),)))
 
 
 COMMUNITY = json.dumps({"signature": "(1,2)", "components": [
@@ -106,11 +105,11 @@ def counted_paths():
             FiniteMeasure(SIG1, 3, {empty_structure(SIG1, 3): 0.5, S(SIG1, 3, {2}): 0.5}),
             S(SIG1, 3, {1}), 60, make_rng(813),
         ),
-        "signature-()-walk": WalkTrajectory((e0,) * 5),
-        "non-empty-start": LevyTrajectory(40, 1.0, [
+        "signature-()-walk": walk_path((e0,) * 5),
+        "non-empty-start": levy_path(1.0, [
             (t, increment(state, graph.events[-1][1])) for t, state in graph.events
         ]),
-        "no-jumps": LevyTrajectory(5, 1.0, [(0.0, S(SIG1, 5, {2}))]),
+        "no-jumps": levy_path(1.0, [(0.0, S(SIG1, 5, {2}))]),
     }
 
 
@@ -168,7 +167,7 @@ class TestChiSquareTest:
 
     def test_constant_trajectory_inconclusive(self):
         e = empty_structure(SIG1, 3)
-        report = chi_square_exchangeability(WalkTrajectory((e,) * 21))
+        report = chi_square_exchangeability(walk_path((e,) * 21))
         assert report.statistic == pytest.approx(0.0, abs=1e-9)
         assert report.p_value == 1.0
         assert report.inconclusive
@@ -213,7 +212,7 @@ class TestChiSquareTest:
         )
         traj = simulate_walk(mu, empty_structure(SIG1, 3), 500, rng)
         sigma = random_permutation(make_rng(803), 3)
-        relabeled = WalkTrajectory(tuple(relabel(s, sigma) for s in traj.steps))
+        relabeled = walk_path(tuple(relabel(s, sigma) for s in traj.steps))
         r1 = chi_square_exchangeability(traj)
         r2 = chi_square_exchangeability(relabeled)
         assert r1.statistic == pytest.approx(r2.statistic, abs=1e-9)

@@ -16,7 +16,6 @@ from comblevy import levy, structures, trajectory
 from comblevy.levy import (
     ExplicitFinite,
     LevyIntensity,
-    LevyTrajectory,
     LoopComponent,
     MixtureAtom,
     PairComponent,
@@ -35,7 +34,7 @@ from comblevy.levy import (
     trajectory_from_csv,
     trajectory_to_csv,
 )
-from comblevy.measures import FiniteMeasure, bernoulli_set_measure, urn_measure
+from comblevy.measures import FiniteMeasure, urn_measure
 from comblevy.orbits import orbit_of
 from comblevy.rng import make_rng
 from comblevy.structures import (
@@ -51,11 +50,14 @@ from comblevy.structures import (
     serialize,
 )
 from comblevy.trajectory import _SNAPSHOT_EVERY
-from comblevy.walk import WalkTrajectory, simulate_walk, walk_from_csv, walk_to_csv
+from comblevy.walk import simulate_walk, walk_from_csv, walk_to_csv
 
 from helpers import (
+    bernoulli_set_measure,
     expm_small,
     gillespie_levy,
+    levy_path,
+    naive_restrict,
     random_permutation,
     random_structure,
     record_events_to_jsonl,
@@ -63,6 +65,7 @@ from helpers import (
     record_trajectory_to_csv,
     record_walk_to_csv,
     sample_rows,
+    walk_path,
 )
 
 SIG1 = Signature((1,))
@@ -421,37 +424,33 @@ class TestSimulate:
 
 
 class TestTrajectoryType:
-    def test_rejects_nonzero_start(self):
-        with pytest.raises(ValueError):
-            LevyTrajectory(2, 1.0, ((0.5, empty_structure(SIG1, 2)),))
-
     def test_rejects_unordered_times(self):
         e = empty_structure(SIG1, 2)
         s = S(SIG1, 2, {1})
         with pytest.raises(ValueError):
-            LevyTrajectory(2, 2.0, ((0.0, e), (1.0, s), (1.0, e)))
+            levy_path(2.0, ((0.0, e), (1.0, s), (1.0, e)))
 
     def test_rejects_consecutive_duplicates(self):
         e = empty_structure(SIG1, 2)
         with pytest.raises(ValueError):
-            LevyTrajectory(2, 2.0, ((0.0, e), (1.0, e)))
+            levy_path(2.0, ((0.0, e), (1.0, e)))
 
     def test_rejects_event_beyond_horizon(self):
         e = empty_structure(SIG1, 2)
         with pytest.raises(ValueError):
-            LevyTrajectory(2, 1.0, ((0.0, e), (1.5, S(SIG1, 2, {1}))))
+            levy_path(1.0, ((0.0, e), (1.5, S(SIG1, 2, {1}))))
 
     def test_rejects_non_finite_horizon(self):
         e = empty_structure(SIG1, 2)
         for horizon in (math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
-                LevyTrajectory(2, horizon, ((0.0, e),))
+                levy_path(horizon, ((0.0, e),))
             with pytest.raises(ValueError, match="finite"):
                 simulate_levy(LevyIntensity(SIG1, ()), 2, horizon, make_rng(57))
 
     def test_state_at_bounds(self):
         e = empty_structure(SIG1, 2)
-        traj = LevyTrajectory(2, 2.0, ((0.0, e), (1.0, S(SIG1, 2, {1}))))
+        traj = levy_path(2.0, ((0.0, e), (1.0, S(SIG1, 2, {1}))))
         with pytest.raises(ValueError):
             traj.state_at(2.5)
         assert traj.state_at(0.999) == e
@@ -465,14 +464,38 @@ class TestRestrictTrajectory:
 
     def test_vanishing_jump(self):
         e3 = empty_structure(SIG1, 3)
-        traj = LevyTrajectory(3, 2.0, ((0.0, e3), (1.0, S(SIG1, 3, {3}))))
+        traj = levy_path(2.0, ((0.0, e3), (1.0, S(SIG1, 3, {3}))))
         restricted = restrict_trajectory(traj, 2)
         assert restricted.events == ((0.0, empty_structure(SIG1, 2)),)
 
     def test_rejects_growth(self):
-        traj = LevyTrajectory(2, 1.0, ((0.0, empty_structure(SIG1, 2)),))
+        traj = levy_path(1.0, ((0.0, empty_structure(SIG1, 2)),))
         with pytest.raises(ValueError):
             restrict_trajectory(traj, 3)
+
+    @pytest.mark.parametrize(
+        "sig", [Signature(()), SIG1, SIG2, SIG12, SIG01], ids=["()", "1", "2", "1,2", "0,1"]
+    )
+    def test_against_naive_restrict(self, sig):
+        # a non-empty start and sparse jumps, of which those touching only
+        # labels above m vanish at level m; a walk's steps may be empty too
+        n, rng = 5, make_rng(470)
+        states = [random_structure(rng, sig, n)]
+        for _ in range(100 if sig.k else 0):
+            flip = random_structure(rng, sig, n, density=0.06)
+            if not flip.is_empty():
+                states.append(increment(states[-1], flip))
+        walk_states = [s for s in states for _ in range(2)]
+        paths = (levy_path(len(states), enumerate(states)), walk_path(walk_states))
+        for path, path_states in zip(paths, (states, walk_states)):
+            for m in (0, 1, n - 1, n):
+                naive = [naive_restrict(s, m) for s in path_states]
+                assert [restrict(s, m) for s in path_states] == naive
+                kept = [0] + [i for i in range(1, len(naive)) if naive[i] != naive[i - 1]]
+                restricted = restrict_trajectory(path, m)
+                assert restricted == levy_path(path.horizon, [(i, naive[i]) for i in kept])
+                assert [restricted.state_at(i) for i in range(len(naive))] == naive
+        assert len(restrict_trajectory(paths[0], n - 1).events) < len(states) or not sig.k
 
 
 def _replay_full_states(intensity, n, horizon, rng):
@@ -551,7 +574,7 @@ class TestIncrementLog:
         for t in rng.uniform(0.0, horizon, 50):
             assert traj.state_at(float(t)) == events[bisect_right(times, t) - 1][1]
         assert traj.state_at(horizon) == events[-1][1]
-        assert LevyTrajectory(traj.n, horizon, events) == traj
+        assert levy_path(horizon, events) == traj
 
     @pytest.mark.parametrize("case", range(len(CASES)), ids=["1", "2", "1,2", "1,3", "0,1"])
     def test_matches_full_state_replay(self, case):
@@ -572,7 +595,7 @@ class TestIncrementLog:
                 )
             start = random_structure(check_rng, sig, n)
             started = [(t, increment(s, start)) for t, s in events]
-            traj = LevyTrajectory(n, horizon, started)
+            traj = levy_path(horizon, started)
             self._check(traj, started, horizon, check_rng)
             self._check(
                 restrict_trajectory(traj, n - 1),
@@ -1003,9 +1026,7 @@ class TestLawExchangeability:
         )
         traj = simulate_levy(I, 4, 3.0, make_rng(60))
         sigma = random_permutation(make_rng(61), 4)
-        relabeled = LevyTrajectory(
-            4,
-            traj.horizon,
+        relabeled = levy_path(traj.horizon,
             tuple((t, relabel(s, sigma)) for t, s in traj.events),
         )
         assert self._orbit_jump_counts(traj) == self._orbit_jump_counts(relabeled)
@@ -1112,7 +1133,7 @@ def _matrix_path(name):
     traj = simulate_levy(intensity, n, horizon, rng)
     if name == "graph-started":
         start = random_structure(rng, sig, n, density=0.5)
-        traj = LevyTrajectory(n, horizon, ((t, increment(s, start)) for t, s in traj.events))
+        traj = levy_path(horizon, ((t, increment(s, start)) for t, s in traj.events))
     return traj
 
 
@@ -1136,8 +1157,8 @@ def record_paths():
         horizon = 260.0 / RestrictedIntensity(intensity, n).total_rate
         path = simulate_levy(intensity, n, horizon, rng)
         start = random_structure(rng, sig, n, density=0.3)
-        traj = LevyTrajectory(n, horizon, ((t, increment(s, start)) for t, s in path.events))
-        walk = WalkTrajectory(tuple(s for _, s in traj.events))
+        traj = levy_path(horizon, ((t, increment(s, start)) for t, s in path.events))
+        walk = walk_path(tuple(s for _, s in traj.events))
         texts = (record_events_to_jsonl(traj), record_trajectory_to_csv(traj), record_walk_to_csv(walk))
         cases.append((traj, walk, texts))
     return cases
@@ -1183,10 +1204,10 @@ class TestBlockWriters:
     def test_edge_layouts(self, monkeypatch, block):
         monkeypatch.setattr(structures._Formatter, "block", block)
         for states in self._edge_paths():
-            traj = LevyTrajectory(states[0].n, 3.0, zip(self.EDGE_TIMES, states))
+            traj = levy_path(3.0, zip(self.EDGE_TIMES, states))
             assert traj.events[-1][1].is_empty()
             # a walk may stay put: each state thrice
-            walk = WalkTrajectory(tuple(s for s in states for _ in range(3)))
+            walk = walk_path(tuple(s for s in states for _ in range(3)))
             assert events_to_jsonl(traj, seed=3) == record_events_to_jsonl(traj, seed=3)
             assert trajectory_to_csv(traj) == record_trajectory_to_csv(traj)
             assert walk_to_csv(walk) == record_walk_to_csv(walk)
@@ -1306,7 +1327,7 @@ class TestFileFormats:
 
     def _golden_path(self):
         times = [t for t, _ in self.GOLDEN_STATES]
-        return LevyTrajectory(12, 2.5, zip(times, self._golden_states()))
+        return levy_path(2.5, zip(times, self._golden_states()))
 
     def test_events_jsonl_golden(self):
         assert events_to_jsonl(self._golden_path(), seed=7) == (
@@ -1324,7 +1345,7 @@ class TestFileFormats:
         )
 
     def test_walk_csv_golden(self):
-        walk = WalkTrajectory(tuple(self._golden_states()))
+        walk = walk_path(tuple(self._golden_states()))
         assert walk_to_csv(walk) == "step,structure\n" + "".join(
             f"{i},{text}\n" for i, text in enumerate(self.GOLDEN_TEXTS)
         )
@@ -1360,8 +1381,8 @@ class TestFileFormats:
             m = random_structure(rng, SIG12, 3, density=0.3)
             if m != states[-1]:
                 states.append(m)
-        traj = LevyTrajectory(3, 49.0, [(float(i), m) for i, m in enumerate(states)])
-        walk = WalkTrajectory(tuple(states))
+        traj = levy_path(49.0, [(float(i), m) for i, m in enumerate(states)])
+        walk = walk_path(tuple(states))
         for read, text, expected in [
             (trajectory_from_csv, trajectory_to_csv(traj), traj),
             (events_from_jsonl, events_to_jsonl(traj), traj),
@@ -1443,12 +1464,11 @@ class TestFileFormats:
         )
         simulated = simulate_levy(intensity, 4, 60.0, make_rng(71))
         start = random_structure(make_rng(72), SIG12, 4)
-        traj = LevyTrajectory(
-            4, simulated.horizon, [(t, increment(s, start)) for t, s in simulated.events]
+        traj = levy_path(simulated.horizon, [(t, increment(s, start)) for t, s in simulated.events]
         )
         assert len(traj.events) > 3 * _SNAPSHOT_EVERY
         states = tuple(s for _, s in traj.events)[:300]
-        walk = WalkTrajectory(states)
+        walk = walk_path(states)
         texts = [
             (events_from_jsonl, events_to_jsonl(traj)),
             # the CSV does not record the horizon
@@ -1532,7 +1552,7 @@ class TestFileFormats:
             (0.5, S12({3}, {(1, 3), (3, 1), (2, 2)})),
             (1.125, S12(set(), {(2, 2)})),
         ]
-        traj = LevyTrajectory(3, 2.0, events)
+        traj = levy_path(2.0, events)
         assert events_to_jsonl(traj, seed=9) == (
             '{"T": 2.0, "init": "L=(1,2)|n=3|R1={(2)}|R2={(1,3)}", "n": 3, '
             '"seed": 9, "signature": "(1,2)"}\n'
@@ -1585,8 +1605,7 @@ class TestFileFormats:
         I = LevyIntensity(SIG1, (SetSingletonComponent(rate=1.0),))
         flip = S(SIG1, 4, {1})
         traj = simulate_levy(I, 4, 2.0, make_rng(67))
-        started = LevyTrajectory(
-            4, traj.horizon, tuple((t, increment(s, flip)) for t, s in traj.events)
+        started = levy_path(traj.horizon, tuple((t, increment(s, flip)) for t, s in traj.events)
         )
         lines = events_to_jsonl(started).splitlines()
         assert events_from_jsonl("\n".join(lines)).events == started.events

@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from comblevy.levy import LevyIntensity, LevyTrajectory, SetSingletonComponent, simulate_levy
+from comblevy.levy import LevyIntensity, SetSingletonComponent, simulate_levy
 from comblevy.limits import (
     MC_CHUNK,
     DensityVector,
@@ -31,7 +31,7 @@ from comblevy.structures import (
     serialize,
 )
 
-from helpers import naive_hom_density, random_permutation, random_structure
+from helpers import levy_path, naive_hom_density, random_permutation, random_structure
 
 SIG1 = Signature((1,))
 SIG2 = Signature((2,))
@@ -284,7 +284,7 @@ class TestSetFrequency:
 
 class TestLimitPath:
     def test_constant_trajectory(self):
-        traj = LevyTrajectory(4, 2.0, ((0.0, empty_structure(SIG1, 4)),))
+        traj = levy_path(2.0, ((0.0, empty_structure(SIG1, 4)),))
         vectors = limit_path(traj, 1, [0.0, 1.0, 2.0])
         assert all(v.values == vectors[0].values for v in vectors)
 
@@ -295,7 +295,7 @@ class TestLimitPath:
         assert vec.value(empty_structure(SIG1, 1)) == 1.0
 
     def test_grid_bounds(self):
-        traj = LevyTrajectory(3, 1.0, ((0.0, empty_structure(SIG1, 3)),))
+        traj = levy_path(1.0, ((0.0, empty_structure(SIG1, 3)),))
         with pytest.raises(ValueError):
             limit_path(traj, 1, [1.5])
 

@@ -8,23 +8,26 @@ from comblevy.levy import LevyIntensity, SetSingletonComponent, simulate_levy
 from comblevy.measures import (
     FiniteMeasure,
     OrbitWeights,
-    bernoulli_set_measure,
     decompose_exchangeable,
     is_exchangeable,
     measure_from_json,
     measure_to_json,
     orbit_weights_to_json,
     point_mass,
-    recompose,
     symmetrize,
-    uniform_on_orbit,
     urn_measure,
 )
 from comblevy.orbits import OrbitId, enumerate_orbits, orbit_of
 from comblevy.rng import make_rng
 from comblevy.structures import Signature, Structure, empty_structure, serialize
 
-from helpers import random_structure, record_measure_to_json
+from helpers import (
+    bernoulli_set_measure,
+    random_structure,
+    recompose,
+    record_measure_to_json,
+    uniform_on_orbit,
+)
 
 SIG1 = Signature((1,))
 SIG2 = Signature((2,))

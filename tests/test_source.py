@@ -96,3 +96,36 @@ def test_no_module_imports_inside_a_function():
             for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
         )
         assert not inner, f"{path.name} imports inside a function at lines {inner}"
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _names_used(tree: ast.Module) -> set[str]:
+    """The names a module reads or looks up as attributes, each top-level
+    definition's own name not counted inside it."""
+    used = set()
+    for top in tree.body:
+        inner = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(top) if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        used |= inner - {getattr(top, "name", None)}
+    return used
+
+
+def test_every_public_name_has_a_use():
+    # a public name that only tests call belongs in tests/helpers.py
+    in_src = set().union(*(
+        _names_used(ast.parse(path.read_text(encoding="utf-8")))
+        for path in MODULES if path.name != "__init__.py"
+    ))
+    texts = [
+        path.read_text(encoding="utf-8")
+        for path in [REPO / "README.md", *REPO.glob("demos/*.py"), *REPO.glob("bench/*.py")]
+    ]
+    unused = [
+        name for name in comblevy.__all__
+        if name not in in_src and not any(re.search(rf"\b{name}\b", text) for text in texts)
+    ]
+    assert not unused, f"public names used only by tests: {unused}"

@@ -16,7 +16,6 @@ from comblevy.structures import (
     _flat_cells,
     _structure_from_cells,
     _row_increments,
-    agreement_level,
     empty_structure,
     increment,
     parse,
@@ -204,43 +203,6 @@ class TestPermutation:
         sigma = Permutation(4, (3, 1, 4, 2))
         assert sigma.compose(sigma.inverse()) == Permutation.identity(4)
         assert sigma.inverse().compose(sigma) == Permutation.identity(4)
-
-
-class TestAgreementLevel:
-    def test_equal(self):
-        m = S(SIG1, 3, {1, 2})
-        assert agreement_level(m, m) == 3
-
-    def test_spec_case(self):
-        # restrictions agree at size 1 ({1} both) and differ at size 2
-        a = S(SIG1, 3, {1, 2})
-        b = S(SIG1, 3, {1, 3})
-        assert agreement_level(a, b) == 1
-
-    def test_difference_touching_one(self):
-        a = S(SIG1, 3, {1})
-        b = empty_structure(SIG1, 3)
-        assert agreement_level(a, b) == 0
-
-    def test_matches_restriction_scan(self):
-        rng = make_rng(106)
-        for _ in range(50):
-            n = int(rng.integers(1, 6))
-            a = random_structure(rng, SIG12, n)
-            b = random_structure(rng, SIG12, n)
-            level = agreement_level(a, b)
-            expected = max(
-                (m for m in range(n + 1) if restrict(a, m) == restrict(b, m)),
-                default=-1,
-            )
-            assert level == expected
-            assert (level == n) == (a == b)
-
-    def test_arity_zero_disagreement(self):
-        sig0 = Signature((0, 1))
-        a = Structure.from_tuples(sig0, 2, [[()], []])
-        b = Structure.from_tuples(sig0, 2, [[], []])
-        assert agreement_level(a, b) == -1
 
 
 class TestGroupLaws:

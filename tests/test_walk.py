@@ -9,7 +9,6 @@ from comblevy.measures import (
     FiniteMeasure,
     OrbitWeights,
     point_mass,
-    recompose,
     urn_measure,
 )
 from comblevy.orbits import enumerate_orbits, orbit_lookup, orbit_members, orbit_of
@@ -24,7 +23,6 @@ from comblevy.structures import (
     restrict,
 )
 from comblevy.walk import (
-    WalkTrajectory,
     orbit_kernel,
     project_orbit_chain,
     simulate_walk,
@@ -33,7 +31,7 @@ from comblevy.walk import (
     walk_to_csv,
 )
 
-from helpers import random_structure
+from helpers import random_structure, recompose, walk_path
 
 SIG1 = Signature((1,))
 SIG2 = Signature((2,))
@@ -173,12 +171,12 @@ class TestExactDistribution:
 
 class TestOrbitChain:
     def test_constant_projection(self):
-        traj = WalkTrajectory((empty_structure(SIG1, 2),) * 3)
+        traj = walk_path((empty_structure(SIG1, 2),) * 3)
         chain = project_orbit_chain(traj)
         assert len(set(chain)) == 1
 
     def test_isomorphic_states_share_orbit(self):
-        traj = WalkTrajectory((S(SIG1, 2, {1}), S(SIG1, 2, {2})))
+        traj = walk_path((S(SIG1, 2, {1}), S(SIG1, 2, {2})))
         chain = project_orbit_chain(traj)
         assert chain[0] == chain[1]
 
@@ -287,7 +285,7 @@ class TestCsv:
     def test_roundtrip(self):
         urn = simulate_walk(urn_measure(1, 3), empty_structure(SIG1, 3), 5, make_rng(600))
         # signature (): every state is the one empty structure, every step empty
-        empty = WalkTrajectory([empty_structure(Signature(()), 3)] * 3)
+        empty = walk_path([empty_structure(Signature(()), 3)] * 3)
         for traj in (urn, empty):
             assert len(list(traj.events)) == len(traj.events)
             assert len(list(traj.jump_increments())) == len(traj.jump_increments())
