@@ -321,5 +321,28 @@ def main(argv=None) -> int:
     return EXIT_OK
 
 
+def run() -> None:
+    """The ``comblevy`` command: run :func:`main` and end the process.
+
+    Every output is written and renamed before ``main`` returns, so the
+    process then flushes stdout and stderr and ends with ``os._exit``,
+    skipping the interpreter's teardown (full garbage collections and module
+    cleanup, about 20 ms); object finalizers and ``atexit`` handlers do not
+    run.  If ``main`` raises (a bug, ``KeyboardInterrupt``, or argparse's
+    ``SystemExit`` for ``--help``, ``--version`` and usage errors), or a
+    tracer or profiler is set, the process ends the normal way, so
+    tracebacks, exit codes and ``python -m cProfile`` behave as usual.
+    ``main`` is the in-process entry: it returns the exit code and never
+    ends the process itself.
+    """
+    code = main()
+    if sys.gettrace() is None and sys.getprofile() is None:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+        os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

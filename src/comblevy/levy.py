@@ -659,17 +659,20 @@ def simulate_levy(
 
 
 def restrict_trajectory(traj: LevyTrajectory, m: int) -> LevyTrajectory:
-    """Project every state to [m]; jumps that vanish under restriction merge.
-    The log is restricted ``_BLOCK_EVENTS`` jumps at a time by one column
-    kernel (``structures._restrict_columns``), and the jumps it leaves empty
-    are dropped."""
+    """Project every state to [m], into a path of ``traj``'s type.  The log
+    is restricted ``_BLOCK_EVENTS`` jumps at a time by one column kernel
+    (``structures._restrict_columns``).  Jumps that vanish under restriction
+    are dropped, so their neighbours merge, unless the path allows empty
+    jumps: a walk restricted to [m] keeps every step."""
     if not 0 <= m <= traj.n:
         raise ValueError(f"restriction level {m} outside 0..{traj.n}")
-    restricted = LevyTrajectory._started(restrict(traj._start, m))
+    restricted = type(traj)._started(restrict(traj._start, m))
     for times, cells, counts in traj.jump_increments().blocks(_BLOCK_EVENTS):
         cells, counts = _restrict_columns(traj.signature, traj.n, m, cells, counts)
-        kept = counts.any(axis=1)
-        restricted._extend(np.compress(kept, times), cells, counts[kept])
+        if not traj._empty_jumps:
+            kept = counts.any(axis=1)
+            times, counts = np.compress(kept, times), counts[kept]
+        restricted._extend(times, cells, counts)
     restricted._close(traj.horizon)
     return restricted
 

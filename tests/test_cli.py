@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import comblevy
 from comblevy import cli, inference, levy, walk
 from comblevy.cli import main
 from comblevy.inference import empirical_jump_measure
@@ -677,6 +678,73 @@ class TestDeterminism:
         assert run_cli(argv) == 0
         digest = hashlib.sha256(Path(out).read_bytes()).hexdigest()
         assert digest == self.PINNED_DENSITY_OUTPUTS[name]
+
+
+class TestProcessExit:
+    """How a ``python -m comblevy`` process ends: ``cli.run`` flushes the
+    streams and ends it at ``main``'s return, unless ``main`` raises or a
+    tracer or profiler is set."""
+
+    def test_validation_error_exit_2(self, tmp_path):
+        proc = run_comblevy(["orbits", "--signature", "(2)", "--n", -1, "--out", "o.json"], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr == "comblevy: n=-1 must be >= 0\n" and proc.stdout == ""
+        assert not (tmp_path / "o.json").exists()
+
+    def test_missing_input_exit_3(self, tmp_path):
+        proc = run_comblevy(["estimate-jumps", "--trajectory", "nope.csv", "--out", "m.json"], tmp_path)
+        assert proc.returncode == 3
+        assert proc.stderr == "comblevy: file not found: nope.csv\n"
+
+    def test_usage_error_exit_2(self, tmp_path):
+        proc = run_comblevy(["simulate-walk"], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage: comblevy simulate-walk")
+        assert "error: the following arguments are required" in proc.stderr
+
+    def test_version_exit_0(self, tmp_path):
+        proc = run_comblevy(["--version"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{comblevy.__version__}\n"
+
+    def test_outputs_match_the_in_process_run(self, tmp_path, intensity_file, monkeypatch):
+        args = ["simulate-levy", "--intensity", intensity_file, "--n", 6, "--horizon", 3.0,
+                "--seed", 321, "--replicates", 2, "--limit-level", 1, "--grid", "0.5,1.5",
+                "--out", "levy.csv"]
+        child, here = tmp_path / "child", tmp_path / "here"
+        child.mkdir()
+        here.mkdir()
+        proc = run_comblevy(args, child)
+        assert proc.returncode == 0 and proc.stdout == proc.stderr == "", proc.stderr
+        monkeypatch.chdir(here)
+        assert run_cli(args) == 0
+        names = sorted(path.name for path in child.iterdir())
+        assert len(names) == 5 and names == sorted(path.name for path in here.iterdir())
+        for name in names:
+            assert (child / name).read_bytes() == (here / name).read_bytes(), name
+
+    def test_cprofile_writes_its_profile(self, tmp_path):
+        proc = run_python(["-m", "cProfile", "-o", "prof.out", "-m", "comblevy", "orbits",
+                           "--signature", "(2)", "--n", 3, "--out", "o.json"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "prof.out").stat().st_size > 0 and (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
+    def test_exit_handlers_run_only_under_a_tracer(self, tmp_path, traced):
+        script = (
+            "import atexit, sys\n"
+            "from comblevy import cli\n"
+            "if sys.argv[1] == 'traced':\n"
+            "    sys.settrace(lambda *args: None)\n"
+            "atexit.register(print, 'teardown')\n"
+            "print('buffered', end='')\n"
+            "sys.argv[1:] = ['orbits', '--signature', '(1)', '--n', '3', '--out', 'o.json']\n"
+            "cli.run()\n"
+        )
+        proc = run_python(["-c", script, "traced" if traced else "plain"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ("bufferedteardown\n" if traced else "buffered")
+        assert (tmp_path / "o.json").exists()
 
 
 class TestImportCost:

@@ -13,6 +13,7 @@ import pytest
 from scipy import stats
 
 from comblevy import levy, structures, trajectory
+from comblevy.inference import empirical_jump_measure
 from comblevy.levy import (
     ExplicitFinite,
     LevyIntensity,
@@ -478,7 +479,8 @@ class TestRestrictTrajectory:
     )
     def test_against_naive_restrict(self, sig):
         # a non-empty start and sparse jumps, of which those touching only
-        # labels above m vanish at level m; a walk's steps may be empty too
+        # labels above m vanish at level m; a walk's steps may be empty too,
+        # and a restricted walk keeps every step, empty or not
         n, rng = 5, make_rng(470)
         states = [random_structure(rng, sig, n)]
         for _ in range(100 if sig.k else 0):
@@ -493,9 +495,23 @@ class TestRestrictTrajectory:
                 assert [restrict(s, m) for s in path_states] == naive
                 kept = [0] + [i for i in range(1, len(naive)) if naive[i] != naive[i - 1]]
                 restricted = restrict_trajectory(path, m)
-                assert restricted == levy_path(path.horizon, [(i, naive[i]) for i in kept])
+                if path is paths[1]:
+                    assert restricted == walk_path(naive)
+                else:
+                    assert restricted == levy_path(path.horizon, [(i, naive[i]) for i in kept])
                 assert [restricted.state_at(i) for i in range(len(naive))] == naive
         assert len(restrict_trajectory(paths[0], n - 1).events) < len(states) or not sig.k
+
+    def test_walk_keeps_its_empty_steps(self):
+        # the restricted walk's jump measure counts its empty steps, as the
+        # walk's own measure does
+        walk = simulate_walk(urn_measure(1, 3), None, 200, make_rng(11))
+        restricted = restrict_trajectory(walk, 1)
+        assert restricted.T == 200
+        counts = Counter(restricted.jump_increments())
+        empty = empty_structure(walk.signature, 1)
+        masses = dict(empirical_jump_measure(restricted).items_sorted())
+        assert counts[empty] > 0 and masses[empty] == pytest.approx(counts[empty] / 200)
 
 
 def _replay_full_states(intensity, n, horizon, rng):

@@ -129,3 +129,30 @@ def test_every_public_name_has_a_use():
         if name not in in_src and not any(re.search(rf"\b{name}\b", text) for text in texts)
     ]
     assert not unused, f"public names used only by tests: {unused}"
+
+
+def _exit_users(node, function=None) -> set:
+    """The names of the functions around each use of ``_exit`` under
+    ``node``; None for a use outside any function."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    used = (
+        isinstance(node, ast.Attribute) and node.attr == "_exit"
+        or isinstance(node, ast.Name) and node.id == "_exit"
+        or isinstance(node, ast.alias) and node.name == "_exit"
+    )
+    users = {function} if used else set()
+    for child in ast.iter_child_nodes(node):
+        users |= _exit_users(child, function)
+    return users
+
+
+def test_only_the_cli_exit_function_ends_the_process_early():
+    # os._exit skips finalizers and exit handlers; the tests, the demos and
+    # the benchmark's tracer run everything else in process
+    users = {
+        (path.name, function)
+        for path in MODULES
+        for function in _exit_users(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert users == {("cli.py", "run")}
