@@ -129,7 +129,7 @@ class _Component(Value):
     Each kind sets its JSON type ``tag`` and defines ``validate(signature)``,
     which raises ValueError unless the component fits the process signature,
     and ``restrict(signature, n)``, which returns its level-n sampler: a
-    finite ``rate`` plus ``sample_cells(rng)`` of a nonempty increment.  The
+    finite ``rate`` plus ``sample_cells_batch(rng, k)``, k nonempty increments.  The
     JSON form is the tag plus the value fields; each kind's
     ``__post_init__`` checks their types and ranges.
     """
@@ -404,17 +404,14 @@ class _LevelSampler:
     their sorted cells, increment by increment and relation by relation
     within one, and the (k x relations) array of how many each holds (the
     layout of ``structures._Parser.batch``, which the log takes).
-    ``sample_cells`` is the batch of one as a list of sorted cells per
-    relation, and ``sample`` the same draw as a Structure."""
+    ``sample`` is the batch of one as a Structure."""
 
     signature: Signature
     n: int
 
-    def sample_cells(self, rng) -> list[list[int]]:
-        return _cell_lists(*self.sample_cells_batch(rng, 1))[0]
-
     def sample(self, rng) -> Structure:
-        return _structure_from_cells(self.signature, self.n, self.sample_cells(rng))
+        cells, = _cell_lists(*self.sample_cells_batch(rng, 1))
+        return _structure_from_cells(self.signature, self.n, cells)
 
 
 def _pattern_choice(rng, pattern_cum: np.ndarray, k: int) -> np.ndarray:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from functools import cached_property
 
 import numpy as np
@@ -238,9 +239,13 @@ def _limit_grid(grid, level: int, n: int, horizon: float) -> list[float]:
 
 
 def limit_path(traj: LevyTrajectory, level: int, grid) -> list[DensityVector]:
-    """Density vectors of the trajectory state sampled on a time grid."""
+    """Density vectors of the trajectory state sampled on a time grid; the
+    states at its distinct events come from one replay of the log."""
     grid = _limit_grid(grid, level, traj.n, traj.horizon)
-    return [density_vector(traj.state_at(t), level) for t in grid]
+    events = [bisect_right(traj._times, t) - 1 for t in grid]
+    distinct = sorted(set(events))
+    vectors = dict(zip(distinct, (density_vector(m, level) for m in traj._states(distinct))))
+    return [vectors[i] for i in events]
 
 
 def density_l1(v1: DensityVector, v2: DensityVector) -> float:

@@ -17,18 +17,19 @@ import itertools
 import json
 import math
 import numbers
-from bisect import bisect_right
 from functools import cached_property
 
 import numpy as np
 
-from .orbits import OrbitId, orbit_members, orbit_of
+from .orbits import OrbitId, orbit_members
 from .structures import (
     Signature,
     Structure,
+    _cell_lists,
     _cells,
     _flat_cells,
     _serialize_all,
+    _structure_from_cells,
     _take_rows,
     parse,
     serialize,
@@ -107,28 +108,25 @@ class FiniteMeasure:
         return [texts[i] for i in order], [members[i] for i in order]
 
     @cached_property
-    def _inverse_cdf(self) -> tuple[list[Structure], list[float], np.ndarray, tuple]:
-        """The support in sampling order, its cumulative masses (as a list
-        for one draw, an array for a batch) and the members' cells as one
-        flat column with their counts; built on the first draw."""
+    def _inverse_cdf(self) -> tuple[np.ndarray, tuple]:
+        """The support's cumulative masses in sampling order and its cells
+        as one flat column with their counts; built on the first draw."""
         structures = self.support()
         if not structures:
             raise ValueError("cannot sample from a zero measure")
-        cum = list(itertools.accumulate(self.weights[m] for m in structures))
-        columns = _flat_cells([_cells(m) for m in structures], self.signature.k)
-        return structures, cum, np.array(cum), columns
+        cum = np.fromiter(itertools.accumulate(self.weights[m] for m in structures), float)
+        return cum, _flat_cells([_cells(m) for m in structures], self.signature.k)
 
     def sample(self, rng) -> Structure:
-        """One draw by inverse CDF over the sorted support."""
-        structures, cum, _, _ = self._inverse_cdf
-        idx = bisect_right(cum, rng.random() * self.total_mass)
-        return structures[idx] if idx < len(structures) else structures[-1]
+        """One draw by inverse CDF over the sorted support: the batch of one."""
+        cells, = _cell_lists(*self.sample_cells_batch(rng, 1))
+        return _structure_from_cells(self.signature, self.n, cells)
 
     def sample_cells_batch(self, rng, k: int) -> tuple[np.ndarray, np.ndarray]:
         """k draws by inverse CDF, the draws that k calls of :meth:`sample`
         make from the same stream, as one flat column of their sorted cells
         and the (k x relations) counts (see ``structures._Parser.batch``)."""
-        _, _, cum, (cells, counts) = self._inverse_cdf
+        cum, (cells, counts) = self._inverse_cdf
         picked = np.searchsorted(cum, rng.random(k) * self.total_mass, side="right")
         return _take_rows(cells, counts, np.minimum(picked, len(cum) - 1))
 
@@ -203,7 +201,12 @@ def _orbit_groups(mu: FiniteMeasure) -> list[list[Structure]]:
 
 def is_exchangeable(mu: FiniteMeasure) -> bool:
     """Whether the mass is constant across each isomorphism class."""
-    for members in _orbit_groups(mu):
+    return _constant_on(mu, _orbit_groups(mu))
+
+
+def _constant_on(mu: FiniteMeasure, groups: list[list[Structure]]) -> bool:
+    """Whether the mass is constant, within tolerance, on each group."""
+    for members in groups:
         mean = math.fsum(mu.mass(m) for m in members) / len(members)
         if any(abs(mu.mass(m) - mean) > EXCHANGEABLE_TOL for m in members):
             return False
@@ -224,13 +227,14 @@ def decompose_exchangeable(mu: FiniteMeasure) -> OrbitWeights:
     """Unique orbit weights with mu = sum of p_Y * (uniform on Y)."""
     if not mu.is_probability:
         raise ValueError(f"not a probability measure (total {mu.total_mass})")
-    if not is_exchangeable(mu):
+    groups = _orbit_groups(mu)
+    if not _constant_on(mu, groups):
         raise ValueError("measure is not exchangeable within tolerance")
     p: dict[OrbitId, float] = {}
-    for members in _orbit_groups(mu):
+    for members in groups:  # each orbit's canonical member first
         total = math.fsum(mu.mass(m) for m in members)
         if total > 0:
-            p[orbit_of(members[0])] = total
+            p[OrbitId(serialize(members[0]))] = total
     return OrbitWeights(mu.signature, mu.n, p)
 
 

@@ -18,7 +18,7 @@ once (``_Parser.batch``, of which ``parse`` is the batch of one) into one
 flat int64 cell column plus a count per text and relation, reading the file
 text, a str or an open file, in bounded pieces (``_line_batches``).  The
 full-state CSV reader parses only its first row so, and every later row as
-an edit of the row before it (``_Parser.increments``).
+an edit of the row before it (``_Parser._edits``).
 
 Labels are 1-based throughout.
 """
@@ -601,7 +601,7 @@ class _Parser:
     relation decode all the labels and check their range and order.  Only
     a rejected batch is checked again text by text, to name the first
     defect.  Text of another signature or size is rejected.
-    :meth:`increments` reads texts that follow a canonical one as edits of
+    :meth:`_edits` reads texts that follow a canonical one as edits of
     the text before each, parsing only what changed.
     """
 
@@ -644,21 +644,12 @@ class _Parser:
             self._reject(texts)
         return columns
 
-    def increments(self, rows: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    def _edits(self, rows: Sequence[str]):
         """The jumps between consecutive ``rows``, texts without line breaks
         of which the first is canonical: per row after the first and per
         relation, the sorted symmetric difference with the row before it, in
-        :meth:`batch`'s form.  Each row is read as an edit of the row before
-        it (:meth:`_edits`); if a row's edit fails a check, every row is
-        parsed whole by :meth:`batch`, so a rejected row raises its error."""
-        edits = self._edits(rows)
-        if edits is None:
-            return _row_increments(*self.batch(rows))
-        return edits
-
-    def _edits(self, rows: Sequence[str]):
-        """:meth:`increments` from the changed text alone, or None if a row
-        fails a check.  Joined by "\n" and cut at "|R", the rows give one
+        :meth:`batch`'s form, read from the changed text alone; None if a
+        row fails a check.  Joined by "\n" and cut at "|R", the rows give one
         part per relation field; each row's last field also carries the
         "\n" and the next row's head, and a copy of the head after the last
         row gives the last row's last field the same end.  Each relation's
@@ -734,12 +725,13 @@ class _Parser:
         return (cells, counts) if steps.all() else None
 
     def _reject(self, texts: Sequence[str]) -> None:
-        """Raise the :class:`_BatchError` of the first text with a defect."""
+        """Raise the :class:`_BatchError` of the first text with a defect,
+        for texts that :meth:`batch` or :meth:`_edits` rejected."""
         for i, text in enumerate(texts):
             defect = self._defect(text)
             if defect:
                 raise _BatchError(i, defect)
-        raise AssertionError("the batch and the piecewise checks disagree")
+        raise AssertionError("the batch or edit checks and the piecewise checks disagree")
 
     def _defect(self, text: str) -> str | None:
         """What is wrong with ``text``, found by checking it piece by piece
@@ -851,21 +843,6 @@ def _odd_cells(slots: np.ndarray, cells: np.ndarray, shape: tuple) -> tuple:
     twice[1:-1] = (slot[1:] == slot[:-1]) & (cell[1:] == cell[:-1])
     once = ~(twice[:-1] | twice[1:])
     return cell[once], np.bincount(slot[once], minlength=shape[0] * shape[1]).reshape(shape)
-
-
-def _row_increments(cells: np.ndarray, counts: np.ndarray) -> tuple:
-    """The increments between consecutive rows of a flat cell column of
-    (rows x k) ``counts`` (see :meth:`_Parser.batch`), in the same form:
-    per relation, the sorted symmetric difference."""
-    rows, k = counts.shape
-    # a cell of row r, relation j enters increments r - 1 and r
-    slot = np.repeat(np.arange(rows * k), counts.ravel())
-    later, earlier = slot >= k, slot < (rows - 1) * k
-    return _odd_cells(
-        np.concatenate((slot[later] - k, slot[earlier])),
-        np.concatenate((cells[later], cells[earlier])),
-        (rows - 1, k),
-    )
 
 
 def _edit_windows(fields: list[str], lens: np.ndarray, lead: int, tail: int):

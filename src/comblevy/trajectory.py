@@ -26,7 +26,6 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from functools import cached_property
 from itertools import chain, islice
 
 import numpy as np
@@ -47,8 +46,8 @@ from .structures import (
 
 __all__ = ["LevyTrajectory"]
 
-# A trajectory keeps a full state every this many events.
-_SNAPSHOT_EVERY = 128
+# ``LevyTrajectory._jumps`` slices the log this many jumps at a time.
+_JUMPS_BLOCK = 128
 # A block of full-state CSV rows whose jumps flip at most this share of the
 # cells its rows hold is written by editing each row's text (see
 # ``LevyTrajectory._to_csv``).
@@ -96,15 +95,11 @@ class LevyTrajectory:
     flat columns, and the final state.  The log grows only by ``_extend``,
     a block of jumps at a time, which checks the block and appends it, and
     is read only by ``_block``, which copies a stretch of jumps out in the
-    layout ``_extend`` takes.  ``_close`` XORs the whole log into the start
-    state once to get the final state.  A full state every
-    ``_SNAPSHOT_EVERY`` events is built by one replay of the log the first
-    time an index or ``state_at`` needs one; ``state_at`` then XORs at most
-    ``_SNAPSHOT_EVERY - 1`` increments into a snapshot.  Writing, reading,
-    iterating the events and ``[-1]`` never build the snapshots, so memory
-    is O(sum of increment sizes) until then, and O(states /
-    _SNAPSHOT_EVERY) more after.  ``events`` rebuilds the full-state
-    events ``(t, Structure)`` on demand.
+    layout ``_extend`` takes.  ``_states`` rebuilds states by one forward
+    replay of the log: ``_close`` takes the final state from it, an index
+    or ``state_at`` replays up to its event, and ``limit_path`` takes its
+    grid states in one pass.  No other state is kept, so memory is O(sum of
+    increment sizes).  ``events`` rebuilds the events ``(t, Structure)``.
     """
 
     # Whether a jump may leave the state unchanged (a walk's empty step).
@@ -153,8 +148,7 @@ class LevyTrajectory:
         if self._times[-1] > horizon:
             raise ValueError("event beyond the horizon")
         self.horizon = horizon
-        jumps = self._block(0, len(self._times) - 1)
-        self._final = _CellBits(self._start).flip_runs(*jumps).freeze()
+        self._final, = self._states([len(self._times) - 1])
 
     def _block(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Jumps ``lo`` to ``hi - 1`` as a flat cell column and their (jumps
@@ -168,10 +162,10 @@ class LevyTrajectory:
     def _jumps(self, lo: int = 0, hi: int | None = None):
         """Sorted cells per relation, as lists, of jumps ``lo`` to ``hi - 1``
         (to the last jump if ``hi`` is None), in order, sliced from the log
-        ``_SNAPSHOT_EVERY`` jumps at a time."""
+        ``_JUMPS_BLOCK`` jumps at a time."""
         hi = len(self._times) - 1 if hi is None else hi
-        for start in range(lo, hi, _SNAPSHOT_EVERY):
-            yield from _cell_lists(*self._block(start, min(start + _SNAPSHOT_EVERY, hi)))
+        for start in range(lo, hi, _JUMPS_BLOCK):
+            yield from _cell_lists(*self._block(start, min(start + _JUMPS_BLOCK, hi)))
 
     @property
     def signature(self) -> Signature:
@@ -182,31 +176,17 @@ class LevyTrajectory:
         """The ``(time, state)`` events, a lazy read-only sequence."""
         return _Events(self)
 
-    def _replay(self):
-        """The running state after each event in turn, as one ``_CellBits``
-        flipped in place."""
-        bits = _CellBits(self._start)
-        return chain([bits], map(bits.flip, self._jumps()))
-
-    @cached_property
-    def _snapshots(self) -> list[Structure]:
-        """The state after every ``_SNAPSHOT_EVERY``-th event, from one
-        replay of the log that XORs in a stretch of jumps at a time."""
-        bits, snapshots = _CellBits(self._start), [self._start]
-        for lo in range(0, len(self._times) - _SNAPSHOT_EVERY, _SNAPSHOT_EVERY):
-            snapshots.append(bits.flip_runs(*self._block(lo, lo + _SNAPSHOT_EVERY)).freeze())
-        return snapshots
+    def _states(self, indices):
+        """The state after each event of the ascending ``indices``: one
+        replay of the log XORs the jumps up to each into a running state."""
+        bits, done = _CellBits(self._start), 0
+        for i in indices:
+            yield bits.flip_runs(*self._block(done, i)).freeze()
+            done = i
 
     def _state(self, i: int) -> Structure:
-        """State after event ``i``: the nearest snapshot at or before it plus
-        the jumps in between."""
-        if i == len(self._times) - 1:
-            return self._final
-        snap, extra = divmod(i, _SNAPSHOT_EVERY)
-        base = self._snapshots[snap] if snap else self._start
-        if extra == 0:
-            return base
-        return _CellBits(base).flip_runs(*self._block(i - extra, i)).freeze()
+        """State after event ``i``, the log replayed up to it."""
+        return self._final if i == len(self._times) - 1 else next(self._states([i]))
 
     def state_at(self, t: float) -> Structure:
         if not 0.0 <= t <= self.horizon:
@@ -324,7 +304,8 @@ class LevyTrajectory:
         one parser, bound to the first row's signature and n.  The first
         row is parsed whole; every later row is read as an edit of the row
         before it, and its jump logged as the symmetric difference of the
-        two rows' changed text (see ``structures._Parser.increments``)."""
+        two rows' changed text (see ``structures._Parser._edits``); rows
+        whose edits fail a check are checked whole to raise their defect."""
         batches = _line_batches(text)
         header, *rest = next(batches, [""])
         if header != f"{key},structure":
@@ -343,7 +324,10 @@ class LevyTrajectory:
             else:
                 event_times = times(keys, len(traj._times))
                 rows = (last, *texts)
-            traj._extend(event_times, *parser.increments(rows))
+            jumps = parser._edits(rows)
+            if jumps is None:
+                parser._reject(rows)
+            traj._extend(event_times, *jumps)
             last = texts[-1]
         if traj is None:
             raise ValueError("full-state CSV has no rows")
@@ -381,8 +365,8 @@ class _LogView(Sequence):
 
 class _States(_LogView):
     """The state after each event.  Iteration streams them by a running
-    XOR; an index rebuilds one from the nearest snapshot; ``[-1]`` is the
-    kept final state."""
+    XOR; an index replays the log up to its event; ``[-1]`` is the kept
+    final state."""
 
     __slots__ = ()
 
@@ -393,7 +377,10 @@ class _States(_LogView):
         return self._traj._state(i)
 
     def __iter__(self):
-        return (bits.freeze() for bits in self._traj._replay())
+        bits = _CellBits(self._traj._start)
+        yield bits.freeze()
+        for cells in self._traj._jumps():
+            yield bits.flip(cells).freeze()
 
 
 class _Events(_States):

@@ -63,20 +63,9 @@ def _csv(sig: Signature, n: int, path: list, walk: bool) -> str:
     return "time,structure\n" + "".join(f"{0.25 * i!r},{row}\n" for i, row in enumerate(rows))
 
 
-@pytest.fixture
-def edits_only(monkeypatch):
-    """Fail if the reader parses a batch of rows whole, as it does only when
-    some row fails its edit's checks."""
-
-    def whole(*args):
-        raise AssertionError("a canonical row failed its edit's checks")
-
-    monkeypatch.setattr(structures, "_row_increments", whole)
-
-
 @pytest.mark.parametrize("walk", [False, True], ids=["levy", "walk"])
 @pytest.mark.parametrize("sig, n, prefixed", CASES, ids=[str(case[0]) for case in CASES])
-def test_edits_match_whole_rows(sig, n, prefixed, walk, edits_only, monkeypatch, tmp_path):
+def test_edits_match_whole_rows(sig, n, prefixed, walk, monkeypatch, tmp_path):
     read = walk_from_csv if walk else trajectory_from_csv
     file = tmp_path / "path.csv"
     for seed in range(3):
@@ -213,14 +202,11 @@ def test_increments_at_the_largest_cell_range():
     path = _big_rows(sig, 40, 11)
     rows = [_row_text(sig, row) for row in path]
     expected = [[a ^ b for a, b in zip(prev, row)] for prev, row in itertools.pairwise(path)]
-    parser = _Parser(sig, BIG_N)
-    # read as edits, and parsed whole
-    for increments in (parser.increments(rows), structures._row_increments(*parser.batch(rows))):
-        jumps = [
-            [{_cell_decode(c, BIG_N, arity) for c in cells} for cells, arity in zip(jump, sig.arities)]
-            for jump in _cell_lists(*increments)
-        ]
-        assert jumps == expected
+    jumps = [
+        [{_cell_decode(c, BIG_N, arity) for c in cells} for cells, arity in zip(jump, sig.arities)]
+        for jump in _cell_lists(*_Parser(sig, BIG_N)._edits(rows))
+    ]
+    assert jumps == expected
 
 
 def test_reader_refuses_an_unallocatable_state_at_the_largest_cell_range():

@@ -14,6 +14,7 @@ from scipy import stats
 
 from comblevy import levy, structures, trajectory
 from comblevy.inference import empirical_jump_measure
+from comblevy.limits import density_vector, limit_path
 from comblevy.levy import (
     ExplicitFinite,
     LevyIntensity,
@@ -50,7 +51,6 @@ from comblevy.structures import (
     restrict,
     serialize,
 )
-from comblevy.trajectory import _SNAPSHOT_EVERY
 from comblevy.walk import simulate_walk, walk_from_csv, walk_to_csv
 
 from helpers import (
@@ -68,6 +68,10 @@ from helpers import (
     sample_rows,
     walk_path,
 )
+
+# Events: the long paths below span several stretches of this many, so their
+# lookups and block reads cross stretch ends at many points of the log.
+STRETCH = 128
 
 SIG1 = Signature((1,))
 SIG2 = Signature((2,))
@@ -578,13 +582,13 @@ class TestIncrementLog:
         assert traj.events == tuple(events) and traj.events == events
         assert list(traj.events) == events
         assert traj.events[-1] == events[-1]
-        stop = 3 * _SNAPSHOT_EVERY
+        stop = 3 * STRETCH
         assert traj.events[5:stop:7] == tuple(events[5:stop:7])
         assert traj.events[::-3] == tuple(events[::-3])
         increments = [increment(b, a) for (_, a), (_, b) in zip(events, events[1:])]
         assert traj.jump_increments() == increments
         assert traj.jump_increments()[-1] == increments[-1]
-        for i, (t, s) in enumerate(events):  # every event, so every snapshot boundary
+        for i, (t, s) in enumerate(events):  # every event, each replayed from the start
             assert traj.events[i] == (t, s)
             assert traj.state_at(t) == s
         for t in rng.uniform(0.0, horizon, 50):
@@ -599,7 +603,7 @@ class TestIncrementLog:
         for seed in (81, 82, 83):
             traj = simulate_levy(intensity, n, horizon, make_rng(seed))
             events = _replay_full_states(intensity, n, horizon, make_rng(seed))
-            assert len(events) > 2 * _SNAPSHOT_EVERY
+            assert len(events) > 2 * STRETCH
             check_rng = make_rng(seed, stream=1)
             self._check(traj, events, horizon, check_rng)
             for m in (1, n - 1):
@@ -867,8 +871,9 @@ class TestMemory:
 
     def test_graph_stream_log_keeps_no_snapshots(self):
         # the bench's graph-stream path (n=300, T=3, ~28.6k jumps): the
-        # samplers hand the log cell columns, and neither simulating, writing
-        # nor reading back builds the 90,000-bit snapshots (about 2.5 MB)
+        # samplers hand the log cell columns, neither simulating, writing nor
+        # reading back builds a 90,000-bit state per event, and a lookup or a
+        # limit path replays the log and keeps no state of its own
         intensity = intensity_from_json(json.dumps(self.GRAPH_STREAM))
         simulate_levy(intensity, 300, 0.01, make_rng(0))
         tracemalloc.start()
@@ -886,9 +891,10 @@ class TestMemory:
         assert simulate_held <= 1.5 * 2**20
         assert read_held <= 1.5 * 2**20
         assert back == traj and back.events[-1] == traj.events[-1]
-        assert "_snapshots" not in vars(traj) and "_snapshots" not in vars(back)
+        kept = [set(vars(traj)), set(vars(back))]
         assert traj.state_at(1.5) == back.state_at(1.5)
-        assert len(traj._snapshots) == (len(traj.events) - 1) // _SNAPSHOT_EVERY + 1
+        assert limit_path(traj, 1, [0.6, 1.5, 3.0])[1] == density_vector(back.state_at(1.5), 1)
+        assert [set(vars(traj)), set(vars(back))] == kept
 
 
 class TestColumnSamplers:
@@ -1465,11 +1471,11 @@ class TestFileFormats:
             with pytest.raises(ValueError, match=f"increment at t={record['t']}: tuple \\(5\\)"):
                 events_from_jsonl("\n".join(bad))
 
-    def test_readers_cross_batch_and_snapshot_boundaries(self, monkeypatch, tmp_path):
-        # a non-empty start and more than three snapshots' worth of jumps,
+    def test_readers_cross_batch_boundaries(self, monkeypatch, tmp_path):
+        # a non-empty start and more than three stretches' worth of jumps,
         # read back in batches of a few characters to a few records, from
-        # the text and from a file: every batch boundary falls inside the
-        # log's snapshot stretches
+        # the text and from a file: every batch boundary falls inside a
+        # stretch, and the states read back are the path's at every index
         intensity = LevyIntensity(
             SIG12,
             (
@@ -1482,7 +1488,7 @@ class TestFileFormats:
         start = random_structure(make_rng(72), SIG12, 4)
         traj = levy_path(simulated.horizon, [(t, increment(s, start)) for t, s in simulated.events]
         )
-        assert len(traj.events) > 3 * _SNAPSHOT_EVERY
+        assert len(traj.events) > 3 * STRETCH
         states = tuple(s for _, s in traj.events)[:300]
         walk = walk_path(states)
         texts = [
@@ -1507,7 +1513,7 @@ class TestFileFormats:
                 )
                 for back in (read(text), read(text.replace("\n", "\r\n")), from_file(read, text)):
                     assert back == traj
-                    assert back._snapshots == traj._snapshots
+                    assert all(back.events[i] == traj.events[i] for i in range(len(traj.events)))
                     assert back.events[-1] == traj.events[-1]
 
     def test_events_jsonl_matches_writer_batches_at_once(self, monkeypatch):

@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from comblevy.levy import LevyIntensity, SetSingletonComponent, simulate_levy
+from comblevy.levy import LevyIntensity, PairComponent, SetSingletonComponent, simulate_levy
 from comblevy.limits import (
     MC_CHUNK,
     DensityVector,
@@ -298,6 +298,23 @@ class TestLimitPath:
         traj = levy_path(1.0, ((0.0, empty_structure(SIG1, 3)),))
         with pytest.raises(ValueError):
             limit_path(traj, 1, [1.5])
+
+    def test_unsorted_grid_matches_state_lookups(self):
+        # one replay serves a grid out of time order, with repeated times,
+        # times before the first jump, event times themselves and the
+        # horizon, on a set path and on a graph path
+        for sig, component, n, seed in (
+            (SIG1, SetSingletonComponent(rate=1.0), 6, 712),
+            (SIG2, PairComponent(rate=1.0), 5, 713),
+        ):
+            traj = simulate_levy(LevyIntensity(sig, (component,)), n, 4.0, make_rng(seed))
+            times = [t for t, _ in traj.events]
+            assert len(times) > 5
+            grid = [times[3], 0.0, times[1] / 2, 4.0, times[3], (times[2] + times[3]) / 2,
+                    times[1] / 3, 4.0, times[1], 2.5, times[3]]
+            for level in (1, 2):
+                expected = [density_vector(traj.state_at(t), level) for t in grid]
+                assert limit_path(traj, level, grid) == expected
 
     def test_singleton_intensity_tracks_closed_form(self):
         # elements flip independently, so the level-1 density of the

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -19,7 +20,14 @@ from comblevy.measures import (
 )
 from comblevy.orbits import OrbitId, enumerate_orbits, orbit_of
 from comblevy.rng import make_rng
-from comblevy.structures import Signature, Structure, empty_structure, serialize
+from comblevy.structures import (
+    Signature,
+    Structure,
+    _cell_lists,
+    _cells,
+    empty_structure,
+    serialize,
+)
 
 from helpers import (
     bernoulli_set_measure,
@@ -71,7 +79,9 @@ class TestFiniteMeasure:
             mu = FiniteMeasure(sig, n, {m: 1.0 + i for i, m in enumerate(members)})
             ordered = sorted(mu.weights, key=serialize)
             assert mu.support() == ordered
-            assert mu._inverse_cdf[0] == ordered
+            cum, columns = mu._inverse_cdf
+            assert cum.tolist() == list(itertools.accumulate(mu.weights[m] for m in ordered))
+            assert _cell_lists(*columns) == [_cells(m) for m in ordered]
             entries = json.loads(measure_to_json(mu))["entries"]
             assert [e["structure"] for e in entries] == [serialize(m) for m in ordered]
             assert [e["mass"] for e in entries] == [mu.weights[m] for m in ordered]

@@ -15,7 +15,6 @@ from comblevy.structures import (
     _set_bits,
     _flat_cells,
     _structure_from_cells,
-    _row_increments,
     empty_structure,
     increment,
     parse,
@@ -454,23 +453,6 @@ class TestLinearDecode:
             assert lines == "".join(_scan_text(m) + "\n" for m in states)
         for m in (empty_structure(sig, 3), Structure(sig, 2, (1, 3, 15, 255))):
             assert serialize(m) == _scan_text(m)
-
-    def test_row_increments_match_set_differences(self):
-        # consecutive rows, some equal or empty, against per-relation set
-        # symmetric differences
-        rng = make_rng(123)
-        sig = Signature((0, 1, 2))
-        for n in (1, 2, 4):
-            states = [random_structure(rng, sig, n, density=float(rng.random())) for _ in range(30)]
-            states[5] = states[4]
-            states[9] = states[10] = empty_structure(sig, n)
-            rows = [_cells(m) for m in states]
-            expected = [
-                [sorted(set(a) ^ set(b)) for a, b in zip(prev, row)]
-                for prev, row in itertools.pairwise(rows)
-            ]
-            increments = _row_increments(*_flat_cells(rows, sig.k))
-            assert _cell_lists(*increments) == expected
 
     def test_structure_from_cells_matches_shift_build(self):
         # each relation's bytearray build against OR-ing 1 << c per cell, on
