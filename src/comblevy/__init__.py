@@ -59,6 +59,7 @@ _EXPORTS = {
     ),
     "levy": (
         "MixtureAtom",
+        "LocalComponent",
         "SetSingletonComponent",
         "VertexComponent",
         "PairComponent",

@@ -6,9 +6,10 @@ jump increments together with a rate:
 * ``MixtureAtom`` - a dissociated product-Bernoulli kernel: every cell of
   relation j flips independently with probability ``probs[j]``; the whole
   atom carries rate ``weight``.
-* singleton-indexed components - local jumps attached to an element, pair,
-  or loop of the label set (the set, graph, and community-plus-graph
-  families).
+* ``VertexComponent`` - flips of the edges at one vertex, and its membership.
+* ``LocalComponent`` - at rate r per k-subset of the labels, a pattern over
+  [k] from a finite measure, carried onto the subset; its builders
+  ``SetSingletonComponent``, ``PairComponent`` and ``LoopComponent``.
 * ``ExplicitFinite`` - an arbitrary finite measure on increments over a
   fixed label window, with zero mass on the empty structure.
 
@@ -28,6 +29,7 @@ build that log a batch of parsed records at a time too.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import numbers
@@ -39,6 +41,7 @@ import numpy as np
 
 from .measures import (
     FiniteMeasure,
+    _json_objects,
     measure_from_payload,
     measure_to_payload,
 )
@@ -65,6 +68,7 @@ from .value import Value
 
 __all__ = [
     "MixtureAtom",
+    "LocalComponent",
     "SetSingletonComponent",
     "VertexComponent",
     "PairComponent",
@@ -111,11 +115,9 @@ def _check_rate(r: float, name: str) -> float:
 
 
 def _check_pattern(pattern, name: str) -> tuple[float, float, float]:
-    pattern = tuple(_check_number(p, name) for p in pattern)
-    if len(pattern) != 3 or any(p < 0 for p in pattern):
-        raise ValueError(f"{name} must be 3 nonnegative probabilities")
-    if abs(sum(pattern) - 1.0) > RATE_TOL:
-        raise ValueError(f"{name} must sum to 1, got {sum(pattern)}")
+    pattern = tuple(_check_prob(p, name) for p in pattern)
+    if len(pattern) != 3 or abs(sum(pattern) - 1.0) > RATE_TOL:
+        raise ValueError(f"{name} must be 3 probabilities summing to 1, got {pattern}")
     return pattern
 
 
@@ -130,8 +132,8 @@ class _Component(Value):
     which raises ValueError unless the component fits the process signature,
     and ``restrict(signature, n)``, which returns its level-n sampler: a
     finite ``rate`` plus ``sample_cells_batch(rng, k)``, k nonempty increments.  The
-    JSON form is the tag plus the value fields; each kind's
-    ``__post_init__`` checks their types and ranges.
+    JSON form is the tag plus the value fields, a measure as measure JSON
+    (``_component_from_payload``); ``__post_init__`` checks types and ranges.
     """
 
     tag: ClassVar[str]
@@ -140,21 +142,10 @@ class _Component(Value):
         payload = {"type": self.tag}
         for name in self._fields:
             value = getattr(self, name)
+            if isinstance(value, FiniteMeasure):
+                value = measure_to_payload(value)
             payload[name] = list(value) if isinstance(value, tuple) else value
         return payload
-
-    @classmethod
-    def from_payload(cls, payload: dict):
-        known = {*cls._fields, "type"}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(f"{cls.tag} component has unknown keys: {unknown}")
-        return cls(**{k: v for k, v in payload.items() if k != "type"})
-
-
-def _require_graph_signature(comp: _Component, signature: Signature) -> None:
-    if signature not in (_SIG_GRAPH, _SIG_COMMUNITY):
-        raise ValueError(f"{type(comp).__name__} requires signature (2) or (1,2)")
 
 
 class MixtureAtom(_Component):
@@ -184,23 +175,6 @@ class MixtureAtom(_Component):
         return _RestrictedMixture(self, signature, n)
 
 
-class SetSingletonComponent(_Component):
-    """Rate ``rate`` per element i: the jump flips the single cell {i}."""
-
-    tag = "set_singleton"
-    rate: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rate", _check_rate(self.rate, "rate"))
-
-    def validate(self, signature: Signature) -> None:
-        if signature.arities != (1,):
-            raise ValueError("set singleton component requires signature (1)")
-
-    def restrict(self, signature: Signature, n: int):
-        return _RestrictedSetSingleton(self, signature, n)
-
-
 class VertexComponent(_Component):
     """Per-vertex jumps: each edge incident to the chosen vertex flips with
     probability ``rho``; for a community signature the vertex's membership
@@ -228,7 +202,8 @@ class VertexComponent(_Component):
             )
 
     def validate(self, signature: Signature) -> None:
-        _require_graph_signature(self, signature)
+        if signature not in (_SIG_GRAPH, _SIG_COMMUNITY):
+            raise ValueError("VertexComponent requires signature (2) or (1,2)")
         if signature == _SIG_GRAPH and self.member_prob != 0.0:
             raise ValueError("member_prob requires signature (1,2)")
 
@@ -236,46 +211,83 @@ class VertexComponent(_Component):
         return _RestrictedVertex(self, signature, n)
 
 
-class PairComponent(_Component):
+class LocalComponent(_Component):
+    """Rate ``rate`` per k-subset of the labels, k = ``measure.n`` >= 1: the
+    jump flips a pattern drawn from ``measure``, a finite measure nu over
+    [k], carried onto the subset by the increasing map from [k].  Every cell
+    of nu's support uses all k labels, so a jump restricted to [m] is empty
+    unless its subset lies in [m], and the level-n rate is ``rate`` C(n, k)
+    |nu| at every n (the mapping theorem; Kingman 1993).  nu's relations
+    flip the process relations of their arities (``_relation_slots``)."""
+
+    tag = "local"
+    rate: float
+    measure: FiniteMeasure
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rate", _check_rate(self.rate, "rate"))
+        mu = self.measure
+        if mu.n < 1:
+            raise ValueError(f"local pattern measure must be over [k], k >= 1, got n={mu.n}")
+        labels = set(range(1, mu.n + 1))
+        for m in mu.support():
+            if m.is_empty():
+                raise ValueError("local pattern measure must not weight the empty structure")
+            for j in range(m.signature.k):
+                for cell in (c for c in m.tuples(j) if set(c) != labels):
+                    text = f"({','.join(map(str, cell))}) of relation {j + 1}"
+                    raise ValueError(f"local pattern cell {text} does not use all {mu.n} labels")
+
+    def validate(self, signature: Signature) -> None:
+        _relation_slots(self.measure.signature, signature)
+
+    def restrict(self, signature: Signature, n: int):
+        return _RestrictedLocal(self, signature, n)
+
+
+def _relation_slots(pattern: Signature, signature: Signature) -> list[int]:
+    """The process relation that each relation of a local pattern signature
+    flips: the first one of the same arity after the previous one's; a
+    process relation left over never flips."""
+    slots = [-1]
+    for arity in pattern.arities:
+        if arity not in signature.arities[slots[-1] + 1:]:
+            raise ValueError(f"local pattern signature {pattern} does not fit {signature}")
+        slots.append(signature.arities.index(arity, slots[-1] + 1))
+    return slots[1:]
+
+
+def _local(rate: float, signature: Signature, k: int, patterns) -> LocalComponent:
+    """The local component whose measure puts mass w on the structure over
+    [k] with the tuples ``relations``, for each (w, relations) of ``patterns``."""
+    return LocalComponent(rate, FiniteMeasure(signature, k, {
+        Structure.from_tuples(signature, k, relations): w for w, relations in patterns
+    }))
+
+
+def SetSingletonComponent(rate: float) -> LocalComponent:
+    """Rate ``rate`` per element i: the jump flips the single cell {i}."""
+    return _local(rate, Signature((1,)), 1, [(1.0, [[1]])])
+
+
+def PairComponent(rate: float, pattern=(1 / 3, 1 / 3, 1 / 3)) -> LocalComponent:
     """Per-unordered-pair jumps: for the chosen pair {i, j} (i < j), flip one
     of the nonempty subsets of {(i,j), (j,i)} drawn from ``pattern``
     (forward only, backward only, both)."""
-
-    tag = "pair"
-    rate: float
-    pattern: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rate", _check_rate(self.rate, "rate"))
-        object.__setattr__(self, "pattern", _check_pattern(self.pattern, "pattern"))
-
-    def validate(self, signature: Signature) -> None:
-        _require_graph_signature(self, signature)
-
-    def restrict(self, signature: Signature, n: int):
-        return _RestrictedPair(self, signature, n)
+    fwd, bwd, both = _check_pattern(pattern, "pattern")
+    return _local(rate, _SIG_GRAPH, 2, [(fwd, [[(1, 2)]]), (bwd, [[(2, 1)]]),
+                                        (both, [[(1, 2), (2, 1)]])])
 
 
-class LoopComponent(_Component):
+def LoopComponent(rate: float, pattern=(0.0, 1.0, 0.0)) -> LocalComponent:
     """Per-element jumps on the diagonal: flip the loop (i, i).  For a
     community signature, ``pattern`` distributes over the nonempty subsets
     of {membership flip, loop flip} (member only, loop only, both)."""
-
-    tag = "loop"
-    rate: float
-    pattern: tuple[float, float, float] = (0.0, 1.0, 0.0)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rate", _check_rate(self.rate, "rate"))
-        object.__setattr__(self, "pattern", _check_pattern(self.pattern, "pattern"))
-
-    def validate(self, signature: Signature) -> None:
-        _require_graph_signature(self, signature)
-        if signature == _SIG_GRAPH and self.pattern != (0.0, 1.0, 0.0):
-            raise ValueError("loop pattern other than (0,1,0) requires signature (1,2)")
-
-    def restrict(self, signature: Signature, n: int):
-        return _RestrictedLoop(self, signature, n)
+    member, loop, both = _check_pattern(pattern, "pattern")
+    if member == both == 0.0:
+        return _local(rate, _SIG_GRAPH, 1, [(1.0, [[(1, 1)]])])
+    return _local(rate, _SIG_COMMUNITY, 1, [(member, [[1], []]), (loop, [[], [(1, 1)]]),
+                                            (both, [[1], [(1, 1)]])])
 
 
 class ExplicitFinite(_Component):
@@ -296,27 +308,13 @@ class ExplicitFinite(_Component):
     def restrict(self, signature: Signature, n: int):
         return _RestrictedExplicit(self, signature, n)
 
-    def to_payload(self) -> dict:
-        return {"type": self.tag, "measure": measure_to_payload(self.measure)}
 
-    @classmethod
-    def from_payload(cls, payload: dict):
-        return super().from_payload(
-            {**payload, "measure": measure_from_payload(payload["measure"])}
-        )
-
-
-# JSON type tag -> component class
+# JSON type tag -> component class, or the local component builder of the tag
 _COMPONENT_KINDS = {
-    cls.tag: cls
-    for cls in (
-        MixtureAtom,
-        SetSingletonComponent,
-        VertexComponent,
-        PairComponent,
-        LoopComponent,
-        ExplicitFinite,
-    )
+    **{cls.tag: cls for cls in (MixtureAtom, VertexComponent, LocalComponent, ExplicitFinite)},
+    "set_singleton": SetSingletonComponent,
+    "pair": PairComponent,
+    "loop": LoopComponent,
 }
 
 
@@ -414,11 +412,6 @@ class _LevelSampler:
         return _structure_from_cells(self.signature, self.n, cells)
 
 
-def _pattern_choice(rng, pattern_cum: np.ndarray, k: int) -> np.ndarray:
-    """k draws of a pattern index 0, 1 or 2 from its cumulative weights."""
-    return np.minimum(np.searchsorted(pattern_cum, rng.random(k), side="right"), 2)
-
-
 class _RestrictedMixture(_LevelSampler):
     def __init__(self, comp: MixtureAtom, signature: Signature, n: int):
         self.signature = signature
@@ -432,34 +425,7 @@ class _RestrictedMixture(_LevelSampler):
         return self.blocks.sample(rng, k)
 
 
-class _RestrictedSetSingleton(_LevelSampler):
-    def __init__(self, comp: SetSingletonComponent, signature: Signature, n: int):
-        self.signature = signature
-        self.n = n
-        self.rate = comp.rate * n
-
-    def sample_cells_batch(self, rng, k: int) -> tuple[np.ndarray, np.ndarray]:
-        return rng.integers(0, self.n, k), np.ones((k, 1), np.int64)
-
-
-class _GraphSampler(_LevelSampler):
-    """A component on signature (2) or (1,2): membership cells (relation 0
-    of (1,2)) and edge cells (the last relation)."""
-
-    def _columns(self, edges, members=None) -> tuple[np.ndarray, np.ndarray]:
-        """A batch's columns from its edge column and, for (1,2), its
-        membership column, each a pair (cells, count per row); no
-        membership column means no membership flips."""
-        cells, counts = edges
-        counts = np.asarray(counts, np.int64)
-        if self.signature.k == 1:
-            return cells, counts.reshape(-1, 1)
-        if members is None:
-            return cells, np.column_stack([np.zeros_like(counts), counts])
-        return _row_major([members, (cells, counts)], len(counts))
-
-
-class _RestrictedVertex(_GraphSampler):
+class _RestrictedVertex(_LevelSampler):
     def __init__(self, comp: VertexComponent, signature: Signature, n: int):
         self.signature = signature
         self.n = n
@@ -496,55 +462,62 @@ class _RestrictedVertex(_GraphSampler):
         cells = self._edge_cells(vertices[row], slots[edge])
         edges = cells[np.lexsort((cells, row))], sizes
         if not self.has_member:
-            return self._columns(edges)
+            return edges[0], flips
         member = flips[:, 0] == 1
-        return self._columns(edges, (vertices[member], member))
+        return _row_major([(vertices[member], member), edges], k)
 
 
-class _RestrictedPair(_GraphSampler):
-    def __init__(self, comp: PairComponent, signature: Signature, n: int):
-        self.signature = signature
-        self.n = n
-        self.pattern_cum = np.array(list(accumulate(comp.pattern)))
-        self.rate = comp.rate * n * (n - 1) / 2.0
+class _RestrictedLocal(_LevelSampler):
+    """A local component at level n.  Each jump draws k distinct labels and
+    a pattern of nu, and maps the pattern's cells through the labels in
+    increasing order, which keeps each relation's cells sorted."""
+
+    def __init__(self, comp: LocalComponent, signature: Signature, n: int):
+        self.signature, self.n = signature, n
+        self.measure = mu = comp.measure
+        self.rate = comp.rate * math.comb(n, mu.n) * mu.total_mass
+        support, width = mu.support(), signature.max_arity
+        cells = [cell for m in support for j in range(mu.signature.k) for cell in m.tuples(j)]
+        # per tuple position of each pattern cell, in nu's sampling order: its
+        # label's place among the k, and weight in the cell's code over [n]
+        self.places, self.weights = (np.array(table, np.int64).reshape(-1, width).T for table in (
+            [[c[i] - 1 if i < len(c) else 0 for i in range(width)] for c in cells],
+            [[n ** (len(c) - 1 - i) if i < len(c) else 0 for i in range(width)] for c in cells],
+        ))
+        self.counts = np.zeros((len(support), signature.k), np.int64)
+        self.counts[:, _relation_slots(mu.signature, signature)] = [
+            [m.tuple_count(j) for j in range(mu.signature.k)] for m in support]
+        self.sizes = self.counts.sum(axis=1)
+        self.first = np.cumsum(self.sizes) - self.sizes  # each pattern's first cell
+
+    def _labels(self, rng, rows: int) -> np.ndarray:
+        """Each row's k distinct labels over [n], 0-based and ascending, as
+        k columns one after another.  A column's draw that ties an earlier
+        column of its row is drawn again, so each row's set is uniform."""
+        columns = [rng.integers(0, self.n, rows)]
+        for _ in range(1, self.measure.n):
+            column, tied = np.empty(rows, np.int64), np.arange(rows)
+            while tied.size:
+                column[tied] = rng.integers(0, self.n, tied.size)
+                tied = tied[np.any([column[tied] == c[tied] for c in columns], axis=0)]
+            columns.append(column)
+        for end in range(len(columns) - 1, 0, -1):  # a bubble sort, by columns
+            for i in range(end):
+                pair = columns[i : i + 2]
+                columns[i : i + 2] = np.minimum(*pair), np.maximum(*pair)
+        return np.concatenate(columns)
 
     def sample_cells_batch(self, rng, k: int) -> tuple[np.ndarray, np.ndarray]:
-        # an ordered pair uniform over i != j, by rejecting i == j, gives the
-        # unordered pair {i, j} uniform over all pairs
-        n = self.n
-        a = rng.integers(0, n, k)
-        b = rng.integers(0, n, k)
-        tied = np.flatnonzero(a == b)
-        while tied.size:
-            b[tied] = rng.integers(0, n, tied.size)
-            tied = tied[a[tied] == b[tied]]
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        fwd, bwd = lo * n + hi, hi * n + lo
-        which = _pattern_choice(rng, self.pattern_cum, k)
-        # pattern 0 flips (lo, hi), 1 flips (hi, lo), 2 both, in that order
-        pairs = np.empty((k, 2), np.int64)
-        pairs[:, 0] = np.where(which == 1, bwd, fwd)
-        pairs[:, 1] = bwd
-        both = np.ones((k, 2), bool)
-        both[:, 1] = which == 2
-        return self._columns((pairs[both], both.sum(axis=1)))
-
-
-class _RestrictedLoop(_GraphSampler):
-    def __init__(self, comp: LoopComponent, signature: Signature, n: int):
-        self.signature = signature
-        self.n = n
-        self.pattern_cum = np.array(list(accumulate(comp.pattern)))
-        self.rate = comp.rate * n
-
-    def sample_cells_batch(self, rng, k: int) -> tuple[np.ndarray, np.ndarray]:
-        # pattern: 0 flips the membership only, 1 the loop only, 2 both
-        vertices = rng.integers(0, self.n, k)
-        which = _pattern_choice(rng, self.pattern_cum, k)
-        loop, member = which != 0, which != 1
-        return self._columns(
-            (vertices[loop] * (self.n + 1), loop), (vertices[member], member)
-        )
+        labels = self._labels(rng, k)  # label i of row r at i * k + r
+        picked = self.measure._pick(rng, k)
+        sizes = self.sizes[picked]
+        row = np.repeat(np.arange(k), sizes)
+        # batch cell i is cell i - (its row's start) of its row's pattern
+        cell = np.arange(len(row)) + (self.first[picked] + sizes - np.cumsum(sizes))[row]
+        cells = np.zeros(len(cell), np.int64)
+        for places, weights in zip(self.places, self.weights):
+            cells += labels[places[cell] * k + row] * weights[cell]
+        return cells, self.counts[picked]
 
 
 def _embed(m: Structure, n: int) -> Structure:
@@ -701,19 +674,33 @@ def intensity_from_json(text: str) -> LevyIntensity:
         raise ValueError(f"malformed intensity JSON: {exc}") from None
     try:
         signature = Signature.parse(payload["signature"])
-        raw_components = payload["components"]
+        raw_components = _json_objects(payload["components"], "intensity field 'components'")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"intensity JSON missing field: {exc}") from None
     components = []
     for raw in raw_components:
         try:
-            kind = raw["type"]
-            if kind not in _COMPONENT_KINDS:
-                raise ValueError(f"unknown component type {kind!r}")
-            components.append(_COMPONENT_KINDS[kind].from_payload(raw))
+            components.append(_component_from_payload(raw))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"component missing field: {exc}") from None
     return LevyIntensity(signature, tuple(components))
+
+
+def _component_from_payload(payload: dict) -> _Component:
+    """The component of a JSON object: its class's or builder's fields, a
+    ``measure`` read as measure JSON; an unknown key is an error."""
+    kind = payload["type"]
+    if kind not in _COMPONENT_KINDS:
+        raise ValueError(f"unknown component type {kind!r}")
+    build = _COMPONENT_KINDS[kind]
+    fields = build._fields if isinstance(build, type) else inspect.signature(build).parameters
+    unknown = sorted(set(payload) - {*fields, "type"})
+    if unknown:
+        raise ValueError(f"{kind} component has unknown keys: {unknown}")
+    values = {k: v for k, v in payload.items() if k != "type"}
+    if "measure" in values:
+        values["measure"] = measure_from_payload(values["measure"])
+    return build(**values)
 
 
 def trajectory_to_csv(traj: LevyTrajectory) -> str:
@@ -787,15 +774,15 @@ def _int_field(record: dict, name: str) -> int:
 
 def _header(text: str) -> tuple[Structure, float]:
     """Start state and horizon of an event-stream header.  Fields are
-    type-checked rather than coerced: n an integer, T a finite number > 0,
+    type-checked rather than coerced: n an integer, T a finite number >= 0,
     seed (optional) an integer or null; any defect raises ValueError."""
     try:
         header = json.loads(text)
         signature = Signature.parse(_text_field(header, "signature"))
         n = _int_field(header, "n")
         horizon = _check_number(header["T"], "event-stream field 'T'")
-        if horizon <= 0.0:
-            raise ValueError(f"event-stream field 'T' must be > 0, got {horizon}")
+        if horizon < 0.0:
+            raise ValueError(f"event-stream field 'T' must be >= 0, got {horizon}")
         if header.get("seed") is not None:
             _int_field(header, "seed")
         if "init" in header:

@@ -126,9 +126,13 @@ class FiniteMeasure:
         """k draws by inverse CDF, the draws that k calls of :meth:`sample`
         make from the same stream, as one flat column of their sorted cells
         and the (k x relations) counts (see ``structures._Parser.batch``)."""
-        cum, (cells, counts) = self._inverse_cdf
+        return _take_rows(*self._inverse_cdf[1], self._pick(rng, k))
+
+    def _pick(self, rng, k: int) -> np.ndarray:
+        """k draws by inverse CDF, one uniform each, as places in :meth:`support`."""
+        cum = self._inverse_cdf[0]
         picked = np.searchsorted(cum, rng.random(k) * self.total_mass, side="right")
-        return _take_rows(cells, counts, np.minimum(picked, len(cum) - 1))
+        return np.minimum(picked, len(cum) - 1)
 
     def approx_equal(self, other: "FiniteMeasure", tol: float = MASS_TOL) -> bool:
         if self.signature != other.signature or self.n != other.n:
@@ -249,14 +253,22 @@ def measure_to_payload(mu: FiniteMeasure) -> dict:
     }
 
 
+def _json_objects(value, field: str) -> list:
+    """``value``, the parsed JSON field ``field``, if an array of objects."""
+    if not isinstance(value, list) or not all(isinstance(item, dict) for item in value):
+        raise ValueError(f"{field} must be an array of objects, got {json.dumps(value):.60}")
+    return value
+
+
 def measure_from_payload(payload: dict) -> FiniteMeasure:
-    """Fields are type-checked rather than coerced: ``n`` a JSON integer,
-    each ``structure`` a string and each ``mass`` a number (not a bool or a
-    string)."""
+    """Fields are type-checked rather than coerced: ``entries`` an array of
+    objects, ``n`` a JSON integer, each ``structure`` a string and each
+    ``mass`` a number (not a bool or a string)."""
     try:
         signature = Signature.parse(payload["signature"])
         n = payload["n"]
-        entries = [(entry["structure"], entry["mass"]) for entry in payload["entries"]]
+        entries = _json_objects(payload["entries"], "measure field 'entries'")
+        entries = [(entry["structure"], entry["mass"]) for entry in entries]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"measure JSON missing field: {exc}") from None
     if isinstance(n, bool) or not isinstance(n, int):

@@ -21,10 +21,8 @@ import comblevy
 from comblevy.levy import (
     RestrictedIntensity,
     _RestrictedExplicit,
-    _RestrictedLoop,
+    _RestrictedLocal,
     _RestrictedMixture,
-    _RestrictedPair,
-    _RestrictedSetSingleton,
     _RestrictedVertex,
 )
 from comblevy.measures import FiniteMeasure, OrbitWeights, measure_to_payload
@@ -247,11 +245,9 @@ def gillespie_levy(restricted, horizon: float, rng) -> tuple[list[float], list[S
     return times, increments
 
 
-def _graph_rows(sampler, edges, members=None) -> list:
+def _graph_rows(sampler, edges, members) -> list:
     if sampler.signature.k == 1:
         return [[e] for e in edges]
-    if members is None:
-        return [[[], e] for e in edges]
     return [[m, e] for m, e in zip(members, edges)]
 
 
@@ -264,9 +260,60 @@ def _vertex_edge_cell(sampler, v: int, x: int) -> int:
     return v * n + other if direction == 0 else other * n + v
 
 
-def _pattern_rows(rng, pattern_cum, k: int) -> list[int]:
-    picked = np.searchsorted(pattern_cum, rng.random(k), side="right")
-    return np.minimum(picked, 2).tolist()
+def local_slots(pattern: Signature, signature: Signature) -> list[int]:
+    """The process relation that each relation of a local pattern flips:
+    the next one, in order, of the same arity."""
+    slots, free = [], list(enumerate(signature.arities))
+    for arity in pattern.arities:
+        free = free[next(i for i, (_, a) in enumerate(free) if a == arity):]
+        slots.append(free.pop(0)[0])
+    return slots
+
+
+def local_law(comp, signature: Signature, n: int) -> dict:
+    """The level-n jump law of a local component, by enumeration: each
+    k-subset of [n] with each pattern of nu, mapped onto the subset in
+    increasing order, at rate ``comp.rate`` times the pattern's mass."""
+    mu = comp.measure
+    slots = local_slots(mu.signature, signature)
+    law: dict[Structure, float] = {}
+    for subset in itertools.combinations(range(1, n + 1), mu.n):
+        for pattern, w in mu.weights.items():
+            relations = [[] for _ in signature.arities]
+            for j, slot in enumerate(slots):
+                relations[slot] = [tuple(subset[a - 1] for a in t) for t in pattern.tuples(j)]
+            jump = Structure.from_tuples(signature, n, relations)
+            law[jump] = law.get(jump, 0.0) + comp.rate * w
+    return law
+
+
+def _local_rows(sampler, rng, k: int) -> list:
+    """The reference rows of a local component at level n: per row, k
+    distinct labels drawn a column at a time, a draw that ties an earlier
+    column of its row drawn again, then a pattern of nu, each of its cells
+    mapped through the row's sorted labels into the process relation of
+    its arity."""
+    mu, n = sampler.measure, sampler.n
+    columns = []
+    for _ in range(mu.n):
+        column = rng.integers(0, n, k)
+        tied = [r for r in range(k) if any(c[r] == column[r] for c in columns)]
+        while tied:
+            column[tied] = rng.integers(0, n, len(tied))
+            tied = [r for r in tied if any(c[r] == column[r] for c in columns)]
+        columns.append(column.tolist())
+    labels = [sorted(row) for row in zip(*columns)]
+    slots = local_slots(mu.signature, sampler.signature)
+    rows = []
+    for row_labels, pattern in zip(labels, sample_rows(mu, rng, k)):
+        row = [[] for _ in sampler.signature.arities]
+        for slot, arity, cells in zip(slots, mu.signature.arities, pattern):
+            images = [[row_labels[a - 1] + 1 for a in decode_cell(c, mu.n, arity)] for c in cells]
+            row[slot] = sorted(
+                sum((a - 1) * n ** (arity - 1 - i) for i, a in enumerate(image)) for image in images
+            )
+        rows.append(row)
+    return rows
 
 
 def sample_rows(sampler, rng, k: int) -> list:
@@ -285,8 +332,6 @@ def sample_rows(sampler, rng, k: int) -> list:
         return [_cells(structures[i]) for i in np.minimum(picked, len(cum) - 1).tolist()]
     if isinstance(sampler, _RestrictedExplicit):
         return sample_rows(sampler.level_measure, rng, k)
-    if isinstance(sampler, _RestrictedSetSingleton):
-        return [[[i]] for i in rng.integers(0, sampler.n, k).tolist()]
     if isinstance(sampler, _RestrictedMixture):
         return _cell_lists(*sampler.blocks.sample(rng, k))
     if isinstance(sampler, _RestrictedVertex):
@@ -296,28 +341,8 @@ def sample_rows(sampler, rng, k: int) -> list:
             members.append([v] if sampler.has_member and flips[0] else [])
             edges.append(sorted(_vertex_edge_cell(sampler, v, x) for x in flips[-1]))
         return _graph_rows(sampler, edges, members)
-    if isinstance(sampler, _RestrictedPair):
-        n = sampler.n
-        a = rng.integers(0, n, k)
-        b = rng.integers(0, n, k)
-        tied = np.flatnonzero(a == b)
-        while tied.size:
-            b[tied] = rng.integers(0, n, tied.size)
-            tied = tied[a[tied] == b[tied]]
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        which = _pattern_rows(rng, sampler.pattern_cum, k)
-        edges = [
-            [f] if w == 0 else [r] if w == 1 else [f, r]
-            for f, r, w in zip((lo * n + hi).tolist(), (hi * n + lo).tolist(), which)
-        ]
-        return _graph_rows(sampler, edges)
-    if isinstance(sampler, _RestrictedLoop):
-        vertices = rng.integers(0, sampler.n, k).tolist()
-        which = _pattern_rows(rng, sampler.pattern_cum, k)
-        loop = sampler.n + 1
-        members = [[v] if w != 1 else [] for v, w in zip(vertices, which)]
-        edges = [[v * loop] if w != 0 else [] for v, w in zip(vertices, which)]
-        return _graph_rows(sampler, edges, members)
+    if isinstance(sampler, _RestrictedLocal):
+        return _local_rows(sampler, rng, k)
     if isinstance(sampler, RestrictedIntensity):
         labels = np.searchsorted(sampler._cum, rng.random(k) * sampler.total_rate, side="right")
         labels = np.minimum(labels, len(sampler.components) - 1)

@@ -30,3 +30,21 @@ def test_run_ends_with_a_correct_result_line(workload, trace, tmp_path):
     result = json.loads(lines[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+@pytest.mark.parametrize("workload", ["graph-stream", "set-csv", "community-exch"], ids=["2", "1", "1,2"])
+def test_per_kind_sampler_probes(workload, monkeypatch):
+    # the traced run's per-kind sampler probes, on each workload's
+    # signature; no tier-1 test runs community-exch, the (1,2) workload
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import tracing
+    import workloads
+
+    levy = workloads.WORKLOADS[workload].levy
+    intensity = json.dumps({"signature": levy.signature, "components": levy.components})
+    metrics = tracing.levy_probes(intensity, levy.n, workloads.walk_measure_json(), 7, draws=20)
+    kinds = ["explicit", "loop", "mixture", "pair", "set_singleton", "vertex"]
+    assert sorted(k for k in metrics if k.startswith("levy.sample_us.")) == [
+        f"levy.sample_us.{kind}" for kind in kinds
+    ]
+    assert all(0 < value < float("inf") for value in metrics.values())

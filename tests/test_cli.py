@@ -389,6 +389,20 @@ class TestErrorHandling:
         assert run_cli(["simulate-levy", "--intensity", bad, "--n", 5, "--horizon", 1,
                         "--seed", 1, "--out", tmp_path / "t.csv"]) == 2
 
+    @pytest.mark.parametrize("value", [None, {}, "ab", [1]], ids=["null", "object", "string", "number"])
+    @pytest.mark.parametrize("command", ["simulate-levy", "simulate-walk"])
+    def test_component_and_entry_lists_must_hold_objects_exit_2(self, tmp_path, capsys, command, value):
+        bad = tmp_path / "in.json"
+        if command == "simulate-levy":
+            field, payload = "components", {"signature": "(1)", "components": value}
+            args = ["--intensity", bad, "--n", 5, "--horizon", 1, "--out", tmp_path / "t.csv"]
+        else:
+            field, payload = "entries", {"signature": "(1)", "n": 2, "entries": value}
+            args = ["--measure", bad, "--steps", 2, "--out", tmp_path / "w.csv"]
+        bad.write_text(json.dumps(payload))
+        assert run_cli([command, *args, "--seed", 1]) == 2
+        assert f"'{field}' must" in capsys.readouterr().err
+
     @pytest.mark.parametrize("alpha", ["7", "nan", "-1", "0", "1", "inf"])
     def test_test_level_outside_unit_interval_exit_2(self, tmp_path, measure_file, alpha):
         walk_out = tmp_path / "walk.csv"
@@ -580,6 +594,61 @@ class TestErrorHandling:
         assert exc.value.code == 2
 
 
+def _local_intensity(cells, signature="(3)", rate=1.0):
+    """A local intensity on ``signature`` whose pattern law is uniform on
+    the one-cell patterns ``cells`` of (3) over [3]."""
+    entries = [{"structure": f"L=(3)|n=3|R1={{{cell}}}", "mass": 1 / len(cells)} for cell in cells]
+    measure = {"signature": "(3)", "n": 3, "entries": entries}
+    return json.dumps({"signature": signature,
+                       "components": [{"type": "local", "rate": rate, "measure": measure}]})
+
+
+# the six cells of (3) on the labels 1, 2, 3: S_3 permutes them
+S3_CELLS = ["(1,2,3)", "(1,3,2)", "(2,1,3)", "(2,3,1)", "(3,1,2)", "(3,2,1)"]
+
+
+class TestLocalArityThree:
+    def test_simulate_and_estimate_at_n_100(self, tmp_path):
+        intensity, path, out = tmp_path / "local.json", tmp_path / "levy.jsonl", tmp_path / "mu.json"
+        intensity.write_text(_local_intensity(S3_CELLS, rate=0.01))
+        assert run_cli(["simulate-levy", "--intensity", intensity, "--n", 100, "--horizon", 1.0,
+                        "--seed", 1, "--format", "jsonl", "--out", path]) == 0
+        assert run_cli(["estimate-jumps", "--trajectory", path, "--out", out]) == 0
+        mu = measure_from_json(out.read_text())
+        assert len(mu.weights) > 1000  # about 0.01 C(100, 3) = 1617 jumps, nearly all distinct
+        for jump in mu.weights:
+            (cell,) = jump.tuples(0)
+            assert len(set(cell)) == 3
+
+    @pytest.mark.parametrize("text, message", [
+        (_local_intensity(["(1,2,3)", "(1,1,2)"]), "cell (1,1,2) of relation 1 does not use all 3"),
+        (_local_intensity(S3_CELLS, signature="(2)"), "pattern signature (3) does not fit"),
+    ], ids=["missing-label", "signature"])
+    def test_invalid_pattern_law_exit_2(self, tmp_path, capsys, text, message):
+        intensity = tmp_path / "local.json"
+        intensity.write_text(text)
+        assert run_cli(["simulate-levy", "--intensity", intensity, "--n", 5, "--horizon", 1.0,
+                        "--seed", 1, "--out", tmp_path / "t.csv"]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n, horizon", [(4, 100.0), (5, 60.0)])
+    def test_exchangeability_accepts_an_invariant_pattern_law(self, tmp_path, n, horizon):
+        # about 400 and 600 jumps; each of the 10 runs of this test rejects
+        # an exact sampler's path with probability at most 0.001, so the
+        # two together have a false-alarm rate of at most 1%
+        intensity = tmp_path / "local.json"
+        intensity.write_text(_local_intensity(S3_CELLS))
+        for seed in range(1, 6):
+            path, out = tmp_path / f"levy-{seed}.jsonl", tmp_path / f"report-{seed}.json"
+            assert run_cli(["simulate-levy", "--intensity", intensity, "--n", n,
+                            "--horizon", horizon, "--seed", seed, "--format", "jsonl",
+                            "--out", path]) == 0
+            assert run_cli(["test-exchangeability", "--trajectory", path, "--alpha", 0.001,
+                            "--out", out]) == 0
+            report = json.loads(out.read_text())
+            assert report["df"] > 0 and report["alphas"] == {"0.001": False}, report
+
+
 class TestLoadTrajectory:
     def test_reads_the_open_file_a_piece_at_a_time(self, tmp_path):
         # set-csv's path in each file format, with "\r\n" line ends; the
@@ -654,10 +723,11 @@ class TestDeterminism:
             assert (dirs[0] / fname).read_bytes() == (dirs[1] / fname).read_bytes()
 
     # sha256 of the outputs of the implementation that pulled each injection
-    # back cell by cell in Python
+    # back cell by cell in Python; the limits on the path as the local kind
+    # draws its pair patterns
     PINNED_DENSITY_OUTPUTS = {
         "density": "00aa411bb5abc055adae60881a312c54a83ae4773614eba3eb3f7541fad5a3f4",
-        "limits": "b1c0947c709a0513e59a9a560f6c3a1bfc1afa4b753b3f69303142de0e24c504",
+        "limits": "74432350d6118047da99b1bf8d53a943c249c8e86b56a58c15b59c07680033ed",
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED_DENSITY_OUTPUTS))

@@ -18,6 +18,7 @@ from comblevy.limits import density_vector, limit_path
 from comblevy.levy import (
     ExplicitFinite,
     LevyIntensity,
+    LocalComponent,
     LoopComponent,
     MixtureAtom,
     PairComponent,
@@ -58,6 +59,8 @@ from helpers import (
     expm_small,
     gillespie_levy,
     levy_path,
+    local_law,
+    local_slots,
     naive_restrict,
     random_permutation,
     random_structure,
@@ -77,6 +80,7 @@ SIG1 = Signature((1,))
 SIG2 = Signature((2,))
 SIG12 = Signature((1, 2))
 SIG13 = Signature((1, 3))
+SIG3 = Signature((3,))
 SIG01 = Signature((0, 1))
 
 
@@ -112,6 +116,25 @@ class TestComponentValidation:
     def test_loop_pattern_graph_signature(self):
         with pytest.raises(ValueError):
             LevyIntensity(SIG2, (LoopComponent(1.0, pattern=(0.5, 0.5, 0.0)),))
+
+    def test_local_pattern_cells_use_every_label(self):
+        mu = FiniteMeasure(SIG3, 3, {S(SIG3, 3, {(1, 2, 3), (1, 1, 2)}): 1.0})
+        with pytest.raises(ValueError, match=r"cell \(1,1,2\) of relation 1 does not use all 3"):
+            LocalComponent(1.0, mu)
+        with pytest.raises(ValueError, match="must not weight the empty structure"):
+            LocalComponent(1.0, FiniteMeasure(SIG3, 3, {empty_structure(SIG3, 3): 1.0}))
+        with pytest.raises(ValueError, match="k >= 1"):
+            LocalComponent(1.0, FiniteMeasure(SIG1, 0, {}))
+
+    def test_local_measure_must_fit_signature(self):
+        for sig in (SIG1, SIG3, SIG13):
+            with pytest.raises(ValueError, match=r"pattern signature \(2\) does not fit"):
+                LevyIntensity(sig, (PairComponent(1.0),))
+        with pytest.raises(ValueError, match=r"pattern signature \(1,2\) does not fit"):
+            LevyIntensity(Signature((2, 2)), (LoopComponent(1.0, pattern=(0.5, 0.5, 0.0)),))
+        # nu's relations go to the process relations of their arity in order
+        sampler = PairComponent(1.0).restrict(Signature((2, 2)), 4)
+        assert not sampler.sample_cells_batch(make_rng(1), 100)[1][:, 1].any()
 
     def test_pattern_must_normalize(self):
         with pytest.raises(ValueError):
@@ -251,6 +274,108 @@ class TestConditionalSamplers:
         r = RestrictedIntensity(I, 4)
         rng = make_rng(45)
         assert all(not r.sample(rng).is_empty() for _ in range(2000))
+
+
+def _graph(sig, n, members, edges):
+    """The structure with these members and edges over [n], for the
+    signature (2) or (1,2)."""
+    return S(sig, n, members, edges) if sig == SIG12 else S(sig, n, edges)
+
+
+# An asymmetric pattern law on (3) over [3]: patterns of one and two cells.
+NU3 = FiniteMeasure(SIG3, 3, {
+    S(SIG3, 3, {(1, 2, 3)}): 0.5,
+    S(SIG3, 3, {(2, 1, 3), (3, 1, 2)}): 0.3,
+    S(SIG3, 3, {(3, 2, 1)}): 0.2,
+})
+
+
+class TestLocalLaw:
+    """The local kind's level-n law against enumerations that share no
+    code with its sampler: the closed forms of the set-singleton, pair and
+    loop kinds it replaced, its draws at arity 3, and restriction."""
+
+    @staticmethod
+    def _old_law(kind, sig, n, rate, pattern):
+        """The jump law, at rate per jump, of the set-singleton, pair and
+        loop kinds, as those kinds defined it."""
+        law = Counter()
+        if kind == "set_singleton":
+            for i in range(1, n + 1):
+                law[S(sig, n, {i})] += rate
+        elif kind == "pair":
+            for i, j in itertools.combinations(range(1, n + 1), 2):
+                for w, edges in zip(pattern, ({(i, j)}, {(j, i)}, {(i, j), (j, i)})):
+                    law[_graph(sig, n, set(), edges)] += rate * w
+        else:
+            for i in range(1, n + 1):
+                for w, members, edges in zip(pattern, ({i}, set(), {i}), (set(), {(i, i)}, {(i, i)})):
+                    law[_graph(sig, n, members, edges)] += rate * w
+        return {jump: w for jump, w in law.items() if w}
+
+    # name -> the old kind, its signature, its front end and pattern
+    OLD_KINDS = {
+        "set_singleton": ("set_singleton", SIG1, lambda: SetSingletonComponent(2.0), None),
+        "pair": ("pair", SIG2, lambda: PairComponent(2.0), (1 / 3, 1 / 3, 1 / 3)),
+        "pair_skewed": ("pair", SIG2, lambda: PairComponent(2.0, (0.5, 0.3, 0.2)), (0.5, 0.3, 0.2)),
+        "pair_community": ("pair", SIG12, lambda: PairComponent(2.0, (0.5, 0.2, 0.3)), (0.5, 0.2, 0.3)),
+        "loop": ("loop", SIG2, lambda: LoopComponent(2.0), (0.0, 1.0, 0.0)),
+        "loop_community": ("loop", SIG12, lambda: LoopComponent(2.0), (0.0, 1.0, 0.0)),
+        "loop_member": ("loop", SIG12, lambda: LoopComponent(2.0, (0.3, 0.4, 0.3)), (0.3, 0.4, 0.3)),
+    }
+    # the old kinds' level-n rates per unit rate
+    OLD_RATES = {"set_singleton": lambda n: n, "pair": lambda n: n * (n - 1) / 2, "loop": lambda n: n}
+
+    @pytest.mark.parametrize("name", sorted(OLD_KINDS))
+    def test_front_ends_keep_the_old_laws(self, name):
+        kind, sig, build, pattern = self.OLD_KINDS[name]
+        for n in range(1, 5):
+            old = self._old_law(kind, sig, n, 2.0, pattern)
+            new = local_law(build(), sig, n)
+            assert set(new) == set(old)
+            assert all(abs(new[jump] - w) <= 1e-12 for jump, w in old.items())
+            rate = RestrictedIntensity(LevyIntensity(sig, (build(),)), n).total_rate
+            assert rate == pytest.approx(2.0 * self.OLD_RATES[kind](n), abs=1e-12)
+
+    @pytest.mark.parametrize("sig", [SIG3, Signature((2, 3))], ids=["3", "2,3"])
+    def test_arity_three_draws_match_the_oracle(self, sig):
+        # one chi-square test at level 1e-3 per signature
+        comp, n, draws = LocalComponent(2.0, NU3), 4, 40_000
+        law = local_law(comp, sig, n)
+        restricted = RestrictedIntensity(LevyIntensity(sig, (comp,)), n)
+        assert restricted.total_rate == pytest.approx(sum(law.values()), abs=1e-12)
+        cells, counts = restricted.sample_cells_batch(make_rng(60), draws)
+        seen = Counter(_structure_from_cells(sig, n, row) for row in _cell_lists(cells, counts))
+        assert set(seen) <= set(law)
+        jumps = sorted(law, key=serialize)
+        expected = [draws * law[jump] / sum(law.values()) for jump in jumps]
+        assert stats.chisquare([seen[jump] for jump in jumps], expected).pvalue > 1e-3
+
+    PATTERNS = {
+        1: LoopComponent(1.5, (0.3, 0.4, 0.3)),
+        2: PairComponent(1.5, (0.5, 0.3, 0.2)),
+        3: LocalComponent(1.5, NU3),
+    }
+
+    @pytest.mark.parametrize("k", sorted(PATTERNS))
+    def test_projective_by_enumeration(self, k):
+        # the level-n law restricted to [m], less its empty images, is the
+        # level-m law: rate C(m, k) nu
+        comp = self.PATTERNS[k]
+        sig = comp.measure.signature
+        for n in range(1, 5):
+            law = local_law(comp, sig, n)
+            for m in range(n):
+                image = Counter()
+                for jump, w in law.items():
+                    small = naive_restrict(jump, m)
+                    if not small.is_empty():
+                        image[small] += w
+                want = local_law(comp, sig, m)
+                assert set(image) == set(want)
+                assert all(abs(image[jump] - w) <= 1e-12 for jump, w in want.items())
+                total = comp.rate * math.comb(m, k) * comp.measure.total_mass
+                assert sum(want.values()) == pytest.approx(total, abs=1e-12)
 
 
 class TestLocalComponentSemantics:
@@ -748,19 +873,18 @@ class TestBatchedChainInLaw:
                         probs[j, t] += share * comp.member_prob / hit / n
                     elif t[0] != t[1]:  # either endpoint is the vertex
                         probs[j, t] += share * comp.rho / hit * 2 / n
-            elif isinstance(comp, PairComponent):
-                fwd, bwd, both = comp.pattern
+            elif isinstance(comp, LocalComponent):
+                # a cell flips when its labels are the jump's k-subset and
+                # nu's pattern holds the cell it comes from
+                mu = comp.measure
+                slots = local_slots(mu.signature, SIG12)
                 for j, t in _community_cells(n):
-                    if j == 1 and t[0] != t[1]:
-                        p = fwd + both if t[0] < t[1] else bwd + both
-                        probs[j, t] += share * p / pairs
-            elif isinstance(comp, LoopComponent):
-                member, loop, both = comp.pattern
-                for j, t in _community_cells(n):
-                    if j == 0:
-                        probs[j, t] += share * (member + both) / n
-                    elif t[0] == t[1]:
-                        probs[j, t] += share * (loop + both) / n
+                    labels = sorted(set(t))
+                    if len(labels) != mu.n or j not in slots:
+                        continue
+                    source = tuple(labels.index(a) + 1 for a in t)
+                    hit = sum(w for m, w in mu.weights.items() if source in m.tuples(slots.index(j)))
+                    probs[j, t] += share * hit / mu.total_mass / math.comb(n, mu.n)
             else:  # explicit, its atoms embedded at level n unchanged
                 mass = comp.measure.total_mass
                 for atom, w in comp.measure.weights.items():
@@ -962,12 +1086,14 @@ class TestColumnSamplers:
 
     # sha256 of events_to_jsonl(simulate_levy(...), seed) with the flips of
     # mixture and vertex jumps drawn by _BernoulliBlocks.sample's batched
-    # draw: any change to the draw order or the writer shows here
+    # draw and the pair and loop patterns in the canonical order of their
+    # local measure's support: any change to the draw order or the writer
+    # shows here
     PINNED = {
-        ("graph", 1): "c295d1964f825ef05df0912ba8fee83cb461fe75b408a74f8c647c59a820ce2d",
-        ("graph", 2): "9a6d02e69f34ca377beaccd3733acb057b457c225ab2c1634f9f19cbb47cacae",
-        ("community", 1): "abd7ccc95ab0ae1110235a62923eeccb4b8e1978b8d159e77802d144c21a349e",
-        ("community", 2): "90df9348e9d3e829a37865cf4d46f889511de5245b1643975dad611ea152417e",
+        ("graph", 1): "d69c2f49ee2a2fcf7fed111ce78adeb7cd3f399a121874ca5ec632fb4c89745c",
+        ("graph", 2): "fd00ed12bf302ceb52b6fe6f5d2e184b5a8305c1cb0c28988587e9a4f225f937",
+        ("community", 1): "2d90e690b19177ba58bc248ffaddc8e23600ae119fa2c4a88c9e11718f312b6d",
+        ("community", 2): "207a4067b4832f10d194f884320937f69a82e83674937149921e1cda17574700",
     }
 
     @pytest.mark.parametrize("name,seed", sorted(PINNED))
@@ -1607,7 +1733,7 @@ class TestFileFormats:
         assert events_from_jsonl(json.dumps({**header, "T": 2, "seed": None})).horizon == 2
         bad = [
             ("n", 3.7), ("n", "3"), ("n", True), ("n", None),
-            ("T", "2"), ("T", True), ("T", 0), ("T", -1.0), ("T", None),
+            ("T", "2"), ("T", True), ("T", -1.0), ("T", None),
             ("T", float("nan")), ("T", float("inf")),
             ("seed", "5"), ("seed", 1.5), ("seed", True),
             ("signature", 12),
@@ -1616,12 +1742,23 @@ class TestFileFormats:
             text = json.dumps({**header, field: value}) + "\n" + record
             with pytest.raises(ValueError, match=f"'{field}'"):
                 events_from_jsonl(text)
+        # T = 0 is a path on [0, 0], which holds no jump
+        assert events_from_jsonl(json.dumps({**header, "T": 0})).horizon == 0.0
+        with pytest.raises(ValueError, match="event beyond the horizon"):
+            events_from_jsonl(json.dumps({**header, "T": 0}) + "\n" + record)
         for t in ("0.5", True):
             text = json.dumps(header) + "\n" + json.dumps(
                 {"t": t, "increment": "L=(1)|n=3|R1={(1)}"}
             )
             with pytest.raises(ValueError, match="'t'"):
                 events_from_jsonl(text)
+
+    def test_one_row_csv_round_trips_through_the_event_stream(self):
+        # a one-row CSV read without a horizon is a path on [0, 0]
+        traj = trajectory_from_csv(f"time,structure\n0.0,{serialize(S(SIG12, 3, {2}, {(1, 3)}))}\n")
+        assert traj.horizon == 0.0 and len(traj.events) == 1
+        back = events_from_jsonl(events_to_jsonl(traj))
+        assert back == traj and back.events == traj.events
 
     def test_events_jsonl_nonempty_start(self):
         I = LevyIntensity(SIG1, (SetSingletonComponent(rate=1.0),))

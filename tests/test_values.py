@@ -7,12 +7,13 @@ from comblevy import inference
 from comblevy.levy import (
     ExplicitFinite,
     LevyIntensity,
+    LocalComponent,
     LoopComponent,
     MixtureAtom,
     PairComponent,
-    SetSingletonComponent,
     VertexComponent,
     _COMPONENT_KINDS,
+    _component_from_payload,
 )
 from comblevy.limits import DensityVector
 from comblevy.measures import FiniteMeasure, OrbitWeights
@@ -21,6 +22,8 @@ from comblevy.structures import Permutation, Signature, Structure
 
 SIG = Signature((1, 2))
 MU = FiniteMeasure(SIG, 2, {Structure(SIG, 2, (1, 0)): 0.5})
+# a membership and a loop flip at one label
+LOCAL_MU = FiniteMeasure(SIG, 1, {Structure(SIG, 1, (1, 1)): 0.5})
 
 # each class with the values of every field, in field order and in the form
 # the class keeps them
@@ -32,10 +35,8 @@ VALUES = [
     (OrbitTable, {"signature": SIG, "n": 1, "entries": ((OrbitId("L=(1,2)|n=1|R1={}|R2={}"), 1),)}),
     (OrbitWeights, {"signature": SIG, "n": 2, "p": {OrbitId("x"): 0.25}}),
     (MixtureAtom, {"weight": 1.5, "probs": (0.1, 0.2)}),
-    (SetSingletonComponent, {"rate": 2.0}),
     (VertexComponent, {"rate": 1.0, "rho": 0.5, "member_prob": 0.25, "include_loop": True}),
-    (PairComponent, {"rate": 1.0, "pattern": (0.0, 1.0, 0.0)}),
-    (LoopComponent, {"rate": 1.0, "pattern": (0.0, 1.0, 0.0)}),
+    (LocalComponent, {"rate": 1.0, "measure": LOCAL_MU}),
     (ExplicitFinite, {"measure": MU}),
     (LevyIntensity, {"signature": SIG, "components": (PairComponent(1.0),)}),
     (DensityVector, {"m": 2, "values": {Structure(SIG, 2, (0, 0)): 1.0}}),
@@ -91,7 +92,8 @@ def test_construction_errors():
 def test_defaults():
     v = VertexComponent(rate=1.0, rho=0.5)
     assert (v.member_prob, v.include_loop) == (0.0, False)
-    assert PairComponent(1.0).pattern == (1 / 3, 1 / 3, 1 / 3)
+    assert PairComponent(1.0) == PairComponent(1.0, (1 / 3, 1 / 3, 1 / 3))
+    assert LoopComponent(1.0) == LoopComponent(1.0, (0.0, 1.0, 0.0))
     # a fresh dict per instance
     w1, w2 = OrbitWeights(SIG, 2), OrbitWeights(SIG, 2)
     assert w1.p == w2.p == {} and w1.p is not w2.p
@@ -109,11 +111,24 @@ def test_orbit_ids_order_by_canonical_text():
         a < "b"
 
 
+# the fields, in JSON form, that each builder of the local kind reads
+BUILDER_FIELDS = {
+    "set_singleton": {"rate": 2.0},
+    "pair": {"rate": 1.0, "pattern": [0.5, 0.25, 0.25]},
+    "loop": {"rate": 1.0, "pattern": [0.5, 0.25, 0.25]},
+}
+
+
 @pytest.mark.parametrize("kind", sorted(_COMPONENT_KINDS))
 def test_component_payload_rejects_unknown_keys(kind):
-    cls = _COMPONENT_KINDS[kind]
-    fields = dict(next(f for c, f in VALUES if c is cls))
-    payload = cls(**fields).to_payload()
-    assert cls.from_payload(payload) == cls(**fields)
+    build = _COMPONENT_KINDS[kind]
+    if kind in BUILDER_FIELDS:  # a builder's tag reads as the local component it builds
+        payload = {"type": kind, **BUILDER_FIELDS[kind]}
+        component = build(**BUILDER_FIELDS[kind])
+        assert component.to_payload()["type"] == "local"
+    else:
+        component = build(**dict(next(f for c, f in VALUES if c is build)))
+        payload = component.to_payload()
+    assert _component_from_payload(payload) == component
     with pytest.raises(ValueError, match=rf"{kind} component has unknown keys: \['extra'\]"):
-        cls.from_payload({**payload, "extra": 1})
+        _component_from_payload({**payload, "extra": 1})
