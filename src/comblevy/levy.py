@@ -41,6 +41,7 @@ import numpy as np
 
 from .measures import (
     FiniteMeasure,
+    _json_object,
     _json_objects,
     measure_from_payload,
     measure_to_payload,
@@ -669,12 +670,11 @@ def intensity_to_json(intensity: LevyIntensity) -> str:
 def intensity_from_json(text: str) -> LevyIntensity:
     """Parse an intensity config; unknown types and unknown keys are errors."""
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed intensity JSON: {exc}") from None
-    try:
+        payload = _json_object(json.loads(text), "intensity JSON")
         signature = Signature.parse(payload["signature"])
         raw_components = _json_objects(payload["components"], "intensity field 'components'")
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed intensity JSON: {exc}") from None
     except (KeyError, TypeError) as exc:
         raise ValueError(f"intensity JSON missing field: {exc}") from None
     components = []
@@ -699,7 +699,8 @@ def _component_from_payload(payload: dict) -> _Component:
         raise ValueError(f"{kind} component has unknown keys: {unknown}")
     values = {k: v for k, v in payload.items() if k != "type"}
     if "measure" in values:
-        values["measure"] = measure_from_payload(values["measure"])
+        measure = _json_object(values["measure"], f"{kind} component field 'measure'")
+        values["measure"] = measure_from_payload(measure)
     return build(**values)
 
 
@@ -777,7 +778,7 @@ def _header(text: str) -> tuple[Structure, float]:
     type-checked rather than coerced: n an integer, T a finite number >= 0,
     seed (optional) an integer or null; any defect raises ValueError."""
     try:
-        header = json.loads(text)
+        header = _json_object(json.loads(text), "event-stream header")
         signature = Signature.parse(_text_field(header, "signature"))
         n = _int_field(header, "n")
         horizon = _check_number(header["T"], "event-stream field 'T'")
@@ -812,7 +813,7 @@ def _records(lines: list[str]) -> tuple[list[float], list[str]]:
     times, texts = [], []
     for line in lines:
         try:
-            record = json.loads(line)
+            record = _json_object(json.loads(line), "event record")
             t = record["t"]
             if isinstance(t, bool) or not isinstance(t, numbers.Real):
                 raise ValueError(f"event-stream field 't' must be a number, got {t!r}")

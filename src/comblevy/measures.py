@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .orbits import OrbitId, orbit_members
+from .orbits import OrbitId, _orbit_groups
 from .structures import (
     Signature,
     Structure,
@@ -190,22 +190,9 @@ def urn_measure(k: int, n: int) -> FiniteMeasure:
     return FiniteMeasure(SIG_SET, n, weights)
 
 
-def _orbit_groups(mu: FiniteMeasure) -> list[list[Structure]]:
-    """Members of every orbit touching the support, grouped per orbit."""
-    seen: set[Structure] = set()
-    groups = []
-    for m in mu.support():
-        if m in seen:
-            continue
-        members = orbit_members(m)
-        seen.update(members)
-        groups.append(members)
-    return groups
-
-
 def is_exchangeable(mu: FiniteMeasure) -> bool:
     """Whether the mass is constant across each isomorphism class."""
-    return _constant_on(mu, _orbit_groups(mu))
+    return _constant_on(mu, _orbit_groups(mu.support()))
 
 
 def _constant_on(mu: FiniteMeasure, groups: list[list[Structure]]) -> bool:
@@ -220,7 +207,7 @@ def _constant_on(mu: FiniteMeasure, groups: list[list[Structure]]) -> bool:
 def symmetrize(mu: FiniteMeasure) -> FiniteMeasure:
     """Average the mass over each orbit; orbit totals are preserved."""
     weights: dict[Structure, float] = {}
-    for members in _orbit_groups(mu):
+    for members in _orbit_groups(mu.support()):
         mean = math.fsum(mu.mass(m) for m in members) / len(members)
         for m in members:
             weights[m] = mean
@@ -231,14 +218,11 @@ def decompose_exchangeable(mu: FiniteMeasure) -> OrbitWeights:
     """Unique orbit weights with mu = sum of p_Y * (uniform on Y)."""
     if not mu.is_probability:
         raise ValueError(f"not a probability measure (total {mu.total_mass})")
-    groups = _orbit_groups(mu)
+    groups = _orbit_groups(mu.support())
     if not _constant_on(mu, groups):
         raise ValueError("measure is not exchangeable within tolerance")
-    p: dict[OrbitId, float] = {}
-    for members in groups:  # each orbit's canonical member first
-        total = math.fsum(mu.mass(m) for m in members)
-        if total > 0:
-            p[OrbitId(serialize(members[0]))] = total
+    # each orbit meets the support, so has positive mass; canonical member first
+    p = {OrbitId(serialize(members[0])): math.fsum(map(mu.mass, members)) for members in groups}
     return OrbitWeights(mu.signature, mu.n, p)
 
 
@@ -251,6 +235,13 @@ def measure_to_payload(mu: FiniteMeasure) -> dict:
             for text, m in zip(*mu._sorted_support)
         ],
     }
+
+
+def _json_object(value, field: str) -> dict:
+    """``value``, the parsed JSON value ``field``, if an object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{field} must be an object, got {json.dumps(value):.60}")
+    return value
 
 
 def _json_objects(value, field: str) -> list:
@@ -311,7 +302,7 @@ def measure_from_json(text: str) -> FiniteMeasure:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed measure JSON: {exc}") from None
-    return measure_from_payload(payload)
+    return measure_from_payload(_json_object(payload, "measure JSON"))
 
 
 def orbit_weights_to_json(p: OrbitWeights) -> str:

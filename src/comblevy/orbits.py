@@ -9,7 +9,10 @@ gated by an enumeration cap (n <= CANONICAL_CAP).
 With the cap in place all labels are single decimal digits, so comparing
 per-relation sorted tuple sequences is identical to comparing serialized
 strings.  Cell-index order is the lexicographic tuple order, so the code
-compares per-relation sorted cell indices, the cheapest equivalent key.
+compares per-relation sorted cell indices, the cheapest equivalent key,
+made for all n! relabelings at once by one gather through a table of
+permutation images.  ``_orbit_groups`` is the one orbit partition: of the
+whole space for the orbit table, of a measure's support in ``measures``.
 """
 
 from __future__ import annotations
@@ -18,12 +21,11 @@ import itertools
 import json
 from functools import lru_cache
 
+import numpy as np
+
 from .structures import (
-    Permutation,
     Signature,
     Structure,
-    _cell_decode,
-    _cell_index,
     _cells,
     _serialize_all,
     _structure_from_cells,
@@ -100,28 +102,26 @@ class OrbitTable(Value):
 
 
 @lru_cache(maxsize=32)
-def _permutations(n: int) -> tuple[Permutation, ...]:
-    return tuple(
-        Permutation(n, image)
-        for image in itertools.permutations(range(1, n + 1))
-    )
+def _permutations(n: int) -> np.ndarray:
+    """The n! permutations of [n] as rows of 0-based images; at n = 0, one empty row."""
+    return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
 
 
 def _relabelings(m: Structure) -> set[tuple]:
     """Every relabeling of ``m`` as its sort key: the sorted cell indices
-    of each relation."""
-    n = m.n
-    tuples = [
-        [_cell_decode(c, n, arity) for c in rel_cells]
-        for arity, rel_cells in zip(m.signature.arities, _cells(m))
-    ]
-    return {
-        tuple(
-            tuple(sorted(_cell_index([sigma.image[a - 1] for a in t], n) for t in rel))
-            for rel in tuples
-        )
-        for sigma in _permutations(n)
-    }
+    of each relation.  A relation's cells go through every permutation at
+    once, one divmod and one gather per tuple position."""
+    _check_cap(m.n)
+    n, perms = m.n, _permutations(m.n)
+    keys = []
+    for arity, rel_cells in zip(m.signature.arities, _cells(m)):
+        rest = np.array(rel_cells, dtype=np.int64)
+        image = np.zeros((len(perms), len(rest)), dtype=np.int64)
+        for pos in range(arity):
+            rest, digit = np.divmod(rest, n)
+            image += perms[:, digit] * n**pos
+        keys.append(map(tuple, np.sort(image, axis=1).tolist()))
+    return set(zip(*keys)) if keys else {()}
 
 
 def _check_cap(n: int) -> None:
@@ -131,17 +131,26 @@ def _check_cap(n: int) -> None:
 
 def canonical_form(m: Structure) -> Structure:
     """Relabeling of ``m`` with lexicographically minimal serialization."""
-    _check_cap(m.n)
     return _structure_from_cells(m.signature, m.n, min(_relabelings(m)))
 
 
 def orbit_members(m: Structure) -> list[Structure]:
     """All distinct relabelings of ``m``, sorted by canonical key."""
-    _check_cap(m.n)
     return [
         _structure_from_cells(m.signature, m.n, key)
         for key in sorted(_relabelings(m))
     ]
+
+
+def _orbit_groups(structures) -> list[list[Structure]]:
+    """Each orbit meeting ``structures``, once, as :func:`orbit_members` lists it."""
+    seen: set[Structure] = set()
+    groups = []
+    for m in structures:
+        if m not in seen:
+            groups.append(orbit_members(m))
+            seen.update(groups[-1])
+    return groups
 
 
 def orbit_of(m: Structure) -> OrbitId:
@@ -174,17 +183,11 @@ def _orbit_data(signature: Signature, n: int) -> tuple[OrbitTable, dict]:
     if n < 0:
         raise ValueError(f"n={n} must be >= 0")
     _check_cap(n)
-    seen: set[Structure] = set()
-    orbits = []
-    for m in iter_space(signature, n):
-        if m not in seen:
-            orbits.append(orbit_members(m))
-            seen.update(orbits[-1])
+    orbits = _orbit_groups(iter_space(signature, n))
     oids = [OrbitId(text) for text in _serialize_all(signature, n, [o[0] for o in orbits])]
     lookup = {member: oid for oid, members in zip(oids, orbits) for member in members}
     entries = sorted(zip(oids, map(len, orbits)), key=lambda e: e[0].canonical)
-    table = OrbitTable(signature, n, tuple(entries))
-    return table, lookup
+    return OrbitTable(signature, n, tuple(entries)), lookup
 
 
 def enumerate_orbits(signature: Signature, n: int) -> OrbitTable:

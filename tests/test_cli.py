@@ -361,6 +361,13 @@ class TestOtherCommands:
         assert payload["p_value"] == 1.0
 
 
+def _local_measure(measure: str) -> str:
+    """An intensity JSON whose one local component has the JSON text
+    ``measure`` as its measure."""
+    component = f'{{"type": "local", "rate": 1, "measure": {measure}}}'
+    return f'{{"signature": "(1)", "components": [{component}]}}'
+
+
 class TestErrorHandling:
     def test_missing_file_exit_3(self, tmp_path):
         assert run_cli(["estimate-jumps", "--trajectory", tmp_path / "none.csv",
@@ -402,6 +409,35 @@ class TestErrorHandling:
         bad.write_text(json.dumps(payload))
         assert run_cli([command, *args, "--seed", 1]) == 2
         assert f"'{field}' must" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, text, field",
+        [
+            ("intensity.json", "[]", "intensity JSON"),
+            ("intensity.json", '"x"', "intensity JSON"),
+            ("intensity.json", "1", "intensity JSON"),
+            ("intensity.json", "null", "intensity JSON"),
+            ("intensity.json", _local_measure('"ab"'), "local component field 'measure'"),
+            ("intensity.json", _local_measure("[]"), "local component field 'measure'"),
+            ("measure.json", "[]", "measure JSON"),
+            ("measure.json", "null", "measure JSON"),
+            ("events.jsonl", '{"signature": "(1)", "n": 2, "T": 1.0}\n[1]\n', "event record"),
+        ],
+        ids=["intensity-array", "intensity-string", "intensity-number", "intensity-null",
+             "measure-field-string", "measure-field-array", "measure-array", "measure-null",
+             "event-record-array"],
+    )
+    def test_json_value_must_be_an_object_exit_2(self, tmp_path, capsys, name, text, field):
+        path = tmp_path / name
+        path.write_text(text)
+        args = {
+            "intensity.json": ["simulate-levy", "--intensity", path, "--n", 5, "--horizon", 1,
+                               "--seed", 1],
+            "measure.json": ["simulate-walk", "--measure", path, "--steps", 2, "--seed", 1],
+            "events.jsonl": ["estimate-jumps", "--trajectory", path],
+        }[name]
+        assert run_cli([*args, "--out", tmp_path / "out"]) == 2
+        assert f"{field} must be an object" in capsys.readouterr().err
 
     @pytest.mark.parametrize("alpha", ["7", "nan", "-1", "0", "1", "inf"])
     def test_test_level_outside_unit_interval_exit_2(self, tmp_path, measure_file, alpha):

@@ -1742,6 +1742,10 @@ class TestFileFormats:
             text = json.dumps({**header, field: value}) + "\n" + record
             with pytest.raises(ValueError, match=f"'{field}'"):
                 events_from_jsonl(text)
+        # the CLI takes only a line opening with a brace for a header, so
+        # this reader is the one to refuse another JSON value
+        with pytest.raises(ValueError, match="event-stream header must be an object"):
+            events_from_jsonl("[]\n" + record)
         # T = 0 is a path on [0, 0], which holds no jump
         assert events_from_jsonl(json.dumps({**header, "T": 0})).horizon == 0.0
         with pytest.raises(ValueError, match="event beyond the horizon"):

@@ -29,6 +29,9 @@ SIG1 = Signature((1,))
 SIG2 = Signature((2,))
 SIG12 = Signature((1, 2))
 SIG3 = Signature((3,))
+SIG_EMPTY = Signature(())
+SIG0 = Signature((0,))
+SIG03 = Signature((0, 3))
 
 
 def S(sig, n, *relations):
@@ -57,11 +60,11 @@ class TestCanonicalForm:
 
     def test_matches_string_minimization(self):
         rng = make_rng(200)
-        for sig in (SIG1, SIG2, SIG12):
-            for _ in range(15):
-                n = int(rng.integers(1, 5))
-                m = random_structure(rng, sig, n)
-                assert serialize(canonical_form(m)) == brute_canonical(m)
+        for sig in (SIG1, SIG2, SIG12, SIG3, SIG_EMPTY, SIG0, SIG03):
+            for n in range(6):
+                for _ in range(3):
+                    m = random_structure(rng, sig, n)
+                    assert serialize(canonical_form(m)) == brute_canonical(m)
 
     def test_cap(self):
         with pytest.raises(ValueError):
@@ -93,6 +96,17 @@ class TestOrbitOf:
             )
             assert len(orbit_members(m)) * stabilizer == math.factorial(n)
 
+    def test_members_are_the_distinct_relabelings(self):
+        rng = make_rng(203)
+        for sig in (SIG1, SIG2, SIG12, SIG3, SIG03):
+            for n in range(5):
+                m = random_structure(rng, sig, n)
+                relabelings = {
+                    relabel(m, Permutation(n, img))
+                    for img in itertools.permutations(range(1, n + 1))
+                }
+                assert orbit_members(m) == sorted(relabelings, key=serialize)
+
     def test_members_are_exactly_the_class(self):
         m = S(SIG1, 3, {1, 3})
         members = orbit_members(m)
@@ -114,6 +128,16 @@ class TestEnumerateOrbits:
         table = enumerate_orbits(SIG1, 1)
         assert len(table.entries) == 2
         assert all(size == 1 for _, size in table.entries)
+
+    def test_empty_label_set(self):
+        # [0] has one permutation, the empty one: each structure is its own
+        # orbit, and a nullary relation is present or absent
+        def entries(sig):
+            return [(oid.canonical, size) for oid, size in enumerate_orbits(sig, 0).entries]
+
+        assert entries(SIG1) == [("L=(1)|n=0|R1={}", 1)]
+        assert entries(SIG0) == [("L=(0)|n=0|R1={()}", 1), ("L=(0)|n=0|R1={}", 1)]
+        assert entries(SIG_EMPTY) == [("L=()|n=0", 1)]
 
     def test_digraphs_n2_burnside(self):
         # Burnside oracle: orbit count = average number of structures fixed

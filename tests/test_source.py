@@ -85,6 +85,19 @@ def test_one_reader_of_the_trajectory_log():
     assert not stray, f"trajectory.py reads the log's columns outside _block at lines {stray}"
 
 
+def test_one_owner_of_the_orbit_partition():
+    # the modules that group structures into orbits call orbits._orbit_groups
+    # rather than running their own loop over orbit_members
+    callers = {
+        path.name
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "orbit_members"
+    }
+    assert callers == {"orbits.py"}
+
+
 def test_no_module_imports_inside_a_function():
     # a module's dependencies are read from its head, and a call pays no
     # import-system lookup
