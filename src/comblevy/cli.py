@@ -172,6 +172,9 @@ def cmd_simulate_walk(args: argparse.Namespace) -> None:
 def cmd_simulate_levy(args: argparse.Namespace) -> None:
     intensity = intensity_from_json(_read_text(args.intensity))
     grid = _parse_grid(args.grid) if args.grid else None
+    for option, given in [("--grid", args.grid), ("--limit-out", args.limit_out)]:
+        if given is not None and args.limit_level is None:
+            raise ValueError(f"{option} requires --limit-level")
     if args.limit_level is not None:
         if grid is None:
             raise ValueError("--limit-level requires --grid")

@@ -776,9 +776,13 @@ def _int_field(record: dict, name: str) -> int:
 def _header(text: str) -> tuple[Structure, float]:
     """Start state and horizon of an event-stream header.  Fields are
     type-checked rather than coerced: n an integer, T a finite number >= 0,
-    seed (optional) an integer or null; any defect raises ValueError."""
+    seed (optional) an integer or null; any defect, or a field beside
+    signature, n, T, seed and init, raises ValueError."""
     try:
         header = _json_object(json.loads(text), "event-stream header")
+        unknown = sorted(header.keys() - {"signature", "n", "T", "seed", "init"})
+        if unknown:
+            raise ValueError(f"unknown event-stream header fields: {', '.join(map(repr, unknown))}")
         signature = Signature.parse(_text_field(header, "signature"))
         n = _int_field(header, "n")
         horizon = _check_number(header["T"], "event-stream field 'T'")

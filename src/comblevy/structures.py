@@ -332,52 +332,32 @@ def _cells(m: Structure) -> list[list[int]]:
     return [_set_bits(rel) for rel in m.relations]
 
 
-class _CellBits:
-    """A mutable copy of a structure's relations, one little-endian bytearray
-    per relation, so flipping a cell is O(1) rather than a copy of the whole
-    n^arity-bit int; ``freeze`` returns the current Structure."""
-
-    __slots__ = ("signature", "n", "bufs")
-
-    def __init__(self, m: Structure):
-        self.signature = m.signature
-        self.n = m.n
-        sizes = [(m.n**arity + 7) // 8 for arity in m.signature.arities]
+def _block_increment(
+    signature: Signature, n: int, cells: np.ndarray, counts: np.ndarray
+) -> Structure:
+    """The cellwise XOR of a block of rows, a flat cell column of (rows x k)
+    ``counts`` (see :meth:`_Parser.batch`): a cell listed an odd number of
+    times is set.  Per relation, one unbuffered numpy XOR sets its cells in
+    one byte buffer spanning its smallest to its largest cell, read as one
+    int and shifted into place, as in :func:`_structure_from_cells`."""
+    payloads = []
+    for rel_cells, _ in _relation_columns(cells, counts):
+        if not len(rel_cells):
+            payloads.append(0)
+            continue
+        low = int(rel_cells.min()) >> 3
         try:
-            self.bufs = [
-                bytearray(rel.to_bytes(size, "little"))
-                for size, rel in zip(sizes, m.relations)
-            ]
+            bits = np.zeros((int(rel_cells.max()) >> 3) - low + 1, np.uint8)
+            flips = np.left_shift(1, rel_cells & 7).astype(np.uint8)
+            np.bitwise_xor.at(bits, (rel_cells >> 3) - low, flips)
+            payloads.append(int.from_bytes(bits.tobytes(), "little") << 8 * low)
         except MemoryError:
+            size = sum((n**arity + 7) // 8 for arity in signature.arities)
             raise ValueError(
-                f"a state of signature {m.signature} at n={m.n} needs "
-                f"{sum(sizes)} bytes of cell bits, more than can be allocated"
+                f"a state of signature {signature} at n={n} needs "
+                f"{size} bytes of cell bits, more than can be allocated"
             ) from None
-
-    def flip(self, cells) -> "_CellBits":
-        """XOR in the cells ``cells[j]`` of each relation j."""
-        for buf, rel_cells in zip(self.bufs, cells):
-            for c in rel_cells:
-                buf[c >> 3] ^= 1 << (c & 7)
-        return self
-
-    def flip_runs(self, cells: np.ndarray, counts: np.ndarray) -> "_CellBits":
-        """XOR in a flat cell column of (rows x k) ``counts`` (see
-        :meth:`_Parser.batch`); a cell listed twice flips back.  One
-        unbuffered numpy XOR per relation flips all of its cells."""
-        rels = np.repeat(np.arange(counts.size) % len(self.bufs), counts.ravel())
-        for j, buf in enumerate(self.bufs):
-            rel_cells = cells[rels == j]
-            bits = np.left_shift(1, rel_cells & 7).astype(np.uint8)
-            np.bitwise_xor.at(np.frombuffer(buf, np.uint8), rel_cells >> 3, bits)
-        return self
-
-    def freeze(self) -> Structure:
-        return Structure(
-            self.signature,
-            self.n,
-            tuple(int.from_bytes(buf, "little") for buf in self.bufs),
-        )
+    return Structure(signature, n, tuple(payloads))
 
 
 def _structure_from_cells(signature: Signature, n: int, cells) -> Structure:

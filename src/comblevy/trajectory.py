@@ -7,9 +7,12 @@ the log a block of jumps at a time, straight from the cell columns that the
 samplers in :mod:`comblevy.levy` and :mod:`comblevy.walk` and the file
 readers emit, and ``LevyTrajectory._block`` is its one reader: every
 replay, writer and view slices its jumps out as that flat cell column and
-its per-jump counts.  A walk is the same log at the times 1..T (see
-:class:`comblevy.walk.WalkTrajectory`).  Both full-state CSV formats are
-written and read here, by ``_to_csv`` and ``_from_csv``.  The writer
+its per-jump counts.  A state is the start XOR'd with the increments
+before it, X_i = X_0 ^ D_1 ^ ... ^ D_i, an ordinary ``Structure`` whose
+relations are ints only as long as their highest set cell.  A walk is the
+same log at the times 1..T (see :class:`comblevy.walk.WalkTrajectory`).
+Both full-state CSV formats are written and read here, by ``_to_csv`` and
+``_from_csv``.  The writer
 follows the log: where the jumps flip few of the state's cells, each row is
 the previous row's text with the flipped cells' texts spliced in or cut
 out, so a row costs Python work per flipped cell, not per cell of the
@@ -26,14 +29,14 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 
 import numpy as np
 
 from .structures import (
     Signature,
     Structure,
-    _CellBits,
+    _block_increment,
     _cell_lists,
     _cells,
     _formatter,
@@ -42,6 +45,7 @@ from .structures import (
     _relation_columns,
     _row_major,
     _structure_from_cells,
+    increment,
 )
 
 __all__ = ["LevyTrajectory"]
@@ -95,11 +99,13 @@ class LevyTrajectory:
     flat columns, and the final state.  The log grows only by ``_extend``,
     a block of jumps at a time, which checks the block and appends it, and
     is read only by ``_block``, which copies a stretch of jumps out in the
-    layout ``_extend`` takes.  ``_states`` rebuilds states by one forward
-    replay of the log: ``_close`` takes the final state from it, an index
-    or ``state_at`` replays up to its event, and ``limit_path`` takes its
-    grid states in one pass.  No other state is kept, so memory is O(sum of
-    increment sizes).  ``events`` rebuilds the events ``(t, Structure)``.
+    layout ``_extend`` takes.  State i is the start XOR'd with the first i
+    increments by ``increment`` alone: ``_states`` XORs in the block of
+    jumps up to each index as one increment, for ``_close``'s final state,
+    an index, ``state_at`` and ``limit_path``'s grid.  No other state is
+    kept, so memory is O(sum of increment sizes) plus the start and final
+    states, each relation an int as long as its highest set cell.
+    ``events`` rebuilds the events ``(t, Structure)``.
     """
 
     # Whether a jump may leave the state unchanged (a walk's empty step).
@@ -177,12 +183,15 @@ class LevyTrajectory:
         return _Events(self)
 
     def _states(self, indices):
-        """The state after each event of the ascending ``indices``: one
-        replay of the log XORs the jumps up to each into a running state."""
-        bits, done = _CellBits(self._start), 0
+        """The state after each event of the ascending ``indices``: the
+        start XOR'd, index by index, with the increment of the jumps since
+        the index before (``_block_increment``), so one pass over the log
+        gives them all."""
+        state, done = self._start, 0
         for i in indices:
-            yield bits.flip_runs(*self._block(done, i)).freeze()
-            done = i
+            jumps = _block_increment(self.signature, self.n, *self._block(done, i))
+            state, done = increment(state, jumps), i
+            yield state
 
     def _state(self, i: int) -> Structure:
         """State after event ``i``, the log replayed up to it."""
@@ -364,9 +373,9 @@ class _LogView(Sequence):
 
 
 class _States(_LogView):
-    """The state after each event.  Iteration streams them by a running
-    XOR; an index replays the log up to its event; ``[-1]`` is the kept
-    final state."""
+    """The state after each event.  Iteration XORs the increments into
+    the start one at a time; an index XORs in the block of jumps before
+    its event; ``[-1]`` is the kept final state."""
 
     __slots__ = ()
 
@@ -377,10 +386,7 @@ class _States(_LogView):
         return self._traj._state(i)
 
     def __iter__(self):
-        bits = _CellBits(self._traj._start)
-        yield bits.freeze()
-        for cells in self._traj._jumps():
-            yield bits.flip(cells).freeze()
+        return accumulate(_Increments(self._traj), increment, initial=self._traj._start)
 
 
 class _Events(_States):

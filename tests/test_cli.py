@@ -183,6 +183,16 @@ class TestSimulateLevy:
                         "--out", tmp_path / "x.csv"])
         assert code == 2
 
+    @pytest.mark.parametrize("option, value", [("--grid", "0.5"), ("--limit-out", "lim.csv")])
+    def test_limit_options_require_limit_level(self, tmp_path, capsys, intensity_file,
+                                               option, value):
+        out = tmp_path / "x.csv"
+        code = run_cli(["simulate-levy", "--intensity", intensity_file, "--n", 4,
+                        "--horizon", 1.0, "--seed", 2, option, value, "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err == f"comblevy: {option} requires --limit-level\n"
+        assert not any(tmp_path.glob("*.csv")) and not (tmp_path / "manifest.json").exists()
+
 
 class TestOtherCommands:
     def test_orbits(self, tmp_path):
@@ -481,6 +491,16 @@ class TestErrorHandling:
         assert run_cli(["test-exchangeability", "--trajectory", bad,
                         "--out", tmp_path / "r.json"]) == 2
 
+    def test_unknown_event_stream_header_field_exit_2(self, tmp_path, capsys):
+        # a misspelt "init" would otherwise start the path from the empty state
+        path = tmp_path / "events.jsonl"
+        path.write_text('{"T": 1.0, "inti": "L=(1)|n=3|R1={(2)}", "n": 3, "signature": "(1)", '
+                        '"zz": 1}\n')
+        out = tmp_path / "out" / "measure.json"
+        assert run_cli(["estimate-jumps", "--trajectory", path, "--out", out]) == 2
+        assert "unknown event-stream header fields: 'inti', 'zz'" in capsys.readouterr().err
+        assert not out.parent.exists()
+
     def test_failed_write_removes_temp_file(self, tmp_path, monkeypatch, intensity_file):
         class FailingFile:
             """Raises on the second slice it is asked to write."""
@@ -590,24 +610,44 @@ class TestErrorHandling:
         assert "too large to index cells" in capsys.readouterr().err
         assert not out.exists() and not (out.parent / "manifest.json").exists()
 
+    # The prelude of a child process whose address space is capped at 2 GB.
+    CAPPED = (
+        "import os, resource, sys\n"
+        "for name in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS'):\n"
+        "    os.environ[name] = '1'\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))\n"
+    )
+
     def test_state_too_large_to_allocate_exit_2(self, tmp_path):
-        # closing the log of this empty stream needs one n^2-bit state; the
-        # child's address space is capped, so the test cannot allocate it
+        # closing the log of this stream needs its final state, whose one
+        # cell is the last of n^2, so an n^2-bit int; the child's address
+        # space is capped, so it cannot allocate it
         path = tmp_path / "huge.jsonl"
-        path.write_text('{"n": 100000000, "signature": "(2)", "T": 1.0}\n')
-        code = (
-            "import os, resource, sys\n"
-            "for name in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS'):\n"
-            "    os.environ[name] = '1'\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))\n"
-            "from comblevy.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n"
+        path.write_text(
+            '{"n": 100000000, "signature": "(2)", "T": 1.0}\n'
+            '{"increment": "L=(2)|n=100000000|R1={(100000000,100000000)}", "t": 0.5}\n'
         )
+        code = self.CAPPED + "from comblevy.cli import main\nsys.exit(main(sys.argv[1:]))\n"
         out = tmp_path / "out" / "measure.json"
         result = run_python(["-c", code, "estimate-jumps", "--trajectory", path, "--out", out], tmp_path)
         assert result.returncode == 2, result.stderr
         assert "n=100000000 needs 1250000000000000 bytes" in result.stderr
         assert not out.exists()
+
+    def test_empty_huge_stream_reads_under_the_cap(self, tmp_path):
+        # an empty stream's every state is its empty start, whose relation
+        # is the int 0 at any n, so reading it allocates no n^2 bits
+        path = tmp_path / "huge.jsonl"
+        path.write_text('{"n": 100000000, "signature": "(2)", "T": 1.0}\n')
+        code = self.CAPPED + (
+            "from comblevy.levy import events_from_jsonl\n"
+            "with open(sys.argv[1]) as f:\n"
+            "    traj = events_from_jsonl(f)\n"
+            "print(len(traj.events), traj.state_at(1.0).is_empty(), list(traj.events)[0][1].n)\n"
+        )
+        result = run_python(["-c", code, path], tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "1 True 100000000\n"
 
     def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch, intensity_file):
         path = tmp_path / "levy.csv"

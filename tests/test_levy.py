@@ -752,6 +752,34 @@ class TestIncrementLog:
             assert trajectory_from_csv(trajectory_to_csv(traj), horizon) == traj
 
 
+class TestReplayRoutes:
+    """Iteration accumulates the increments one at a time; ``_states`` XORs
+    a block increment per index; the two share only ``_block``."""
+
+    @staticmethod
+    def _paths():
+        mu = FiniteMeasure(SIG1, 4, {
+            empty_structure(SIG1, 4): 0.5, S(SIG1, 4, {1}): 0.25, S(SIG1, 4, {2, 3}): 0.25,
+        })
+        walk = simulate_walk(mu, S(SIG1, 4, {4}), 400, make_rng(91))
+        assert any(inc.is_empty() for inc in walk.jump_increments())
+        community = simulate_levy(_community_with_explicit(), 5, 20.0, make_rng(92))
+        sets = simulate_levy(LevyIntensity(SIG1, (SetSingletonComponent(rate=3.0),)),
+                             6, 60.0, make_rng(93))
+        return walk, community, sets
+
+    def test_iteration_matches_block_replay(self):
+        rng = make_rng(94)
+        for traj in self._paths():
+            events = traj.events
+            assert len(events) > 2 * STRETCH
+            states = [s for _, s in events]
+            assert list(traj._states(range(len(events)))) == states
+            picked = np.sort(rng.integers(0, len(events), 40)).tolist()
+            assert list(traj._states(picked)) == [states[i] for i in picked]
+            assert [events[i][1] for i in picked] == [states[i] for i in picked]
+
+
 def _poisson_fit_p(counts, mean):
     """Chi-square goodness-of-fit p-value of the counts against
     Poisson(mean).  Bins run up from 0 and close once they expect at least
@@ -1562,6 +1590,8 @@ class TestFileFormats:
             events_from_jsonl(json.dumps(header) + '\n{"t": 0.5, "increment": 5}')
         with pytest.raises(ValueError, match="'init'"):
             events_from_jsonl(json.dumps({**header, "init": 7}))
+        with pytest.raises(ValueError, match="unknown event-stream header fields: 'inti'$"):
+            events_from_jsonl(json.dumps({**header, "inti": "L=(1)|n=3|R1={(2)}"}))
         other_n = json.dumps({"t": 0.5, "increment": "L=(1)|n=4|R1={(1)}"})
         with pytest.raises(ValueError, match="n=4"):
             events_from_jsonl(json.dumps(header) + "\n" + other_n)

@@ -10,6 +10,7 @@ from comblevy.structures import (
     _Formatter,
     _Parser,
     _bit_array,
+    _block_increment,
     _cell_lists,
     _cells,
     _set_bits,
@@ -109,6 +110,40 @@ class TestIncrement:
                 a = random_structure(rng, sig, n)
                 b = random_structure(rng, sig, n)
                 assert increment(a, b) == naive_increment(a, b)
+
+
+class TestBlockIncrement:
+    @staticmethod
+    def _xor(sig, n, rows):
+        cells, counts = _flat_cells(rows, sig.k)
+        return _block_increment(sig, n, cells, counts)
+
+    def test_parity_of_listed_cells(self):
+        # cell 0 listed once, 1 twice, 2 three times; cell 4 twice, 8 once
+        rows = [[[0, 1, 2], [4]], [[1, 2], [4, 8]], [[2], []]]
+        assert self._xor(SIG12, 3, rows) == S(SIG12, 3, {1, 3}, {(3, 3)})
+        sig01 = Signature((0, 1))
+        for times, expected in [(1, S(sig01, 2, {()}, set())), (2, empty_structure(sig01, 2)),
+                                (3, S(sig01, 2, {()}, set()))]:
+            assert self._xor(sig01, 2, [[[0], []]] * times) == expected
+
+    def test_empty_signature_and_block(self):
+        sig = Signature(())
+        assert self._xor(sig, 4, [[], []]) == empty_structure(sig, 4)
+        for sig in ALL_SIGS:
+            assert self._xor(sig, 3, []) == empty_structure(sig, 3)
+
+    def test_against_increment(self):
+        rng = make_rng(105)
+        for sig in [*ALL_SIGS, Signature((0, 1))]:
+            for _ in range(10):
+                n = int(rng.integers(1, 6))
+                rows = [_cells(random_structure(rng, sig, n, density=0.2))
+                        for _ in range(int(rng.integers(1, 6)))]
+                expected = empty_structure(sig, n)
+                for row in rows:
+                    expected = increment(expected, _structure_from_cells(sig, n, row))
+                assert self._xor(sig, n, rows) == expected
 
 
 class TestRestrict:
