@@ -28,7 +28,7 @@ import numpy as np
 
 from .trajectory import LevyTrajectory
 from .measures import FiniteMeasure, _measure_json, symmetrize
-from .orbits import _check_cap, orbit_of
+from .orbits import _check_cap, _orbit_groups, orbit_of
 from .rng import make_rng
 from .structures import _cell_lists, _serialize_rows, _structure_from_cells
 from .value import Value
@@ -181,10 +181,12 @@ def chi_square_exchangeability(traj, alphas=(0.05,)) -> TestReport:
     mu_ex = symmetrize(_frequency_measure(counts))
 
     # The support of the orbit average is every member of each observed
-    # orbit; orbits in ascending canonical order fix the replicate stream.
-    orbit_counts: dict = {}
-    for m in mu_ex.support():
-        orbit_counts.setdefault(orbit_of(m), []).append(counts.get(m, 0))
+    # orbit, each orbit named once from its canonical first member; orbits
+    # in ascending canonical order fix the replicate stream.
+    orbit_counts = {
+        orbit_of(members[0]): [counts.get(m, 0) for m in members]
+        for members in _orbit_groups(counts)
+    }
     cells = len(mu_ex.weights)
     df = cells - len(orbit_counts)
     if df < 1:

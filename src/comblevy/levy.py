@@ -79,6 +79,7 @@ __all__ = [
     "LevyTrajectory",
     "RestrictedIntensity",
     "simulate_levy",
+    "JUMP_CAP",
     "restrict_trajectory",
     "marginal_flip_probability",
     "intensity_to_json",
@@ -92,6 +93,10 @@ __all__ = [
 RATE_TOL = 1e-12
 # Expected jumps per time block of the batched jump chain (see _jump_chain).
 _BLOCK_EVENTS = 2**16
+# Most expected jumps a simulated path may have.  N uniform times on [0, T]
+# tie at float64 resolution in up to about N^2 * 2^-53 adjacent pairs: at
+# 2^24 jumps a tie has about a 3% chance, and the log is about 0.5 GB.
+JUMP_CAP = 2**24
 
 
 def _check_number(x, name: str) -> float:
@@ -611,6 +616,11 @@ def _jump_chain(restricted: RestrictedIntensity, horizon: float, rng):
         length = min((block + 1) * span, horizon) - start
         count = int(rng.poisson(rate * length))
         times = np.minimum(start + length * np.sort(rng.random(count)), horizon)
+        ties = np.diff(times) <= 0.0
+        if ties.any():
+            raise ValueError(
+                f"two jump times tie at float64 resolution: t={times[ties.argmax()]}"
+            )
         yield times, restricted.sample_cells_batch(rng, count)
         block += 1
 
@@ -622,6 +632,12 @@ def simulate_levy(
     if not 0.0 < horizon < math.inf:
         raise ValueError(f"horizon must be finite and > 0, got {horizon}")
     restricted = RestrictedIntensity(intensity, n)
+    expected = restricted.total_rate * horizon
+    if expected > JUMP_CAP:
+        raise ValueError(
+            f"about {expected:.4g} jumps expected at n={n} over T={horizon}, more than "
+            f"JUMP_CAP={JUMP_CAP}: float64 times would tie and the log would not fit"
+        )
     traj = LevyTrajectory._started(empty_structure(intensity.signature, n))
     for times, columns in _jump_chain(restricted, horizon, rng):
         traj._extend(times, *columns)

@@ -152,7 +152,7 @@ class LevyTrajectory:
         if not math.isfinite(horizon):
             raise ValueError(f"horizon must be finite, got {horizon}")
         if self._times[-1] > horizon:
-            raise ValueError("event beyond the horizon")
+            raise ValueError(f"event beyond the horizon: t={self._times[-1]} > T={horizon}")
         self.horizon = horizon
         self._final, = self._states([len(self._times) - 1])
 

@@ -177,6 +177,14 @@ class TestSimulateLevy:
                             "--horizon", horizon, "--seed", 2,
                             "--out", tmp_path / "l.csv"]) == 2
 
+    def test_refuses_more_jumps_than_the_cap_exit_2(self, tmp_path, capsys, intensity_file):
+        # rate 4 over T = 10^7: 4e7 expected jumps, refused before any draw
+        code = run_cli(["simulate-levy", "--intensity", intensity_file, "--n", 4,
+                        "--horizon", "1e7", "--seed", 2, "--out", tmp_path / "x.csv"])
+        assert code == 2
+        assert "about 4e+07 jumps expected" in capsys.readouterr().err
+        assert not any(tmp_path.glob("*.csv")) and not (tmp_path / "manifest.json").exists()
+
     def test_limit_level_requires_grid(self, tmp_path, intensity_file):
         code = run_cli(["simulate-levy", "--intensity", intensity_file, "--n", 4,
                         "--horizon", 1.0, "--seed", 2, "--limit-level", 1,

@@ -19,6 +19,7 @@ from comblevy.levy import (
     simulate_levy,
 )
 from comblevy.measures import FiniteMeasure, point_mass, urn_measure
+from comblevy.orbits import canonical_form, orbit_of
 from comblevy.rng import make_rng
 from comblevy.structures import (
     Signature,
@@ -246,6 +247,22 @@ class TestChiSquareTest:
         monkeypatch.setattr(inference, "_BLOCK_COUNTS", 1)
         assert chi_square_exchangeability(traj) == whole
 
+    def test_each_observed_orbit_is_canonicalized_once(self, monkeypatch):
+        # the bench's community intensity at n = 5: 3,890 structures in 68
+        # observed orbits, each orbit named once from its canonical member
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return orbit_of(m)
+
+        monkeypatch.setattr(inference, "orbit_of", counted)
+        traj = simulate_levy(intensity_from_json(COMMUNITY), 5, 50.0, make_rng(1))
+        report = chi_square_exchangeability(traj)
+        assert report.cells_used == 3890
+        assert len(calls) == report.cells_used - report.df == 68
+        assert all(canonical_form(m) == m for m in calls)
+
     def test_community_null_calibration(self):
         # The exchangeable community intensity of the benchmark, (1,2) at
         # n=4, T=150: a valid 5% test rejects more than 6 of 40 seeds with
@@ -285,9 +302,12 @@ class TestChiSquareTest:
     # sha256 of report_to_json(chi_square_exchangeability(path, (0.05, 0.01)))
     # as computed when the increments were counted with a Counter of
     # Structures; the community path as the local kind draws its pair and
-    # loop patterns
+    # loop patterns; the n = 5 and 6 community paths as computed when every
+    # member of every observed orbit was canonicalized
     PINNED_REPORTS = {
         "community": "2e1f2e058901ebd105ce14752f61d3d8a06cc4128babf01fdd46035399d83175",
+        "community-n5": "1041b0182be206952e7a2d360a499e1a5726fee71924f2b4b985dde471315154",
+        "community-n6": "0a085d505a6817ccb9fc5e6aaa2725e9c526d5a9d45de1c0deb2791cce3be777",
         "skewed-walk": "e23de14109aec403db4a2c780e718336854a18b08c72b6538655252a7eac7682",
         "urn-walk": "e7057474663fe44fbdcc8983ee45f82bdde03d518bebac3aed08c9eab41f8879",
     }
@@ -297,6 +317,12 @@ class TestChiSquareTest:
         traj = {
             "community": lambda: simulate_levy(
                 intensity_from_json(COMMUNITY), 4, 150.0, make_rng(100)
+            ),
+            "community-n5": lambda: simulate_levy(
+                intensity_from_json(COMMUNITY), 5, 50.0, make_rng(1)
+            ),
+            "community-n6": lambda: simulate_levy(
+                intensity_from_json(COMMUNITY), 6, 50.0, make_rng(1)
             ),
             "skewed-walk": lambda: simulate_walk(
                 SKEWED, empty_structure(SIG1, 3), 200, make_rng(805)

@@ -546,6 +546,26 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate_levy(LevyIntensity(SIG1, ()), 3, 0.0, make_rng(57))
 
+    def test_refuses_more_jumps_than_float64_times_keep_apart(self):
+        # rate 4 over T = 2^22 expects JUMP_CAP jumps, the most allowed;
+        # the refusal comes before any draw, so the rng is never touched
+        I = LevyIntensity(SIG1, (SetSingletonComponent(rate=1.0),))
+        with pytest.raises(ValueError, match=r"about 1\.678e\+07 jumps expected at n=4 over "
+                                             r"T=4194305\.0, more than JUMP_CAP=16777216"):
+            simulate_levy(I, 4, 2.0**22 + 1, object())
+
+    def test_refuses_a_block_whose_sorted_times_tie(self):
+        class TiedTimes:
+            def poisson(self, lam):
+                return 3
+
+            def random(self, size):
+                return np.array([0.5, 0.25, 0.5])
+
+        restricted = RestrictedIntensity(LevyIntensity(SIG1, (SetSingletonComponent(1.0),)), 4)
+        with pytest.raises(ValueError, match=r"tie at float64 resolution: t=0\.5$"):
+            next(_jump_chain(restricted, 1.0, TiedTimes()))
+
     def test_deterministic_given_seed(self):
         I = LevyIntensity(SIG1, (SetSingletonComponent(rate=1.0),))
         a = simulate_levy(I, 6, 2.0, make_rng(58))
@@ -1778,8 +1798,11 @@ class TestFileFormats:
             events_from_jsonl("[]\n" + record)
         # T = 0 is a path on [0, 0], which holds no jump
         assert events_from_jsonl(json.dumps({**header, "T": 0})).horizon == 0.0
-        with pytest.raises(ValueError, match="event beyond the horizon"):
+        with pytest.raises(ValueError, match=r"event beyond the horizon: t=0\.5 > T=0\.0$"):
             events_from_jsonl(json.dumps({**header, "T": 0}) + "\n" + record)
+        late = json.dumps({"t": 1.5, "increment": "L=(1)|n=3|R1={(1)}"})
+        with pytest.raises(ValueError, match=r"event beyond the horizon: t=1\.5 > T=1\.0$"):
+            events_from_jsonl(json.dumps({**header, "T": 1.0}) + "\n" + late)
         for t in ("0.5", True):
             text = json.dumps(header) + "\n" + json.dumps(
                 {"t": t, "increment": "L=(1)|n=3|R1={(1)}"}
