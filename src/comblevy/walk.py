@@ -113,10 +113,8 @@ def walk_distribution_exact(mu: FiniteMeasure, x0: Structure, steps: int) -> Fin
 
 
 def project_orbit_chain(traj: WalkTrajectory) -> list[OrbitId]:
-    """Elementwise orbit projection of the state sequence; each distinct
-    state is canonicalized once."""
-    orbits: dict[Structure, OrbitId] = {}
-    return [orbits[m] if m in orbits else orbits.setdefault(m, orbit_of(m)) for m in traj.steps]
+    """Elementwise orbit projection of the state sequence."""
+    return [orbit_of(m) for m in traj.steps]
 
 
 def orbit_kernel(mu: FiniteMeasure) -> dict[tuple[OrbitId, OrbitId], float]:

@@ -554,17 +554,15 @@ class TestSimulate:
                                              r"T=4194305\.0, more than JUMP_CAP=16777216"):
             simulate_levy(I, 4, 2.0**22 + 1, object())
 
-    def test_refuses_a_block_whose_sorted_times_tie(self):
-        class TiedTimes:
-            def poisson(self, lam):
-                return 3
+    def test_names_float64_resolution_when_jump_times_tie(self, monkeypatch):
+        def tied(restricted, horizon, rng):
+            yield np.array([0.25, 0.5, 0.5]), restricted.sample_cells_batch(rng, 3)
 
-            def random(self, size):
-                return np.array([0.5, 0.25, 0.5])
-
-        restricted = RestrictedIntensity(LevyIntensity(SIG1, (SetSingletonComponent(1.0),)), 4)
-        with pytest.raises(ValueError, match=r"tie at float64 resolution: t=0\.5$"):
-            next(_jump_chain(restricted, 1.0, TiedTimes()))
+        monkeypatch.setattr(levy, "_jump_chain", tied)
+        I = LevyIntensity(SIG1, (SetSingletonComponent(rate=1.0),))
+        with pytest.raises(ValueError, match=r"t=0\.5 after 0\.5: two jump times tie at "
+                                             r"float64 resolution$"):
+            simulate_levy(I, 4, 1.0, make_rng(59))
 
     def test_deterministic_given_seed(self):
         I = LevyIntensity(SIG1, (SetSingletonComponent(rate=1.0),))

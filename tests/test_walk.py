@@ -180,19 +180,6 @@ class TestOrbitChain:
         chain = project_orbit_chain(traj)
         assert chain[0] == chain[1]
 
-    def test_each_distinct_state_is_canonicalized_once(self, monkeypatch):
-        calls = []
-
-        def counted(m):
-            calls.append(m)
-            return orbit_of(m)
-
-        monkeypatch.setattr(walk, "orbit_of", counted)
-        traj = simulate_walk(urn_measure(1, 3), empty_structure(SIG1, 3), 200, make_rng(815))
-        chain = project_orbit_chain(traj)
-        assert Counter(calls) == Counter(set(traj.steps))
-        assert chain == [orbit_of(m) for m in traj.steps]
-
     def test_kernel_single_element_urn(self):
         mu = urn_measure(1, 2)
         kernel = orbit_kernel(mu)
